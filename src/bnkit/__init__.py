@@ -46,7 +46,6 @@ from .chain import (
     LimitLineBundle,
     chip_fire,
     h0_chain,
-    h0_component,
     is_r_positive,
     min_h0,
     prefix_fire,

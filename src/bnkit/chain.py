@@ -23,8 +23,9 @@ consumer is expected to re-check stability at 2*theta.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 from typing import NamedTuple
 
 from .errors import (
@@ -35,11 +36,13 @@ from .errors import (
     InternalCheckError,
     NotRPositive,
     PreconditionError,
+    WindowTooSmall,
 )
 
 #: an aspect: None for a generic class, else (coeff at p^{i-1}, coeff at p^i)
 Aspect = tuple[int, int] | None
 
+#: marks a missing DP state; the kernel keeps every missing value >= _INF
 _INF = 1 << 30
 
 
@@ -99,11 +102,6 @@ class ComponentBundle(NamedTuple):
         return ComponentBundle(
             self.base, self.left_twist + du, self.right_twist + dv, self.aspect_degree
         )
-
-
-def h0_component(bundle: ComponentBundle) -> int:
-    """h0 of a single twisted component bundle."""
-    return bundle.h0()
 
 
 # --- degree distributions and chip firing ---
@@ -195,25 +193,6 @@ def h0_chain(L: LimitLineBundle, dist) -> int:
     return n
 
 
-def h0_chain_lr(L: LimitLineBundle, dist) -> int:
-    """Left-to-right mirror of :func:`h0_chain`; must agree with it."""
-    B = restrict(L, dist)
-    g = len(B)
-    n = B[0].h0()
-    if g == 1:
-        return n
-    eps = 1 if B[0].twist(0, 1).h0() < n else 0
-    for i in range(1, g):
-        if eps == 1:
-            defining = B[i]
-        else:
-            defining = B[i].twist(1, 0)
-        w = defining.h0()
-        n = w + n - eps
-        eps = 1 if defining.twist(0, 1).h0() < w else 0
-    return n
-
-
 def window_distributions(L: LimitLineBundle, window: int):
     """All degree distributions whose prefix sums S_1..S_{g-1} lie in
     [-window, d+window], in lexicographic order of the prefix sums."""
@@ -239,98 +218,149 @@ def default_window(L: LimitLineBundle) -> int:
     return L.g + 1
 
 
-# --- windowed minimum h0 via dynamic programming over prefix sums ---
+# --- the chain-DP kernel: one gluing step, linear in the window ---
+#
+# Every windowed computation below runs the same left-to-right recursion
+# over prefix-sum states.  The state after the components E^1..E^j is a
+# pair of arrays (n0, n1) over S_j = s in the window: the minimum h0 of
+# the prefix X^{<=j} among windowed prefixes with that sum whose
+# sections evaluate at p^j with rank eps = 0 resp. 1.
 
-def _suffix_dp(L: LimitLineBundle, window: int, want_tables: bool):
-    """Right-to-left DP over prefix-sum states.
-
-    State at node i (1 <= i <= g-1), keyed by s = S_i and the evaluation
-    rank eps at p^i: the minimum, over windowed suffix distributions with
-    that prefix sum, of h0 of the suffix X^{>i}.  Returns the overall
-    windowed minimum of h0_chain, one witness distribution attaining it,
-    and (optionally) the per-node arrays min-suffix-h0(i, s).
-    """
-    g, d = L.g, L.d
+def _window(d: int, window: int) -> tuple[int, int]:
+    """The prefix-sum window [lo, hi].  It keeps the forced boundary sums
+    S_0 = 0 and S_g = d inside, and lo + hi = d, so the reflection
+    s -> d - s maps it onto itself."""
     if window < 0:
         raise PreconditionError(f"window must be >= 0, got {window}")
-    if g == 1:
-        return h0_twisted(L.aspects[0], d, 0, 0), (d,), {}
-    # keep the forced boundary sums S_0 = 0 and S_g = d inside the window
-    lo, hi = min(-window, d), max(d + window, 0)
-    width = hi - lo + 1
-    aspects = L.aspects
+    return min(-window, d), max(d + window, 0)
 
-    # node g-1: suffix is E^g alone, with v = 0 at the free point p^g
-    a_g = aspects[-1]
-    n0 = [_INF] * width
-    n1 = [_INF] * width
-    parent0: list = [None] * width
-    parent1: list = [None] * width
-    for idx in range(width):
-        s = lo + idx
-        n = h0_twisted(a_g, d, s, 0)
-        eps = 1 if h0_twisted(a_g, d, s + 1, 0) < n else 0
-        # parents record the prefix sums at the nodes strictly to the right
-        if eps:
-            n1[idx] = n
-            parent1[idx] = ()
+
+def _start(lo: int, hi: int) -> list[int]:
+    """The merged array of the empty prefix: one state, at S_0 = 0."""
+    C = [_INF] * (hi - lo + 2)
+    C[-lo] = 0
+    return C
+
+
+def _merge(n0: list[int], n1: list[int]) -> list[int]:
+    """What the next component receives, keyed by its effective left
+    twist u = lo + k (one entry longer than the state): an eps-0 state at
+    S = u - 1 forces the new sections to vanish at the node, an eps-1
+    state at S = u spends one matching condition.  So
+    C[u] = min(n0[u - 1], n1[u] - 1)."""
+    # a < b means a <= b - 1; a missing n1 never wins
+    return [a if b >= _INF or a < b else b - 1 for a, b in zip([_INF, *n0], [*n1, _INF])]
+
+
+def _dp_step(aspects, C: list[int], lo: int, s_lo: int, s_hi: int):
+    """Glue one more component onto the merged array ``C`` (see
+    :func:`_merge`), once for each aspect in ``aspects``.  Returns one
+    state (m0, m1) over the prefix sums [s_lo, s_hi] per aspect.
+
+    At left twist u and new prefix sum s the component has degree
+    k = s - u.  For k >= 2 it adds k sections and leaves eps = 1; for
+    k < 0 it adds none and leaves eps = 0.  Only on the diagonals can h0
+    see the aspect: a generic class adds 1 at eps = 1 for k = 1 and 0 at
+    eps = 0 for k = 0, while an exact aspect with aspect[0] == u adds 1
+    at eps = 0 for k = 1 and 1 at eps = 1 for k = 0.  So the generic
+    result is a prefix minimum, m1[s] = s + min_{u < s} (C[u] - u), and a
+    suffix minimum, m0[s] = min_{u >= s} C[u]; an exact aspect moves the
+    cell u = aspect[0] between them at s = u and s = u + 1.  Linear in
+    the window.
+    """
+    o = s_lo - lo
+    # an empty prefix starts at _INF - lo, so that s + pre stays missing
+    pre = list(accumulate(map(sub, C[:s_hi - lo], range(lo, s_hi)), min, initial=_INF - lo))
+    suf = list(accumulate(reversed(C[o:]), min, initial=_INF))[::-1]
+    g0 = suf[:s_hi - s_lo + 1]
+    g1 = [s + p for s, p in zip(range(s_lo, s_hi + 1), pre[o:])]
+    out = []
+    for a in aspects:
+        k = -1 if a is None else a[0] - lo
+        if not 0 <= k < len(C):
+            out.append((g0, g1))
+            continue
+        m0, m1 = g0[:], g1[:]
+        hit = C[k] + 1
+        t = a[0] - s_lo
+        if 0 <= t < len(m0):  # s = u: the degree-0 cell has a section
+            m0[t] = suf[t + 1]
+            m1[t] = min(m1[t], hit)
+        t += 1
+        if 0 <= t < len(m0):  # s = u + 1: the degree-1 cell keeps eps = 0
+            m0[t] = min(m0[t], hit)
+            m1[t] = a[0] + 1 + pre[k]
+        out.append((m0, m1))
+    return out
+
+
+# --- windowed minimum h0, tables and witnesses from one kernel pass ---
+
+def _suffix_pass(L: LimitLineBundle, window: int):
+    """Run the kernel over the reflected chain E^g, .., E^1: aspects
+    reversed and each pair's coordinates swapped, so that prefix sums map
+    as S'_j = d - S_{g-j}.  The state after j components is the suffix
+    X^{>g-j} of L keyed by d - S_{g-j}, with eps the evaluation rank at
+    p^{g-j}; the last state is the whole chain at S_0 = 0.  Returns the
+    window's lo, the reflected aspects and every state."""
+    g, d = L.g, L.d
+    lo, hi = _window(d, window)
+    aspects = tuple(None if a is None else (a[1], a[0]) for a in reversed(L.aspects))
+    C = _start(lo, hi)
+    states = []
+    for j, a in enumerate(aspects, 1):
+        span = (d, d) if j == g else (lo, hi)
+        (state,) = _dp_step((a,), C, lo, *span)
+        states.append(state)
+        if j < g:
+            C = _merge(*state)
+    if _best(states) >= _INF:
+        raise InternalCheckError("chain DP produced no state at S_0 = 0")
+    return lo, aspects, states
+
+
+def _witness(L: LimitLineBundle, lo: int, aspects, states) -> tuple[int, ...]:
+    """A distribution attaining the minimum, by walking back over the
+    stored states.  Ties go to the smallest S_i, then eps 0 before eps 1,
+    and at S_0 to eps 0 when n0 <= n1."""
+    g, d = L.g, L.d
+    (n0,), (n1,) = states[-1]
+    eps, val = (0, n0) if n0 <= n1 else (1, n1)
+    s = d
+    sums = []
+    for j in range(len(aspects) - 1, 0, -1):
+        a = aspects[j]
+        v = d - s
+        prev0, prev1 = states[j - 1]
+        # the largest reflected sum first is the smallest S_{g-j}
+        candidates = (
+            (lo + idx, e, n)
+            for idx in range(len(prev0) - 1, -1, -1)
+            for e, n in ((0, prev0[idx]), (1, prev1[idx]))
+        )
+        for s_prev, e, n in candidates:
+            u = s_prev + 1 - e
+            w = h0_twisted(a, d, u, v)
+            if n < _INF and w + n - e == val and (h0_twisted(a, d, u, v + 1) < w) == eps:
+                break
         else:
-            n0[idx] = n
-            parent0[idx] = ()
+            raise InternalCheckError(f"chain DP state at node {g - j} has no predecessor")
+        s, eps, val = s_prev, e, n
+        sums.append(d - s)
+    prefixes = [0, *sums, d]
+    return tuple(b - a for a, b in zip(prefixes, prefixes[1:]))
 
-    tables: dict[int, list[int]] = {}
-    if want_tables:
-        tables[g - 1] = [min(a, b) for a, b in zip(n0, n1)]
 
-    for comp in range(g - 1, 0, -1):  # add component E^comp, produce node comp-1
-        a_i = aspects[comp - 1]
-        prev_range = range(0, 1) if comp == 1 else range(lo, hi + 1)
-        m0 = [_INF] * width
-        m1 = [_INF] * width
-        q0: list = [None] * width
-        q1: list = [None] * width
-        for s_prev in prev_range:
-            u = s_prev
-            jdx = s_prev - lo
-            for idx in range(width):
-                s = lo + idx
-                v = d - s
-                for eps, narr, parr in ((0, n0, parent0), (1, n1, parent1)):
-                    n = narr[idx]
-                    if n >= _INF:
-                        continue
-                    vdef = v if eps else v + 1
-                    w = h0_twisted(a_i, d, u, vdef)
-                    n2 = w + n - eps
-                    eps2 = 1 if h0_twisted(a_i, d, u + 1, vdef) < w else 0
-                    if eps2:
-                        if n2 < m1[jdx]:
-                            m1[jdx] = n2
-                            q1[jdx] = (s,) + parr[idx]
-                    else:
-                        if n2 < m0[jdx]:
-                            m0[jdx] = n2
-                            q0[jdx] = (s,) + parr[idx]
-        n0, n1, parent0, parent1 = m0, m1, q0, q1
-        if want_tables and comp - 1 >= 1:
-            tables[comp - 1] = [min(a, b) for a, b in zip(n0, n1)]
-
-    zidx = 0 - lo
-    best = min(n0[zidx], n1[zidx])
-    if best >= _INF:
-        raise InternalCheckError("suffix DP produced no state at S_0 = 0")
-    chain_sums = parent0[zidx] if n0[zidx] <= n1[zidx] else parent1[zidx]
-    prefixes = list(chain_sums) + [d]
-    witness = tuple(b - a for a, b in zip([0] + prefixes[:-1], prefixes))
-    return best, witness, tables
+def _best(states) -> int:
+    (n0,), (n1,) = states[-1]
+    return min(n0, n1)
 
 
 def min_h0(L: LimitLineBundle, window: int | None = None) -> int:
     """Minimum of h0_chain over all windowed degree distributions."""
     if window is None:
         window = default_window(L)
-    best, _, _ = _suffix_dp(L, window, want_tables=False)
-    return best
+    return _best(_suffix_pass(L, window)[2])
 
 
 @dataclass(frozen=True)
@@ -345,8 +375,9 @@ def is_r_positive(L: LimitLineBundle, r: int, window: int | None = None) -> RPos
     together with a distribution attaining the minimum."""
     if window is None:
         window = default_window(L)
-    best, witness, _ = _suffix_dp(L, window, want_tables=False)
-    return RPositivityReport(best >= r + 1, best, witness)
+    lo, aspects, states = _suffix_pass(L, window)
+    best = _best(states)
+    return RPositivityReport(best >= r + 1, best, _witness(L, lo, aspects, states))
 
 
 # --- vanishing tables and star conditions ---
@@ -385,13 +416,15 @@ def vanishing_tables(L: LimitLineBundle, r: int, window: int | None = None) -> V
     if window is None:
         window = default_window(L)
     g, d = L.g, L.d
-    best, _, tables = _suffix_dp(L, window, want_tables=True)
+    lo, _, states = _suffix_pass(L, window)
+    best = _best(states)
     if best < r + 1:
         raise NotRPositive(f"bundle has windowed min h0 = {best} < r+1 = {r + 1}")
-    lo = min(-window, d)  # same indexing as the DP
     a_rows: list[tuple[int, ...]] = [tuple(range(r + 1))]
     for i in range(1, g):
-        minsuf = tables[i]
+        # node i is reflected node g - i, keyed by d - S_i
+        n0, n1 = states[g - i - 1]
+        minsuf = [min(a, b) for a, b in zip(n0, n1)][::-1]
         # sanity: min-suffix-h0 must step down by at most 1 per unit of s
         for x, y in zip(minsuf, minsuf[1:]):
             if not (y <= x <= y + 1):
@@ -401,8 +434,8 @@ def vanishing_tables(L: LimitLineBundle, r: int, window: int | None = None) -> V
             need = r + 1 - n
             alphas = [lo + idx for idx, m in enumerate(minsuf) if m >= need]
             if not alphas or alphas[-1] == lo + len(minsuf) - 1:
-                raise InternalCheckError(
-                    f"a({i}, {n}) not attained strictly inside the window; enlarge it"
+                raise WindowTooSmall(
+                    f"a({i}, {n}) is not attained strictly inside window {window}; enlarge it"
                 )
             row.append(alphas[-1])
         if any(x >= y for x, y in zip(row, row[1:])):
@@ -484,7 +517,7 @@ def aspect_options(g: int, d: int, window: int) -> list[list[Aspect]]:
     return options
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchWitness:
     aspects: tuple[Aspect, ...]
     min_h0: int
@@ -501,96 +534,19 @@ class SearchResult:
         return self.count_exact + self.count_with_generic
 
 
-def _forward_dp_init(aspect: Aspect, d: int, lo: int, hi: int):
-    """State after E^1, keyed by S_1: (n, eps at p^1) minima."""
-    width = hi - lo + 1
-    n0 = [_INF] * width
-    n1 = [_INF] * width
-    for idx in range(width):
-        v = d - (lo + idx)
-        n = h0_twisted(aspect, d, 0, v)
-        if h0_twisted(aspect, d, 0, v + 1) < n:
-            n1[idx] = n
-        else:
-            n0[idx] = n
-    return n0, n1
-
-
-def _forward_dp_step(aspect: Aspect, d: int, lo: int, hi: int, state):
-    """Extend the prefix DP by one interior component."""
-    n0, n1 = state
-    width = hi - lo + 1
-    m0 = [_INF] * width
-    m1 = [_INF] * width
-    for idx in range(width):
-        u = lo + idx
-        a = n0[idx]
-        b = n1[idx]
-        if a >= _INF and b >= _INF:
-            continue
-        for jdx in range(width):
-            v = d - (lo + jdx)
-            if a < _INF:
-                w = h0_twisted(aspect, d, u + 1, v)
-                n2 = w + a
-                if h0_twisted(aspect, d, u + 1, v + 1) < w:
-                    if n2 < m1[jdx]:
-                        m1[jdx] = n2
-                else:
-                    if n2 < m0[jdx]:
-                        m0[jdx] = n2
-            if b < _INF:
-                w = h0_twisted(aspect, d, u, v)
-                n2 = w + b - 1
-                if h0_twisted(aspect, d, u, v + 1) < w:
-                    if n2 < m1[jdx]:
-                        m1[jdx] = n2
-                else:
-                    if n2 < m0[jdx]:
-                        m0[jdx] = n2
-    return m0, m1
-
-
-def _forward_dp_finish(aspect: Aspect, d: int, lo: int, hi: int, state) -> int:
-    """Close the DP with the last component (S_g = d forced, v = 0)."""
-    n0, n1 = state
-    best = _INF
-    width = hi - lo + 1
-    for idx in range(width):
-        u = lo + idx
-        a = n0[idx]
-        b = n1[idx]
-        if a < _INF:
-            n2 = h0_twisted(aspect, d, u + 1, 0) + a
-            if n2 < best:
-                best = n2
-        if b < _INF:
-            n2 = h0_twisted(aspect, d, u, 0) + b - 1
-            if n2 < best:
-                best = n2
-    return best
-
-
-def _enumerate_minima(g: int, d: int, window: int, first: Aspect, options):
-    """DFS over aspect tuples with the given first aspect, sharing prefix
-    DP states; yields (aspects, windowed min h0) in lexicographic option
-    order."""
-    lo, hi = min(-window, d), max(d + window, 0)
-    out: list[tuple[tuple[Aspect, ...], int]] = []
-    if g == 1:
-        return [((first,), h0_twisted(first, d, 0, 0))]
-    state1 = _forward_dp_init(first, d, lo, hi)
-
-    def rec(comp: int, prefix: tuple[Aspect, ...], state) -> None:
-        if comp == g:
-            for a in options[g - 1]:
-                out.append((prefix + (a,), _forward_dp_finish(a, d, lo, hi, state)))
-            return
-        for a in options[comp - 1]:
-            rec(comp + 1, prefix + (a,), _forward_dp_step(a, d, lo, hi, state))
-
-    rec(2, (first,), state1)
-    return out
+def _search_minima(options, d: int, lo: int, hi: int, C: list[int], prefix=()):
+    """Yield (aspects, windowed min h0) for every aspect tuple extending
+    ``prefix``, in lexicographic option order.  ``C`` is the prefix's
+    merged DP state, shared by all its extensions; one kernel call glues
+    every option of the next component onto it, and the last component
+    needs only the target S_g = d."""
+    opts = options[len(prefix)]
+    if len(prefix) == len(options) - 1:
+        for a, (m0, m1) in zip(opts, _dp_step(opts, C, lo, d, d)):
+            yield prefix + (a,), min(m0[0], m1[0])
+        return
+    for a, state in zip(opts, _dp_step(opts, C, lo, lo, hi)):
+        yield from _search_minima(options, d, lo, hi, _merge(*state), prefix + (a,))
 
 
 def search_limit_bundles(
@@ -599,47 +555,35 @@ def search_limit_bundles(
     d: int,
     window: int | None = None,
     max_genus: int = 6,
-    threads: int = 1,
 ) -> SearchResult:
     """Enumerate every canonical symbolic aspect tuple and count the
     r-positive ones.  ``count_exact`` counts tuples whose aspects are all
     exact; tuples containing a generic aspect are counted separately.
-    Deterministic regardless of ``threads``; the tuple space is
-    partitioned by the first component's aspect.
     """
     if g < 1:
         raise PreconditionError(f"need g >= 1, got g={g}")
+    if window is None:
+        window = g + 1
     if g > max_genus:
-        options = aspect_options(g, d, window or g + 1)
         size = 1
-        for o in options:
+        for o in aspect_options(g, d, window):
             size *= len(o)
         raise BudgetExceeded(
             f"search over g = {g} > {max_genus} refused (state space {size} tuples); "
             "raise max_genus explicitly to override"
         )
-    if window is None:
-        window = g + 1
-    options = aspect_options(g, d, window)
-    firsts = options[0]
-    if threads > 1 and g > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(firsts))) as pool:
-            chunks = list(
-                pool.map(lambda a: _enumerate_minima(g, d, window, a, options), firsts)
-            )
-    else:
-        chunks = [_enumerate_minima(g, d, window, a, options) for a in firsts]
+    lo, hi = _window(d, window)
+    minima = _search_minima(aspect_options(g, d, window), d, lo, hi, _start(lo, hi))
     count_exact = 0
     count_generic = 0
     witnesses = []
-    for chunk in chunks:
-        for aspects, best in chunk:
-            if best >= r + 1:
-                if any(a is None for a in aspects):
-                    count_generic += 1
-                else:
-                    count_exact += 1
-                witnesses.append(SearchWitness(aspects, best))
+    for aspects, best in minima:
+        if best >= r + 1:
+            if any(a is None for a in aspects):
+                count_generic += 1
+            else:
+                count_exact += 1
+            witnesses.append(SearchWitness(aspects, best))
     return SearchResult(
         count_exact=count_exact,
         count_with_generic=count_generic,

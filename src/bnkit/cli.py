@@ -165,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = csub.add_parser("search", help="exhaustive symbolic (non)existence search")
     _grd_flags(q)
     q.add_argument("--window", type=int, default=None)
-    q.add_argument("--threads", type=int, default=1)
     q.add_argument("--max-genus", type=int, default=6)
     q.add_argument("--witnesses", action="store_true", help="list the r-positive tuples")
 
@@ -328,7 +327,7 @@ def _run_chain(args):
         inputs = {"g": args.g, "r": args.r, "d": args.d, "window": window}
         res = chain.search_limit_bundles(
             args.g, args.r, args.d,
-            window=window, max_genus=args.max_genus, threads=args.threads,
+            window=window, max_genus=args.max_genus,
         )
         payload = {
             "count_exact": res.count_exact,

@@ -62,6 +62,11 @@ class NotRPositive(PreconditionError):
     """Vanishing tables are only defined for r-positive limit line bundles."""
 
 
+class WindowTooSmall(PreconditionError):
+    """A result is not attained strictly inside the degree window the
+    caller chose; a larger window is needed."""
+
+
 class BudgetExceeded(PreconditionError):
     """An exhaustive search was requested beyond the configured size guard."""
 

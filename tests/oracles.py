@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to pin expected values.
 
 These deliberately avoid the library's own closed forms: tableaux are
-counted by direct enumeration of fillings, and rho-derived quantities by
-explicit scans, so that the fast paths are checked against something
-that cannot share their bugs.
+counted by direct enumeration of fillings, rho-derived quantities by
+explicit scans, and the chain DP by the quadratic pairwise sweep and the
+left-to-right h0 sweep, so that the fast paths are checked against
+something that cannot share their bugs.
 """
 
 from __future__ import annotations
@@ -81,3 +82,189 @@ def peel_length(core: tuple[int, ...], k: int) -> int:
         else:
             raise AssertionError(f"no residue removes boxes from {p}")
     return steps
+
+
+# --- the quadratic chain DP, kept as an independent check of the kernel ---
+
+#: a missing DP state
+INF = 1 << 30
+
+
+def h0_chain_lr(L, dist) -> int:
+    """Left-to-right mirror of ``bnkit.chain.h0_chain``; must agree with it."""
+    from bnkit.chain import restrict
+
+    B = restrict(L, dist)
+    g = len(B)
+    n = B[0].h0()
+    if g == 1:
+        return n
+    eps = 1 if B[0].twist(0, 1).h0() < n else 0
+    for i in range(1, g):
+        if eps == 1:
+            defining = B[i]
+        else:
+            defining = B[i].twist(1, 0)
+        w = defining.h0()
+        n = w + n - eps
+        eps = 1 if defining.twist(0, 1).h0() < w else 0
+    return n
+
+
+def suffix_dp(L, window: int):
+    """Right-to-left DP over prefix-sum states, every pair of adjacent
+    states tried.  State at node i (1 <= i <= g-1), keyed by s = S_i and
+    the evaluation rank eps at p^i: the minimum, over windowed suffix
+    distributions with that prefix sum, of h0 of the suffix X^{>i}.
+    Returns the windowed minimum of h0_chain, the witness distribution
+    that the first-found minimum leads to, and the per-node arrays
+    min-suffix-h0(i, s)."""
+    from bnkit.chain import h0_twisted
+
+    g, d = L.g, L.d
+    if g == 1:
+        return h0_twisted(L.aspects[0], d, 0, 0), (d,), {}
+    lo, hi = min(-window, d), max(d + window, 0)
+    width = hi - lo + 1
+    aspects = L.aspects
+
+    # node g-1: suffix is E^g alone, with v = 0 at the free point p^g
+    a_g = aspects[-1]
+    n0 = [INF] * width
+    n1 = [INF] * width
+    parent0: list = [None] * width
+    parent1: list = [None] * width
+    for idx in range(width):
+        s = lo + idx
+        n = h0_twisted(a_g, d, s, 0)
+        # parents record the prefix sums at the nodes strictly to the right
+        if h0_twisted(a_g, d, s + 1, 0) < n:
+            n1[idx] = n
+            parent1[idx] = ()
+        else:
+            n0[idx] = n
+            parent0[idx] = ()
+    tables = {g - 1: [min(a, b) for a, b in zip(n0, n1)]}
+
+    for comp in range(g - 1, 0, -1):  # add component E^comp, produce node comp-1
+        a_i = aspects[comp - 1]
+        prev_range = range(0, 1) if comp == 1 else range(lo, hi + 1)
+        m0 = [INF] * width
+        m1 = [INF] * width
+        q0: list = [None] * width
+        q1: list = [None] * width
+        for s_prev in prev_range:
+            u = s_prev
+            jdx = s_prev - lo
+            for idx in range(width):
+                s = lo + idx
+                v = d - s
+                for eps, narr, parr in ((0, n0, parent0), (1, n1, parent1)):
+                    n = narr[idx]
+                    if n >= INF:
+                        continue
+                    vdef = v if eps else v + 1
+                    w = h0_twisted(a_i, d, u, vdef)
+                    n2 = w + n - eps
+                    if h0_twisted(a_i, d, u + 1, vdef) < w:
+                        if n2 < m1[jdx]:
+                            m1[jdx] = n2
+                            q1[jdx] = (s,) + parr[idx]
+                    elif n2 < m0[jdx]:
+                        m0[jdx] = n2
+                        q0[jdx] = (s,) + parr[idx]
+        n0, n1, parent0, parent1 = m0, m1, q0, q1
+        if comp - 1 >= 1:
+            tables[comp - 1] = [min(a, b) for a, b in zip(n0, n1)]
+
+    zidx = 0 - lo
+    best = min(n0[zidx], n1[zidx])
+    chain_sums = parent0[zidx] if n0[zidx] <= n1[zidx] else parent1[zidx]
+    prefixes = [0, *chain_sums, d]
+    witness = tuple(b - a for a, b in zip(prefixes, prefixes[1:]))
+    return best, witness, tables
+
+
+def forward_dp_step(aspect, d: int, lo: int, hi: int, state):
+    """Extend the prefix DP over [lo, hi] by one interior component,
+    trying every pair of old and new prefix sums."""
+    from bnkit.chain import h0_twisted
+
+    n0, n1 = state
+    width = hi - lo + 1
+    m0 = [INF] * width
+    m1 = [INF] * width
+    for idx in range(width):
+        u = lo + idx
+        for eps, n in ((0, n0[idx]), (1, n1[idx])):
+            if n >= INF:
+                continue
+            for jdx in range(width):
+                v = d - (lo + jdx)
+                w = h0_twisted(aspect, d, u + 1 - eps, v)
+                n2 = w + n - eps
+                target = m1 if h0_twisted(aspect, d, u + 1 - eps, v + 1) < w else m0
+                if n2 < target[jdx]:
+                    target[jdx] = n2
+    return m0, m1
+
+
+def forward_dp_init(aspect, d: int, lo: int, hi: int):
+    """State after E^1, keyed by S_1: (n, eps at p^1) minima."""
+    from bnkit.chain import h0_twisted
+
+    width = hi - lo + 1
+    n0 = [INF] * width
+    n1 = [INF] * width
+    for idx in range(width):
+        v = d - (lo + idx)
+        n = h0_twisted(aspect, d, 0, v)
+        if h0_twisted(aspect, d, 0, v + 1) < n:
+            n1[idx] = n
+        else:
+            n0[idx] = n
+    return n0, n1
+
+
+def forward_dp_finish(aspect, d: int, lo: int, state) -> int:
+    """Close the prefix DP with the last component (S_g = d, v = 0)."""
+    from bnkit.chain import h0_twisted
+
+    n0, n1 = state
+    best = INF
+    for idx, (a, b) in enumerate(zip(n0, n1)):
+        u = lo + idx
+        if a < INF:
+            best = min(best, h0_twisted(aspect, d, u + 1, 0) + a)
+        if b < INF:
+            best = min(best, h0_twisted(aspect, d, u, 0) + b - 1)
+    return best
+
+
+def oracle_search(g: int, r: int, d: int, window: int | None = None):
+    """``bnkit.chain.search_limit_bundles`` rebuilt on the quadratic
+    forward DP: a DFS over the aspect tuples in option order."""
+    from bnkit.chain import SearchResult, SearchWitness, aspect_options, h0_twisted
+
+    if window is None:
+        window = g + 1
+    options = aspect_options(g, d, window)
+    lo, hi = min(-window, d), max(d + window, 0)
+    minima = []
+
+    def rec(prefix, state):
+        comp = len(prefix) + 1
+        for a in options[comp - 1]:
+            if comp == g:
+                minima.append((prefix + (a,), forward_dp_finish(a, d, lo, state)))
+            else:
+                rec(prefix + (a,), forward_dp_step(a, d, lo, hi, state))
+
+    if g == 1:
+        minima = [((a,), h0_twisted(a, d, 0, 0)) for a in options[0]]
+    else:
+        for first in options[0]:
+            rec((first,), forward_dp_init(first, d, lo, hi))
+    hits = [SearchWitness(aspects, best) for aspects, best in minima if best >= r + 1]
+    exact = sum(all(a is not None for a in w.aspects) for w in hits)
+    return SearchResult(exact, len(hits) - exact, tuple(hits))

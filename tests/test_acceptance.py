@@ -16,7 +16,6 @@ from bnkit.chain import (
     LimitLineBundle,
     aspect_options,
     h0_chain,
-    h0_chain_lr,
     h0_twisted,
     min_h0,
     parse_aspects,
@@ -46,7 +45,7 @@ from bnkit.splitting import (
 )
 from bnkit.tableaux import count_k_fillings, k_filling_witnesses, syt_count_rect
 
-from oracles import rho_zero_triples
+from oracles import h0_chain_lr, rho_zero_triples
 
 RUNNING = parse_aspects("0,4;2,2;0,4")
 

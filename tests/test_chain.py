@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -9,8 +10,6 @@ from bnkit.chain import (
     aspects_str,
     chip_fire,
     h0_chain,
-    h0_chain_lr,
-    h0_component,
     is_r_positive,
     min_h0,
     parse_aspects,
@@ -27,8 +26,11 @@ from bnkit.errors import (
     DegreeMismatch,
     IndexOutOfRange,
     NotRPositive,
+    PreconditionError,
 )
 from bnkit.invariants import count_grd, rho
+
+from oracles import h0_chain_lr
 
 #: the worked genus-3 degree-4 limit line bundle: all degree at the nodes
 RUNNING = parse_aspects("0,4;2,2;0,4")
@@ -112,20 +114,20 @@ class TestRestrict:
 class TestH0Component:
     def test_matched_positive_degree(self):
         comp = restrict(RUNNING, (3, 0, 1))[0]  # O(3p^1)
-        assert h0_component(comp) == 3
+        assert comp.h0() == 3
 
     def test_degree_zero_mismatch_has_no_sections(self):
         comp = restrict(RUNNING, (4, 0, 0))[1]  # O(-2p^1 + 2p^2)
-        assert comp.degree == 0 and h0_component(comp) == 0
+        assert comp.degree == 0 and comp.h0() == 0
 
     def test_generic_degree_zero_is_nontrivial(self):
         L = LimitLineBundle(4, (None, None, None))
         comp = restrict(L, (4, 0, 0))[1]
-        assert comp.degree == 0 and h0_component(comp) == 0
+        assert comp.degree == 0 and comp.h0() == 0
 
     def test_exact_match_is_trivial(self):
         comp = restrict(RUNNING, (4, 0, 0))[2]  # aspect (4,0) twisted (4,0)
-        assert comp.degree == 0 and h0_component(comp) == 1
+        assert comp.degree == 0 and comp.h0() == 1
 
 
 class TestH0Chain:
@@ -284,10 +286,18 @@ class TestSearch:
             search_limit_bundles(7, 1, 3)
         assert search_limit_bundles(2, 1, 2, max_genus=2).count_exact == 1
 
-    def test_thread_partitioning_is_deterministic(self):
-        a = search_limit_bundles(3, 1, 3, threads=1)
-        b = search_limit_bundles(3, 1, 3, threads=4)
-        assert a == b
+    def test_budget_refusal_reports_the_window_asked_for(self):
+        # window 0: 2 * 5**5 * 2 tuples, not the default window's count
+        size = math.prod(len(o) for o in aspect_options(7, 3, 0))
+        assert size == 12500
+        with pytest.raises(BudgetExceeded, match=rf"state space {size} tuples"):
+            search_limit_bundles(7, 1, 3, window=0)
+
+    def test_negative_window_is_refused(self):
+        with pytest.raises(PreconditionError, match="window"):
+            search_limit_bundles(3, 1, 3, window=-1)
+        with pytest.raises(PreconditionError, match="window"):
+            min_h0(RUNNING, -1)
 
     def test_minima_match_single_bundle_engine(self):
         res = search_limit_bundles(3, 1, 3)

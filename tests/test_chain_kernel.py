@@ -1,0 +1,162 @@
+"""The linear chain-DP kernel against the quadratic sweep it replaced.
+
+``bnkit.chain._dp_step`` glues one component onto a prefix state in time
+linear in the window.  ``oracles`` keeps the pairwise sweep, which tries
+every pair of old and new prefix sums; every test here asks the two for
+the same numbers, including missing states and exact aspects on the two
+diagonals where the component has degree 0 or 1.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from bnkit import chain
+from bnkit.chain import (
+    LimitLineBundle,
+    aspect_options,
+    is_r_positive,
+    min_h0,
+    search_limit_bundles,
+    vanishing_tables,
+)
+from bnkit.errors import WindowTooSmall
+
+import oracles
+from oracles import INF
+
+#: the criterion 7 grid
+GRID = [(g, r, d) for g in range(1, 5) for d in range(1, 7) for r in range(0, 4)]
+
+
+def _norm(values):
+    """Missing kernel states may sit anywhere at or above INF."""
+    return [min(x, INF) for x in values]
+
+
+def _random_state(rng, width):
+    def entry():
+        return INF if rng.random() < 0.3 else rng.randint(0, 12)
+
+    return [entry() for _ in range(width)], [entry() for _ in range(width)]
+
+
+def _random_aspect(rng, d, lo, hi):
+    if rng.random() < 0.25:
+        return None
+    a = rng.randint(lo - 2, hi + 2)  # on, next to and off the window
+    return (a, d - a)
+
+
+class TestStep:
+    def test_step_matches_pairwise_sweep(self):
+        rng = random.Random(2026)
+        diagonal_hits = 0
+        for _ in range(3000):
+            d = rng.randint(-2, 8)
+            lo, hi = chain._window(d, rng.randint(0, 5))
+            state = _random_state(rng, hi - lo + 1)
+            aspect = _random_aspect(rng, d, lo, hi)
+            want = oracles.forward_dp_step(aspect, d, lo, hi, state)
+            (got,) = chain._dp_step((aspect,), chain._merge(*state), lo, lo, hi)
+            assert tuple(map(_norm, got)) == want, (d, lo, hi, aspect, state)
+            if aspect is not None and lo <= aspect[0] <= hi:
+                diagonal_hits += 1
+        assert diagonal_hits > 1000
+
+    def test_finish_matches_pairwise_sweep(self):
+        rng = random.Random(11)
+        for _ in range(3000):
+            d = rng.randint(-2, 8)
+            lo, hi = chain._window(d, rng.randint(0, 5))
+            state = _random_state(rng, hi - lo + 1)
+            if min(min(state[0]), min(state[1])) >= INF:
+                continue
+            aspect = rng.choice([None, (d, 0), _random_aspect(rng, d, lo, hi)])
+            (got,) = chain._dp_step((aspect,), chain._merge(*state), lo, d, d)
+            assert min(got[0][0], got[1][0]) == oracles.forward_dp_finish(aspect, d, lo, state)
+
+    def test_shared_call_equals_one_call_per_aspect(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            d = rng.randint(0, 6)
+            lo, hi = chain._window(d, rng.randint(0, 4))
+            C = chain._merge(*_random_state(rng, hi - lo + 1))
+            aspects = [_random_aspect(rng, d, lo, hi) for _ in range(6)]
+            together = chain._dp_step(aspects, C, lo, lo, hi)
+            alone = [chain._dp_step((a,), C, lo, lo, hi)[0] for a in aspects]
+            assert together == alone
+
+
+def _oracle_a_rows(tables, g, r, lo):
+    """a(i, n) read off the quadratic DP's per-node minima, or None when
+    one is not attained strictly inside the window."""
+    rows = [tuple(range(r + 1))]
+    for i in range(1, g):
+        minsuf = tables[i]
+        row = []
+        for n in range(r + 1):
+            alphas = [lo + idx for idx, m in enumerate(minsuf) if m >= r + 1 - n]
+            if not alphas or alphas[-1] == lo + len(minsuf) - 1:
+                return None
+            row.append(alphas[-1])
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _random_bundles(rng, count):
+    for _ in range(count):
+        g = rng.randint(2, 8)
+        d = rng.randint(0, 8)
+        options = aspect_options(g, d, g + 1)
+        yield LimitLineBundle(d, tuple(rng.choice(o) for o in options))
+
+
+class TestWindowedMinima:
+    def test_minima_tables_and_witness_match_quadratic_dp(self):
+        rng = random.Random(8)
+        for L in _random_bundles(rng, 60):
+            w = L.g + 1
+            for window in (w, 2 * w):
+                best, witness, tables = oracles.suffix_dp(L, window)
+                assert min_h0(L, window) == best
+                rep = is_r_positive(L, 0, window)
+                assert (rep.min_h0, rep.witness) == (best, witness)
+                lo, _, states = chain._suffix_pass(L, window)
+                for i in range(1, L.g):
+                    n0, n1 = states[L.g - i - 1]
+                    assert _norm(min(a, b) for a, b in zip(n0, n1))[::-1] == tables[i]
+                r = best - 1
+                if r < 0:
+                    continue
+                rows = _oracle_a_rows(tables, L.g, r, lo)
+                if rows is None:
+                    with pytest.raises(WindowTooSmall):
+                        vanishing_tables(L, r, window)
+                else:
+                    assert vanishing_tables(L, r, window).a_rows == rows
+
+    def test_ties_in_witnesses_on_every_small_bundle(self):
+        # exhaustive over a box: many distributions tie for the minimum
+        for g, d in [(2, 2), (3, 1), (3, 3)]:
+            for aspects in itertools.product(*aspect_options(g, d, 2)):
+                L = LimitLineBundle(d, aspects)
+                for window in (0, 1, 3):
+                    best, witness, _ = oracles.suffix_dp(L, window)
+                    rep = is_r_positive(L, 0, window)
+                    assert (rep.min_h0, rep.witness) == (best, witness)
+
+    def test_single_component(self):
+        for L in (LimitLineBundle(0, ((0, 0),)), LimitLineBundle(2, (None,))):
+            assert is_r_positive(L, 0, 1).witness == (L.d,)
+            assert min_h0(L, 1) == oracles.suffix_dp(L, 1)[0]
+
+
+class TestSearchAgainstOracleStep:
+    def test_criterion_seven_grid(self):
+        for g, r, d in GRID:
+            assert search_limit_bundles(g, r, d) == oracles.oracle_search(g, r, d), (g, r, d)
+
+    def test_genus_five(self):
+        assert search_limit_bundles(5, 1, 4) == oracles.oracle_search(5, 1, 4)

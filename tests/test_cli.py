@@ -160,12 +160,6 @@ class TestEnvelopeDiscipline:
         parsed = json.loads(out1)
         assert json.dumps(parsed, sort_keys=True) == out1
 
-    def test_threads_do_not_change_output(self, capsys):
-        base = ("chain", "search", "-g", "3", "-r", "1", "-d", "3", "--witnesses")
-        _, out1, _ = run(capsys, "--format", "json", *base, "--threads", "1")
-        _, out2, _ = run(capsys, "--format", "json", *base, "--threads", "3")
-        assert out1 == out2
-
     def test_table_and_csv_formats(self, capsys):
         code, out, _ = run(capsys, "rho", "-g", "8", "-r", "2", "-d", "7")
         assert code == 0 and "rho = -1" in out
@@ -185,6 +179,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "count", "-g", "8", "-r", "2", "-d", "7")
         assert code == 2
         assert "rho" in err
+
+    def test_too_small_window_is_a_precondition_error(self, capsys):
+        code, _, err = run(
+            capsys, "chain", "tables", "--aspects", "0,4;2,2;0,4", "-r", "2", "--window", "0"
+        )
+        assert code == 2
+        assert "window 0" in err
 
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
