@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import chain, invariants, lattice, loci, normal_bundle, splitting, tableaux
-from .errors import InternalCheckError, PreconditionError
+from .errors import InternalCheckError, ParseError, PreconditionError
 
 
 def _envelope(command: str, inputs: dict, result, fmt: str) -> str:
@@ -70,8 +70,18 @@ def _grd_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("-d", type=int, required=True, help="degree")
 
 
+def _parse(flag: str, parse, text: str):
+    """Parse the serialized value of ``flag``; any malformed value raises
+    :class:`ParseError` naming the flag, so it exits 2 like every other
+    precondition."""
+    try:
+        return parse(text)
+    except ValueError as e:
+        raise ParseError(f"malformed {flag} {text!r}: {e}") from None
+
+
 def _chain_bundle(args) -> tuple[chain.LimitLineBundle, int]:
-    L = chain.parse_aspects(args.aspects)
+    L = _parse("--aspects", chain.parse_aspects, args.aspects)
     window = args.window if args.window is not None else chain.default_window(L)
     return L, window
 
@@ -235,7 +245,7 @@ def _run(args) -> tuple[str, dict, object]:
     if cmd == "loci":
         return _run_loci(args)
     if cmd == "kfill":
-        core = tableaux.parse_partition(args.core)
+        core = _parse("--core", tableaux.parse_partition, args.core)
         inputs = {"core": args.core, "k": args.k, "g": args.g}
         result = {"count": tableaux.count_k_fillings(core, args.k, args.g)}
         if args.witnesses:
@@ -259,11 +269,11 @@ def _run_splitting(args):
     sc = args.subcommand
     cmd = f"splitting {sc}"
     if sc == "rd":
-        e = splitting.parse_splitting(args.e)
+        e = _parse("-e", splitting.parse_splitting, args.e)
         r, d = splitting.rd_from_splitting(args.g, e)
         return cmd, {"g": args.g, "e": args.e}, {"r": r, "d": d}
     if sc == "rho":
-        e = splitting.parse_splitting(args.e)
+        e = _parse("-e", splitting.parse_splitting, args.e)
         return cmd, {"g": args.g, "e": args.e}, {
             "rho_splitting": splitting.rho_splitting(args.g, e)
         }
@@ -273,7 +283,7 @@ def _run_splitting(args):
             "types": [splitting.splitting_str(t) for t in types]
         }
     if sc == "predicates":
-        e = splitting.parse_splitting(args.e)
+        e = _parse("-e", splitting.parse_splitting, args.e)
         rep = splitting.hbn_predicates(e, args.r)
         return cmd, {"e": args.e, "r": args.r}, {
             "basepoint_free": rep.basepoint_free,
@@ -281,7 +291,8 @@ def _run_splitting(args):
         }
     if sc == "majorizes":
         res = splitting.majorizes(
-            splitting.parse_splitting(args.outer), splitting.parse_splitting(args.inner)
+            _parse("--outer", splitting.parse_splitting, args.outer),
+            _parse("--inner", splitting.parse_splitting, args.inner),
         )
         return cmd, {"outer": args.outer, "inner": args.inner}, {
             "majorizes": res.holds,
@@ -345,7 +356,7 @@ def _run_chain(args):
     L, window = _chain_bundle(args)
     inputs = {"aspects": chain.aspects_str(L), "window": window}
     if sc == "h0":
-        dist = chain.parse_distribution(args.dist)
+        dist = _parse("--dist", chain.parse_distribution, args.dist)
         inputs["dist"] = args.dist
         return cmd, inputs, {"h0": chain.h0_chain(L, dist)}
     if sc == "min-h0":
@@ -412,7 +423,9 @@ def _run_nb(args):
             "total": c.total,
         }
     if sc == "modify":
-        bundle = normal_bundle.SplitBundle(int(t) for t in args.degrees.split(","))
+        bundle = _parse(
+            "--degrees", lambda s: normal_bundle.SplitBundle(s.split(",")), args.degrees
+        )
         out = normal_bundle.modify(bundle, args.summand, args.sign, args.points)
         return cmd, {
             "degrees": args.degrees,

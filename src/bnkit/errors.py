@@ -67,6 +67,10 @@ class WindowTooSmall(PreconditionError):
     caller chose; a larger window is needed."""
 
 
+class ParseError(PreconditionError):
+    """A serialized value given on the command line is malformed."""
+
+
 class BudgetExceeded(PreconditionError):
     """An exhaustive search was requested beyond the configured size guard."""
 
@@ -76,8 +80,8 @@ class RhoNegative(PreconditionError):
 
 
 class EvenDegree(PreconditionError):
-    """The balancedness certificate holds for odd degrees only; even-degree
-    rational space curves never have balanced normal bundle."""
+    """The balancedness certificate covers odd degrees only; an even degree
+    is outside it, which says nothing about the curve's normal bundle."""
 
 
 class GenericityViolation(InternalCheckError):

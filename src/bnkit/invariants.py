@@ -2,15 +2,15 @@
 
 Everything here is a polynomial or factorial expression in the triple
 (g, r, d) = (genus, target projective dimension, degree).  All arithmetic
-is exact: counts that pass through factorial ratios are computed as a
-single reduced Fraction and checked to be integral.  No floats anywhere.
+is exact: a count that is a ratio of factorials is computed as one
+integer division of the two products, checked to leave no remainder.
+No floats anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .errors import (
     EmptyRange,
@@ -68,12 +68,11 @@ def count_grd(g: int, r: int, d: int) -> int:
     if rho(g, r, d) != 0:
         raise RhoNonzero(f"rho({g}, {r}, {d}) = {rho(g, r, d)} != 0; count undefined")
     s = g - d + r  # rho = 0 forces s >= 0
-    value = Fraction(factorial(g))
-    for a in range(r + 1):
-        value *= Fraction(factorial(a), factorial(s + a))
-    if value.denominator != 1:
-        raise InternalCheckError(f"count_grd({g}, {r}, {d}) is not integral: {value}")
-    return value.numerator
+    num = factorial(g) * prod(factorial(a) for a in range(r + 1))
+    count, rem = divmod(num, prod(factorial(s + a) for a in range(r + 1)))
+    if rem:
+        raise InternalCheckError(f"count_grd({g}, {r}, {d}) is not integral")
+    return count
 
 
 def chi_pullback_tangent(g: int, r: int, d: int) -> int:

@@ -176,12 +176,10 @@ class OddDegreeCertificate:
 
 def odd_degree_certificate(d: int) -> OddDegreeCertificate:
     """Run the 1-secant peeling ledger for an odd degree d >= 3.  Even
-    degrees are refused: the balanced statement is false for them (it
-    already fails in characteristic 2)."""
+    degrees are refused: the ledger certifies odd d only."""
     if d % 2 == 0:
         raise EvenDegree(
-            f"degree {d} is even; normal bundles of even-degree rational "
-            "space curves are never balanced"
+            f"degree {d} is even; this balancedness certificate covers odd degrees only"
         )
     if d < 3:
         raise PreconditionError(f"need odd degree >= 3, got d={d}")

@@ -17,7 +17,7 @@ k, and witnesses are checked against this rule on replay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 
 from .errors import InternalCheckError, NotACore, PreconditionError, SymbolCountMismatch
 
@@ -34,6 +34,10 @@ def check_partition(rows) -> Partition:
         raise PreconditionError(f"row lengths must be positive: {p}")
     return p
 
+
+# Public functions validate their partitions with check_partition; the
+# underscore helpers below trust theirs.  Partitions the engine builds are
+# checked where they are made, in _resize_rows.
 
 def hook_lengths(p: Partition) -> list[int]:
     """All hook lengths of the diagram, row by row."""
@@ -55,42 +59,34 @@ def _conjugate(p: Partition) -> Partition:
 def is_core(p: Partition, k: int) -> bool:
     """True iff no hook length of p is divisible by k (no removable
     rim hook of length k)."""
+    return _is_core(check_partition(p), k)
+
+
+def _is_core(p: Partition, k: int) -> bool:
+    # Abacus test, O(rows): the beads are the first-column hook lengths,
+    # and a rim k-hook is removable iff some bead b >= k has no bead at b - k.
     if k < 2:
         raise PreconditionError(f"k must be >= 2, got {k}")
-    return all(h % k != 0 for h in hook_lengths(p))
+    beads = {r + len(p) - 1 - i for i, r in enumerate(p)}
+    return all(b - k in beads for b in beads if b >= k)
 
 
 def _require_core(p: Partition, k: int) -> Partition:
     p = check_partition(p)
-    if not is_core(p, k):
+    if not _is_core(p, k):
         raise NotACore(f"{p or '()'} is not a {k}-core")
     return p
 
 
-def addable_cells(p: Partition) -> list[tuple[int, int]]:
-    """Corner positions (row, col), 1-indexed, where a box may be added."""
-    p = check_partition(p)
-    cells = [
-        (i + 1, p[i] + 1)
-        for i in range(len(p))
-        if i == 0 or p[i - 1] > p[i]
-    ]
-    cells.append((len(p) + 1, 1))
-    return cells
-
-
-def removable_cells(p: Partition) -> list[tuple[int, int]]:
-    """Corner positions (row, col), 1-indexed, whose box may be removed."""
-    p = check_partition(p)
-    return [
-        (i + 1, p[i])
-        for i in range(len(p))
-        if i == len(p) - 1 or p[i] > p[i + 1]
-    ]
-
-
-def _cells_of_residue(cells, residue: int, k: int):
-    return [(i, j) for (i, j) in cells if (j - i) % k == residue % k]
+def _residue_moves(p: Partition, residue: int, k: int):
+    """The addable and the removable corner boxes (row, col), 1-indexed, of
+    p whose content j - i is ``residue`` mod k."""
+    r, rows = residue % k, p + (0,)
+    add = [(i + 1, rows[i] + 1) for i in range(len(rows))
+           if (i == 0 or rows[i - 1] > rows[i]) and (rows[i] - i) % k == r]
+    rem = [(i + 1, rows[i]) for i in range(len(p))
+           if rows[i] > rows[i + 1] and (rows[i] - i - 1) % k == r]
+    return add, rem
 
 
 def core_apply_residue(p: Partition, residue: int, k: int) -> Partition:
@@ -99,72 +95,97 @@ def core_apply_residue(p: Partition, residue: int, k: int) -> Partition:
     otherwise remove every removable box of that residue, otherwise leave
     the core unchanged.  Involutive, and maps k-cores to k-cores.
     """
-    p = _require_core(p, k)
-    add = _cells_of_residue(addable_cells(p), residue, k)
-    rem = _cells_of_residue(removable_cells(p), residue, k)
-    if add and rem:
-        # impossible on a core; both nonempty would make the action ill-defined
-        raise InternalCheckError(
-            f"core {p} has both addable and removable boxes of residue {residue} mod {k}"
-        )
-    if add:
-        q = _add_cells(p, add)
-    elif rem:
-        q = _remove_cells(p, rem)
-    else:
-        return p
-    if not is_core(q, k):
-        raise InternalCheckError(f"residue action left the {k}-core world: {p} -> {q}")
-    return q
+    return _apply_residue(_require_core(p, k), residue, k)
 
 
 def core_add_residue(p: Partition, residue: int, k: int) -> Partition:
     """Strict-add variant: like :func:`core_apply_residue` but raises unless
     the move strictly adds boxes."""
     p = _require_core(p, k)
-    add = _cells_of_residue(addable_cells(p), residue, k)
-    rem = _cells_of_residue(removable_cells(p), residue, k)
-    if not add or rem:
+    q = _apply_residue(p, residue, k)
+    if sum(q) <= sum(p):
         raise PreconditionError(
             f"residue {residue} mod {k} does not strictly add boxes to {p or '()'}"
         )
-    q = _add_cells(p, add)
-    if not is_core(q, k):
-        raise InternalCheckError(f"strict add left the {k}-core world: {p} -> {q}")
     return q
 
 
-def _add_cells(p: Partition, cells) -> Partition:
-    rows = list(p)
-    for (i, _j) in cells:
-        if i == len(rows) + 1:
-            rows.append(1)
-        else:
-            rows[i - 1] += 1
-    return check_partition(rows)
+def _apply_residue(p: Partition, residue: int, k: int) -> Partition:
+    add, rem = _residue_moves(p, residue, k)
+    if add and rem:
+        # impossible on a core; both nonempty would make the action ill-defined
+        raise InternalCheckError(
+            f"core {p} has both addable and removable boxes of residue {residue} mod {k}"
+        )
+    if add:
+        q = _resize_rows(p, add, 1)
+    elif rem:
+        q = _resize_rows(p, rem, -1)
+    else:
+        return p
+    if not _is_core(q, k):
+        raise InternalCheckError(f"residue action left the {k}-core world: {p} -> {q}")
+    return q
 
 
-def _remove_cells(p: Partition, cells) -> Partition:
-    rows = list(p)
+def _resize_rows(p: Partition, cells, step: int) -> Partition:
+    """Lengthen (step 1) or shorten (step -1) the rows of the given corner
+    boxes; the result is checked."""
+    rows = list(p) + [0]
     for (i, _j) in cells:
-        rows[i - 1] -= 1
+        rows[i - 1] += step
     return check_partition([r for r in rows if r > 0])
 
 
 def core_length(p: Partition, k: int) -> int:
     """Number of strict-add steps in any residue sequence from () to p:
     the number of boxes of p with hook length < k."""
-    _require_core(p, k)
-    return sum(1 for h in hook_lengths(p) if h < k)
+    return sum(1 for h in hook_lengths(_require_core(p, k)) if h < k)
 
 
-def _strict_add_or_none(p: Partition, residue: int, k: int) -> Partition | None:
-    add = _cells_of_residue(addable_cells(p), residue, k)
-    if not add:
-        return None
-    if _cells_of_residue(removable_cells(p), residue, k):
-        return None
-    return _add_cells(p, add)
+def _successors(p: Partition, k: int, target: Partition) -> list[tuple[int, Partition]]:
+    """Strict-add moves (residue, q) from the core p that stay inside
+    ``target``, by increasing residue."""
+    out = []
+    for res in range(k):
+        add, rem = _residue_moves(p, res, k)
+        if add and not rem:
+            q = _resize_rows(p, add, 1)
+            if len(q) <= len(target) and all(a <= b for a, b in zip(q, target)):
+                out.append((res, q))
+    return out
+
+
+def _filling_graph(target: Partition, k: int, g: int):
+    """Validate the arguments and build the strict-add graph below the
+    k-core ``target``: ``succ[p]`` lists the moves out of p, built once per
+    partition, and ``count[(p, n)]`` is the number of n-step paths from p
+    to ``target``.  An explicit stack fills both, so they die with the call."""
+    target = _require_core(target, k)
+    forced = sum(1 for h in hook_lengths(target) if h < k)
+    if g != forced:
+        raise SymbolCountMismatch(
+            f"{k}-fillings of {target or '()'} use exactly {forced} symbols, got g={g}"
+        )
+    succ: dict[Partition, list[tuple[int, Partition]]] = {}
+    count: dict[tuple[Partition, int], int] = {}
+    stack = [((), g)]
+    while stack:
+        key = stack[-1]
+        p, left = key
+        if key in count:
+            stack.pop()
+        elif left == 0:
+            count[key] = int(p == target)
+        else:
+            if p not in succ:
+                succ[p] = _successors(p, k, target)
+            todo = [(q, left - 1) for _, q in succ[p] if (q, left - 1) not in count]
+            if todo:
+                stack.extend(todo)
+            else:
+                count[key] = sum(count[(q, left - 1)] for _, q in succ[p])
+    return target, succ, count
 
 
 def count_k_fillings(target: Partition, k: int, g: int) -> int:
@@ -177,37 +198,8 @@ def count_k_fillings(target: Partition, k: int, g: int) -> int:
     :class:`SymbolCountMismatch` since every sequence of that length
     would contribute zero.
     """
-    target = _require_core(target, k)
-    forced = core_length(target, k)
-    if g != forced:
-        raise SymbolCountMismatch(
-            f"{k}-fillings of {target or '()'} use exactly {forced} symbols, got g={g}"
-        )
-    size = sum(target)
-    memo: dict[tuple[Partition, int], int] = {}
-
-    def count_from(p: Partition, steps_left: int) -> int:
-        if steps_left == 0:
-            return 1 if p == target else 0
-        # each step adds at least one box, and adds never overshoot the target
-        if sum(p) + steps_left > size or not _contained(p, target):
-            return 0
-        key = (p, steps_left)
-        if key not in memo:
-            memo[key] = sum(
-                count_from(q, steps_left - 1)
-                for res in range(k)
-                if (q := _strict_add_or_none(p, res, k)) is not None
-            )
-        return memo[key]
-
-    return count_from((), g)
-
-
-def _contained(inner: Partition, outer: Partition) -> bool:
-    if len(inner) > len(outer):
-        return False
-    return all(a <= b for a, b in zip(inner, outer))
+    _, _, count = _filling_graph(target, k, g)
+    return count[((), g)]
 
 
 @dataclass(frozen=True)
@@ -223,31 +215,57 @@ class FillingWitness:
         p: Partition = ()
         steps: list[list[tuple[int, int]]] = []
         for res in self.residues:
-            q = core_add_residue(p, res, self.k)
-            steps.append(sorted(set(_boxes(q)) - set(_boxes(p))))
-            p = q
+            p, boxes = _replay_step(p, res, self.k)
+            steps.append(boxes)
         return p, steps
 
     def validate(self, target: Partition) -> None:
         """Check the witness replays to ``target`` and that each symbol's
         boxes sit at pairwise lattice distance a multiple of k with equal
         content residue."""
-        final, steps = self.replay()
-        if final != check_partition(target):
-            raise InternalCheckError(f"witness {self.residues} replays to {final}, not {target}")
-        for res, boxes in zip(self.residues, steps):
-            for (i1, j1) in boxes:
-                if (j1 - i1) % self.k != res % self.k:
-                    raise InternalCheckError(f"box {(i1, j1)} has wrong residue for {res} mod {self.k}")
-                for (i2, j2) in boxes:
-                    if (abs(i1 - i2) + abs(j1 - j2)) % self.k != 0:
-                        raise InternalCheckError(
-                            f"boxes {(i1, j1)}, {(i2, j2)} of one symbol are at lattice "
-                            f"distance {abs(i1 - i2) + abs(j1 - j2)}, not a multiple of {self.k}"
-                        )
+        _validate_words([self.residues], self.k, check_partition(target))
 
     def __str__(self) -> str:
         return ",".join(str(r) for r in self.residues)
+
+
+def _replay_step(p: Partition, res: int, k: int) -> tuple[Partition, list[tuple[int, int]]]:
+    """One checked strict-add step: the new core and the boxes it added,
+    which must share the residue ``res`` and sit at pairwise lattice
+    distance a multiple of k."""
+    q = core_add_residue(p, res, k)
+    boxes = sorted(set(_boxes(q)) - set(_boxes(p)))
+    for (i1, j1) in boxes:
+        if (j1 - i1) % k != res % k:
+            raise InternalCheckError(f"box {(i1, j1)} has wrong residue for {res} mod {k}")
+        for (i2, j2) in boxes:
+            if (abs(i1 - i2) + abs(j1 - j2)) % k != 0:
+                raise InternalCheckError(
+                    f"boxes {(i1, j1)}, {(i2, j2)} of one symbol are at lattice "
+                    f"distance {abs(i1 - i2) + abs(j1 - j2)}, not a multiple of {k}"
+                )
+    return q, boxes
+
+
+def _validate_words(words, k: int, target: Partition) -> None:
+    """Replay each residue word from () with :func:`_replay_step` and check
+    that it ends at ``target``.  ``path[i]`` is the core after i steps of the
+    previous word, so sorted words replay each distinct prefix once."""
+    path: list[Partition] = [()]
+    prev: tuple[int, ...] = ()
+    for word in words:
+        n = 0
+        while n < len(prev) and n < len(word) and prev[n] == word[n]:
+            n += 1
+        del path[n + 1:]
+        try:
+            for res in word[n:]:
+                path.append(_replay_step(path[-1], res, k)[0])
+        except PreconditionError as e:
+            raise InternalCheckError(f"witness {word} does not replay: {e}") from None
+        if path[-1] != target:
+            raise InternalCheckError(f"witness {word} replays to {path[-1]}, not {target}")
+        prev = word
 
 
 def _boxes(p: Partition) -> list[tuple[int, int]]:
@@ -258,42 +276,29 @@ def k_filling_witnesses(target: Partition, k: int, g: int) -> list[FillingWitnes
     """All k-fillings of ``target`` as residue-sequence witnesses, in
     lexicographic order of the sequences.  Each witness is validated
     against the repetition rule before being returned."""
-    target = _require_core(target, k)
-    forced = core_length(target, k)
-    if g != forced:
-        raise SymbolCountMismatch(
-            f"{k}-fillings of {target or '()'} use exactly {forced} symbols, got g={g}"
-        )
-    size = sum(target)
-    out: list[FillingWitness] = []
-
-    def walk(p: Partition, prefix: list[int]) -> None:
-        if len(prefix) == g:
-            if p == target:
-                out.append(FillingWitness(tuple(prefix), k))
-            return
-        if sum(p) + (g - len(prefix)) > size or not _contained(p, target):
-            return
-        for res in range(k):
-            q = _strict_add_or_none(p, res, k)
-            if q is not None:
-                walk(q, prefix + [res])
-
-    walk((), [])
-    for w in out:
-        w.validate(target)
-    return out
+    target, succ, count = _filling_graph(target, k, g)
+    words: list[tuple[int, ...]] = []
+    # depth first; pushing in reverse pops residues in increasing order, and
+    # only children with a path to target are entered
+    stack = [((), g, ())] if count[((), g)] else []
+    while stack:
+        p, left, word = stack.pop()
+        if left == 0:
+            words.append(word)
+            continue
+        for res, q in reversed(succ[p]):
+            if count[(q, left - 1)]:
+                stack.append((q, left - 1, word + (res,)))
+    _validate_words(words, k, target)
+    return [FillingWitness(w, k) for w in words]
 
 
 def syt_count(shape: Partition) -> int:
     """Number of standard Young tableaux of the given shape, by the hook
     length formula n! / prod(hooks)."""
     shape = check_partition(shape)
-    n = sum(shape)
-    denom = 1
-    for h in hook_lengths(shape):
-        denom *= h
-    num = factorial(n)
+    denom = prod(hook_lengths(shape))
+    num = factorial(sum(shape))
     if num % denom:
         raise InternalCheckError(f"hook length formula non-integral on {shape}")
     return num // denom

@@ -84,6 +84,38 @@ def peel_length(core: tuple[int, ...], k: int) -> int:
     return steps
 
 
+def hook_is_core(p: tuple[int, ...], k: int) -> bool:
+    """The definition: no hook length (arm + leg + 1) of p is divisible by k."""
+    for i, row in enumerate(p):
+        for j in range(row):
+            leg = sum(1 for r in p[i + 1:] if r > j)
+            if (row - j - 1 + leg + 1) % k == 0:
+                return False
+    return True
+
+
+def brute_k_fillings(core: tuple[int, ...], k: int, g: int) -> list[tuple[int, ...]]:
+    """Every residue word of length g, in lexicographic order, that takes
+    () to ``core`` by strict adds: all k**g words are enumerated and each is
+    replayed with ``core_apply_residue`` until a step fails to add boxes."""
+    from itertools import product
+
+    from bnkit.tableaux import core_apply_residue
+
+    out = []
+    for word in product(range(k), repeat=g):
+        p = ()
+        for res in word:
+            q = core_apply_residue(p, res, k)
+            if sum(q) <= sum(p):
+                break
+            p = q
+        else:
+            if p == core:
+                out.append(word)
+    return out
+
+
 # --- the quadratic chain DP, kept as an independent check of the kernel ---
 
 #: a missing DP state

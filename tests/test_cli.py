@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bnkit.cli import main
 
 
@@ -186,6 +188,21 @@ class TestExitCodes:
         )
         assert code == 2
         assert "window 0" in err
+
+    @pytest.mark.parametrize("flag,argv", [
+        ("--core", ["kfill", "--core", "4,a", "-k", "3", "-g", "5"]),
+        ("--dist", ["chain", "h0", "--aspects", "0,4;2,2;0,4", "--dist", "1,x,3"]),
+        ("--aspects", ["chain", "min-h0", "--aspects", "0,4;2"]),
+        ("--degrees", ["nb", "modify", "--degrees", "1,,2", "--summand", "0",
+                       "--sign", "+", "--points", "1"]),
+        ("-e", ["splitting", "rd", "-g", "5", "-e=1,x"]),
+    ])
+    def test_malformed_value_is_a_parse_error(self, capsys, flag, argv):
+        code, out, err = run(capsys, "--format", "json", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: malformed {flag} ")
+        assert err.count("\n") == 1
 
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")

@@ -1,7 +1,9 @@
 import pytest
 
-from bnkit.errors import NotACore, PreconditionError, SymbolCountMismatch
+from bnkit.errors import InternalCheckError, NotACore, PreconditionError, SymbolCountMismatch
 from bnkit.tableaux import (
+    FillingWitness,
+    _validate_words,
     core_add_residue,
     core_apply_residue,
     core_length,
@@ -14,7 +16,13 @@ from bnkit.tableaux import (
     syt_count_rect,
 )
 
-from oracles import brute_syt_count, peel_length, small_k_cores
+from oracles import (
+    brute_k_fillings,
+    brute_syt_count,
+    hook_is_core,
+    peel_length,
+    small_k_cores,
+)
 
 
 def partitions_of(n: int, cap: int | None = None):
@@ -47,6 +55,12 @@ class TestCoreBasics:
         assert is_core((4, 2, 1, 1), 3)
         assert not is_core((2,), 2)  # hook length 2
         assert is_core((), 5)
+
+    def test_abacus_test_matches_hook_lengths(self):
+        for n in range(16):
+            for p in partitions_of(n):
+                for k in range(2, 7):
+                    assert is_core(p, k) == hook_is_core(p, k), (p, k)
 
     def test_residue_action_examples(self):
         assert core_apply_residue((), 0, 3) == (1,)
@@ -117,6 +131,46 @@ class TestFillings:
                 assert len(ws) == count_k_fillings(p, k, g)
                 for w in ws:
                     w.validate(p)  # replay + repetition rule
+
+    def test_witnesses_match_brute_force_in_order(self):
+        for k in (2, 3, 4):
+            for p in small_k_cores(k, 9):
+                g = core_length(p, k)
+                words = [w.residues for w in k_filling_witnesses(p, k, g)]
+                assert words == brute_k_fillings(p, k, g), (p, k)
+                assert count_k_fillings(p, k, g) == len(words)
+
+
+class TestWitnessTampering:
+    """Validation shares work between witnesses with a common prefix; every
+    altered or truncated witness must still be caught, wherever it sits in
+    the list, and a single witness's validate must catch it too."""
+
+    CASES = [((6, 4, 2, 2, 1, 1), 3), ((4, 3, 2, 1), 4)]
+
+    @pytest.mark.parametrize("target,k", CASES)
+    def test_untouched_list_passes(self, target, k):
+        words = [w.residues for w in k_filling_witnesses(target, k, core_length(target, k))]
+        assert len(words) >= 6
+        _validate_words(words, k, target)
+
+    @pytest.mark.parametrize("target,k", CASES)
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_altered_or_truncated_witness_raises(self, target, k, where):
+        words = [w.residues for w in k_filling_witnesses(target, k, core_length(target, k))]
+        idx = {"first": 0, "middle": len(words) // 2, "last": len(words) - 1}[where]
+        word = words[idx]
+        tampered = [word[:-1], word[: len(word) // 2]]
+        for pos in range(len(word)):
+            for res in range(k):
+                bad = word[:pos] + (res,) + word[pos + 1:]
+                if bad not in words:
+                    tampered.append(bad)
+        for bad in tampered:
+            with pytest.raises(InternalCheckError):
+                _validate_words(words[:idx] + [bad] + words[idx + 1:], k, target)
+            with pytest.raises(InternalCheckError):
+                FillingWitness(bad, k).validate(target)
 
 
 class TestSerialization:
