@@ -3,9 +3,18 @@ machine-readable output.
 
 Every command emits an envelope {command, inputs, result} in one of three
 formats (table, json, csv).  JSON output is canonical: keys sorted, no
-floats, byte-identical across runs.  Exit codes: 0 success, 2 usage or
-precondition error (with a one-line diagnostic naming the violated
-precondition), 3 internal invariant violation (a bug, not a user error).
+floats, byte-identical across runs.  CSV cells holding a comma, a double
+quote or a line break are quoted as in RFC 4180.  Exit codes: 0 success,
+2 usage or precondition error (with a one-line diagnostic naming the
+violated precondition), 3 internal invariant violation (a bug, not a user
+error).
+
+A command is one entry of ``COMMANDS``: its name, help text, flags and a
+function from the parsed arguments to the result payload.  The parser tree
+is built from that table, and every command runs through the one wrapper
+in :func:`main`: parse, run, envelope.  The envelope's ``inputs`` echo the
+declared flags in order, except switches and the ``--max-genus`` budget;
+adding a command means adding one entry.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from . import chain, invariants, lattice, loci, normal_bundle, splitting, tableaux
 from .errors import InternalCheckError, ParseError, PreconditionError
@@ -38,8 +48,15 @@ def _csv(result) -> str:
     keys = sorted(rows[0])
     lines = [",".join(keys)]
     for row in rows:
-        lines.append(",".join(_cell(row.get(k)) for k in keys))
+        lines.append(",".join(_csv_cell(row.get(k)) for k in keys))
     return "\n".join(lines)
+
+
+def _csv_cell(v) -> str:
+    s = _cell(v)
+    if any(c in s for c in ',"\r\n'):
+        return '"' + s.replace('"', '""') + '"'
+    return s
 
 
 def _cell(v) -> str:
@@ -64,12 +81,6 @@ def _table(command: str, inputs: dict, result) -> str:
     return "\n".join(lines)
 
 
-def _grd_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-g", type=int, required=True, help="genus")
-    p.add_argument("-r", type=int, required=True, help="target projective dimension")
-    p.add_argument("-d", type=int, required=True, help="degree")
-
-
 def _parse(flag: str, parse, text: str):
     """Parse the serialized value of ``flag``; any malformed value raises
     :class:`ParseError` naming the flag, so it exits 2 like every other
@@ -80,10 +91,230 @@ def _parse(flag: str, parse, text: str):
         raise ParseError(f"malformed {flag} {text!r}: {e}") from None
 
 
-def _chain_bundle(args) -> tuple[chain.LimitLineBundle, int]:
-    L = _parse("--aspects", chain.parse_aspects, args.aspects)
-    window = args.window if args.window is not None else chain.default_window(L)
-    return L, window
+class Flag:
+    """One option: its name, the ``add_argument`` keywords, and whether the
+    envelope's ``inputs`` echo its value."""
+
+    __slots__ = ("name", "spec", "echo", "dest")
+
+    def __init__(self, name: str, spec: dict, echo: bool = True):
+        self.name = name
+        self.spec = spec
+        self.echo = echo
+        self.dest = name.lstrip("-").replace("-", "_")
+
+
+def _str(name: str, help: str | None = None, **spec) -> Flag:
+    """A value flag, required unless it has a default."""
+    return Flag(name, {"required": "default" not in spec, "help": help, **spec})
+
+
+def _int(name: str, help: str | None = None, **spec) -> Flag:
+    return _str(name, help, type=int, **spec)
+
+
+def _switch(name: str, help: str) -> Flag:
+    return Flag(name, {"action": "store_true", "help": help}, echo=False)
+
+
+class Command:
+    """A leaf command.  ``run`` maps the parsed arguments to the result
+    payload; it may replace an echoed argument with its canonical form."""
+
+    __slots__ = ("name", "help", "flags", "run")
+
+    def __init__(self, name: str, help: str, flags: tuple[Flag, ...],
+                 run: Callable[[argparse.Namespace], object]):
+        self.name = name
+        self.help = help
+        self.flags = flags
+        self.run = run
+
+
+def _fields(obj, *names: str) -> dict:
+    return {n: getattr(obj, n) for n in names}
+
+
+def _interp(a) -> dict:
+    rep = invariants.interpolation_points(a.g, a.r, a.d)
+    result = _fields(rep, "formula_value", "is_exception", "count")
+    if rep.is_exception and rep.count is None:
+        result["note"] = "below formula; exact count not pinned"
+    return result
+
+
+def _splitting_type(a, flag: str):
+    return _parse(flag, splitting.parse_splitting, getattr(a, flag.lstrip("-")))
+
+
+def _majorizes(a) -> dict:
+    res = splitting.majorizes(_splitting_type(a, "--outer"), _splitting_type(a, "--inner"))
+    return {"majorizes": res.holds, "reason": res.reason}
+
+
+def _enumerate_loci(a) -> list:
+    return [
+        {**_fields(row, "g", "r", "d", "rho"),
+         "expected_maximal": True, "exception": row.is_maximal_exception}
+        for row in loci.enumerate_expected_maximal(a.g)
+    ]
+
+
+def _kfill(a) -> dict:
+    core = _parse("--core", tableaux.parse_partition, a.core)
+    if not a.witnesses:
+        return {"count": tableaux.count_k_fillings(core, a.k, a.g)}
+    words = [str(w) for w in tableaux.k_filling_witnesses(core, a.k, a.g)]
+    return {"count": len(words), "witnesses": words}
+
+
+def _chain_bundle(a) -> tuple[chain.LimitLineBundle, int]:
+    """The bundle of ``--aspects`` and its window; both are echoed, the
+    aspects in canonical form and the window with its default filled in."""
+    L = _parse("--aspects", chain.parse_aspects, a.aspects)
+    a.aspects = chain.aspects_str(L)
+    if a.window is None:
+        a.window = chain.default_window(L)
+    return L, a.window
+
+
+def _h0(a) -> dict:
+    L, _ = _chain_bundle(a)
+    return {"h0": chain.h0_chain(L, _parse("--dist", chain.parse_distribution, a.dist))}
+
+
+def _min_h0(a) -> dict:
+    L, window = _chain_bundle(a)
+    rep = chain.is_r_positive(L, 0, window)
+    return {"min_h0": rep.min_h0, "witness": ",".join(str(x) for x in rep.witness)}
+
+
+def _tables(a) -> dict:
+    L, window = _chain_bundle(a)
+    t = chain.vanishing_tables(L, a.r, window)
+    return {"a": [list(row) for row in t.a_rows], "b": [list(row) for row in t.b_rows]}
+
+
+def _star(a) -> dict:
+    L, window = _chain_bundle(a)
+    rep = chain.star_components(L, a.r, window)
+    return {
+        "pairs": [list(p) for p in rep.pairs],
+        "per_n": {str(n): c for n, c in sorted(rep.per_n.items())},
+        "lower_bound": rep.lower_bound,
+    }
+
+
+def _search(a) -> dict:
+    if a.window is None:
+        a.window = a.g + 1
+    res = chain.search_limit_bundles(a.g, a.r, a.d, window=a.window, max_genus=a.max_genus)
+    payload = _fields(res, "count_exact", "count_with_generic")
+    if a.witnesses:
+        payload["witnesses"] = [
+            {"aspects": chain.aspects_str(chain.LimitLineBundle(a.d, w.aspects)),
+             "min_h0": w.min_h0}
+            for w in res.witnesses
+        ]
+    return payload
+
+
+def _project(a) -> dict:
+    seq = normal_bundle.projection_ledger(a.d)
+    return {"sub": seq.sub.degree, "quot": seq.quot.degree,
+            **_fields(seq, "total_rank", "total_degree")}
+
+
+def _modify(a) -> dict:
+    bundle = _parse("--degrees", lambda s: normal_bundle.SplitBundle(s.split(",")), a.degrees)
+    return {"degrees": list(normal_bundle.modify(bundle, a.summand, a.sign, a.points).degrees)}
+
+
+_GRD = (_int("-g", "genus"), _int("-r", "target projective dimension"), _int("-d", "degree"))
+_GONALITY = _int("-k", "gonality")
+_BUNDLE = (_str("--aspects", 'e.g. "0,4;2,2;0,4" ("gen" allowed)'), _int("--window", default=None))
+
+GROUPS = {
+    "splitting": "splitting-type operations",
+    "loci": "Brill-Noether loci in moduli",
+    "chain": "limit line bundles on an elliptic chain",
+    "lattice": "the (d, g) lattice of nonnegative rho",
+    "nb": "normal-bundle ledger",
+}
+
+COMMANDS = [
+    Command("rho", "Brill-Noether number", _GRD,
+            lambda a: {"rho": invariants.rho(a.g, a.r, a.d)}),
+    Command("rho-k", "gonality-refined Brill-Noether number", (*_GRD, _GONALITY),
+            lambda a: {"rho_k": invariants.rho_k(a.g, a.r, a.d, a.k)}),
+    Command("count", "number of g^r_d's at rho = 0", _GRD,
+            lambda a: {"count": invariants.count_grd(a.g, a.r, a.d)}),
+    Command("chi", "Euler characteristic of the restricted tangent bundle", _GRD,
+            lambda a: {"chi": invariants.chi_pullback_tangent(a.g, a.r, a.d)}),
+    Command("hilbert", "Hilbert function of a general embedded curve",
+            (*_GRD, _int("-k", "power of the hyperplane class")),
+            lambda a: {"value": invariants.hilbert_function(a.g, a.r, a.d, a.k)}),
+    Command("smrc", "expected dimension of the maximal-rank degeneracy locus",
+            (*_GRD, _int("-k")),
+            lambda a: {"expected_dim": invariants.smrc_expected_dim(a.g, a.r, a.d, a.k)}),
+    Command("interp", "interpolation point count", _GRD, _interp),
+    Command("splitting rd", "(r, d) of a splitting type",
+            (_int("-g"), _str("-e", "splitting type; pass leading minus as -e=-2,-2,1")),
+            lambda a: dict(zip("rd", splitting.rd_from_splitting(a.g, _splitting_type(a, "-e"))))),
+    Command("splitting rho", "expected dimension of a splitting locus", (_int("-g"), _str("-e")),
+            lambda a: {"rho_splitting": splitting.rho_splitting(a.g, _splitting_type(a, "-e"))}),
+    Command("splitting maximal", "maximal splitting types for (g, r, d, k)", (*_GRD, _GONALITY),
+            lambda a: {"types": [splitting.splitting_str(t) for t in
+                                 splitting.maximal_splitting_types(a.g, a.r, a.d, a.k)]}),
+    Command("splitting predicates", "basepoint-freeness / very-ampleness flags",
+            (_str("-e"), _int("-r", default=None)),
+            lambda a: _fields(splitting.hbn_predicates(_splitting_type(a, "-e"), a.r),
+                              "basepoint_free", "very_ample_sufficient")),
+    Command("splitting majorizes", "containment order on splitting loci",
+            (_str("--outer"), _str("--inner")), _majorizes),
+    Command("loci dual", "Serre-dual locus index", _GRD,
+            lambda a: dict(zip("grd", loci.serre_dual(a.g, a.r, a.d)))),
+    Command("loci maximal", "expected-maximality of one locus", _GRD,
+            lambda a: _fields(loci.expected_maximal(a.g, a.r, a.d),
+                              "is_expected_maximal", "is_maximal_exception", "rho")),
+    Command("loci enumerate", "all expected-maximal loci of a genus", (_int("-g"),),
+            _enumerate_loci),
+    Command("kfill", "count k-fillings of a k-core",
+            (_str("--core", 'target core, e.g. "4,2,1,1"'), _int("-k"),
+             _int("-g", "number of symbols"), _switch("--witnesses", "list the residue words")),
+            _kfill),
+    Command("syt", "standard Young tableaux on a rectangle", (_int("--rows"), _int("--cols")),
+            lambda a: {"count": tableaux.syt_count_rect(a.rows, a.cols)}),
+    Command("chain h0", "h0 of one multidegree limit",
+            (*_BUNDLE, _str("--dist", 'degree distribution, e.g. "3,0,1"')), _h0),
+    Command("chain min-h0", "windowed minimum of h0 over distributions", _BUNDLE, _min_h0),
+    Command("chain tables", "vanishing tables of an r-positive bundle",
+            (*_BUNDLE, _int("-r")), _tables),
+    Command("chain star", "star components of an r-positive bundle", (*_BUNDLE, _int("-r")), _star),
+    Command("chain search", "exhaustive symbolic (non)existence search",
+            (*_GRD, _int("--window", default=None),
+             Flag("--max-genus", {"type": int, "default": 6}, echo=False),
+             _switch("--witnesses", "list the r-positive tuples")),
+            _search),
+    Command("lattice min-degree", "least degree with rho >= 0", (_int("-r"), _int("-g")),
+            lambda a: {"min_degree": lattice.min_degree(a.r, a.g)}),
+    Command("lattice reachable", "lattice points inside a box",
+            (_int("-r"), _int("--g-max"), _int("--d-max")),
+            lambda a: [{"d": d, "g": g}
+                       for d, g in sorted(lattice.reachable_set(a.r, a.g_max, a.d_max))]),
+    Command("lattice certificate", "h1-vanishing certificate for (d, g)",
+            (_int("-r"), _int("-d"), _int("-g")),
+            lambda a: lattice.h1_certificate(a.r, a.d, a.g).to_payload()),
+    Command("nb project", "projection-from-a-point ledger sequence", (_int("-d"),), _project),
+    Command("nb odd-cert", "balancedness certificate for odd degree", (_int("-d"),),
+            lambda a: _fields(normal_bundle.odd_degree_certificate(a.d),
+                              "d", "peels", "sub", "quot", "balanced", "total")),
+    Command("nb modify", "elementary modification of a split bundle",
+            (_str("--degrees", 'summand degrees, e.g. "2,1,1"'),
+             _int("--summand", "0-based summand index"),
+             _str("--sign", choices=("+", "-")), _int("--points")),
+            _modify),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,363 +325,35 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument(
         "--format", choices=("table", "json", "csv"), default="table", help="output format"
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("rho", help="Brill-Noether number")
-    _grd_flags(p)
-
-    p = sub.add_parser("rho-k", help="gonality-refined Brill-Noether number")
-    _grd_flags(p)
-    p.add_argument("-k", type=int, required=True, help="gonality")
-
-    p = sub.add_parser("count", help="number of g^r_d's at rho = 0")
-    _grd_flags(p)
-
-    p = sub.add_parser("chi", help="Euler characteristic of the restricted tangent bundle")
-    _grd_flags(p)
-
-    p = sub.add_parser("hilbert", help="Hilbert function of a general embedded curve")
-    _grd_flags(p)
-    p.add_argument("-k", type=int, required=True, help="power of the hyperplane class")
-
-    p = sub.add_parser("smrc", help="expected dimension of the maximal-rank degeneracy locus")
-    _grd_flags(p)
-    p.add_argument("-k", type=int, required=True)
-
-    p = sub.add_parser("interp", help="interpolation point count")
-    _grd_flags(p)
-
-    p = sub.add_parser("splitting", help="splitting-type operations")
-    ssub = p.add_subparsers(dest="subcommand", required=True)
-    q = ssub.add_parser("rd", help="(r, d) of a splitting type")
-    q.add_argument("-g", type=int, required=True)
-    q.add_argument("-e", required=True, help="splitting type; pass leading minus as -e=-2,-2,1")
-    q = ssub.add_parser("rho", help="expected dimension of a splitting locus")
-    q.add_argument("-g", type=int, required=True)
-    q.add_argument("-e", required=True)
-    q = ssub.add_parser("maximal", help="maximal splitting types for (g, r, d, k)")
-    _grd_flags(q)
-    q.add_argument("-k", type=int, required=True, help="gonality")
-    q = ssub.add_parser("predicates", help="basepoint-freeness / very-ampleness flags")
-    q.add_argument("-e", required=True)
-    q.add_argument("-r", type=int, default=None)
-    q = ssub.add_parser("majorizes", help="containment order on splitting loci")
-    q.add_argument("--outer", required=True)
-    q.add_argument("--inner", required=True)
-
-    p = sub.add_parser("loci", help="Brill-Noether loci in moduli")
-    lsub = p.add_subparsers(dest="subcommand", required=True)
-    q = lsub.add_parser("dual", help="Serre-dual locus index")
-    _grd_flags(q)
-    q = lsub.add_parser("maximal", help="expected-maximality of one locus")
-    _grd_flags(q)
-    q = lsub.add_parser("enumerate", help="all expected-maximal loci of a genus")
-    q.add_argument("-g", type=int, required=True)
-
-    p = sub.add_parser("kfill", help="count k-fillings of a k-core")
-    p.add_argument("--core", required=True, help='target core, e.g. "4,2,1,1"')
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-g", type=int, required=True, help="number of symbols")
-    p.add_argument("--witnesses", action="store_true", help="list the residue words")
-
-    p = sub.add_parser("syt", help="standard Young tableaux on a rectangle")
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--cols", type=int, required=True)
-
-    p = sub.add_parser("chain", help="limit line bundles on an elliptic chain")
-    csub = p.add_subparsers(dest="subcommand", required=True)
-    for name, helptext in (
-        ("h0", "h0 of one multidegree limit"),
-        ("min-h0", "windowed minimum of h0 over distributions"),
-        ("tables", "vanishing tables of an r-positive bundle"),
-        ("star", "star components of an r-positive bundle"),
-    ):
-        q = csub.add_parser(name, help=helptext)
-        q.add_argument("--aspects", required=True, help='e.g. "0,4;2,2;0,4" ("gen" allowed)')
-        q.add_argument("--window", type=int, default=None)
-        if name == "h0":
-            q.add_argument("--dist", required=True, help='degree distribution, e.g. "3,0,1"')
-        if name in ("tables", "star"):
-            q.add_argument("-r", type=int, required=True)
-    q = csub.add_parser("search", help="exhaustive symbolic (non)existence search")
-    _grd_flags(q)
-    q.add_argument("--window", type=int, default=None)
-    q.add_argument("--max-genus", type=int, default=6)
-    q.add_argument("--witnesses", action="store_true", help="list the r-positive tuples")
-
-    p = sub.add_parser("lattice", help="the (d, g) lattice of nonnegative rho")
-    tsub = p.add_subparsers(dest="subcommand", required=True)
-    q = tsub.add_parser("min-degree", help="least degree with rho >= 0")
-    q.add_argument("-r", type=int, required=True)
-    q.add_argument("-g", type=int, required=True)
-    q = tsub.add_parser("reachable", help="lattice points inside a box")
-    q.add_argument("-r", type=int, required=True)
-    q.add_argument("--g-max", type=int, required=True)
-    q.add_argument("--d-max", type=int, required=True)
-    q = tsub.add_parser("certificate", help="h1-vanishing certificate for (d, g)")
-    q.add_argument("-r", type=int, required=True)
-    q.add_argument("-d", type=int, required=True)
-    q.add_argument("-g", type=int, required=True)
-
-    p = sub.add_parser("nb", help="normal-bundle ledger")
-    nsub = p.add_subparsers(dest="subcommand", required=True)
-    q = nsub.add_parser("project", help="projection-from-a-point ledger sequence")
-    q.add_argument("-d", type=int, required=True)
-    q = nsub.add_parser("odd-cert", help="balancedness certificate for odd degree")
-    q.add_argument("-d", type=int, required=True)
-    q = nsub.add_parser("modify", help="elementary modification of a split bundle")
-    q.add_argument("--degrees", required=True, help='summand degrees, e.g. "2,1,1"')
-    q.add_argument("--summand", type=int, required=True, help="0-based summand index")
-    q.add_argument("--sign", choices=("+", "-"), required=True)
-    q.add_argument("--points", type=int, required=True)
-
+    sub = {"": ap.add_subparsers(dest="command", required=True)}
+    for cmd in COMMANDS:
+        group, _, leaf = cmd.name.rpartition(" ")
+        if group not in sub:
+            p = sub[""].add_parser(group, help=GROUPS[group])
+            sub[group] = p.add_subparsers(dest="subcommand", required=True)
+        p = sub[group].add_parser(leaf, help=cmd.help)
+        for flag in cmd.flags:
+            p.add_argument(flag.name, **flag.spec)
+        p.set_defaults(leaf_command=cmd)
     return ap
 
 
-def _run(args) -> tuple[str, dict, object]:
-    cmd = args.command
-    if cmd == "rho":
-        inputs = {"g": args.g, "r": args.r, "d": args.d}
-        return cmd, inputs, {"rho": invariants.rho(args.g, args.r, args.d)}
-    if cmd == "rho-k":
-        inputs = {"g": args.g, "r": args.r, "d": args.d, "k": args.k}
-        return cmd, inputs, {"rho_k": invariants.rho_k(args.g, args.r, args.d, args.k)}
-    if cmd == "count":
-        inputs = {"g": args.g, "r": args.r, "d": args.d}
-        return cmd, inputs, {"count": invariants.count_grd(args.g, args.r, args.d)}
-    if cmd == "chi":
-        inputs = {"g": args.g, "r": args.r, "d": args.d}
-        return cmd, inputs, {"chi": invariants.chi_pullback_tangent(args.g, args.r, args.d)}
-    if cmd == "hilbert":
-        inputs = {"g": args.g, "r": args.r, "d": args.d, "k": args.k}
-        return cmd, inputs, {"value": invariants.hilbert_function(args.g, args.r, args.d, args.k)}
-    if cmd == "smrc":
-        inputs = {"g": args.g, "r": args.r, "d": args.d, "k": args.k}
-        return cmd, inputs, {
-            "expected_dim": invariants.smrc_expected_dim(args.g, args.r, args.d, args.k)
-        }
-    if cmd == "interp":
-        inputs = {"g": args.g, "r": args.r, "d": args.d}
-        rep = invariants.interpolation_points(args.g, args.r, args.d)
-        result = {
-            "formula_value": rep.formula_value,
-            "is_exception": rep.is_exception,
-            "count": rep.count,
-        }
-        if rep.is_exception and rep.count is None:
-            result["note"] = "below formula; exact count not pinned"
-        return cmd, inputs, result
-    if cmd == "splitting":
-        return _run_splitting(args)
-    if cmd == "loci":
-        return _run_loci(args)
-    if cmd == "kfill":
-        core = _parse("--core", tableaux.parse_partition, args.core)
-        inputs = {"core": args.core, "k": args.k, "g": args.g}
-        result = {"count": tableaux.count_k_fillings(core, args.k, args.g)}
-        if args.witnesses:
-            result["witnesses"] = [
-                str(w) for w in tableaux.k_filling_witnesses(core, args.k, args.g)
-            ]
-        return cmd, inputs, result
-    if cmd == "syt":
-        inputs = {"rows": args.rows, "cols": args.cols}
-        return cmd, inputs, {"count": tableaux.syt_count_rect(args.rows, args.cols)}
-    if cmd == "chain":
-        return _run_chain(args)
-    if cmd == "lattice":
-        return _run_lattice(args)
-    if cmd == "nb":
-        return _run_nb(args)
-    raise PreconditionError(f"unknown command {cmd!r}")
-
-
-def _run_splitting(args):
-    sc = args.subcommand
-    cmd = f"splitting {sc}"
-    if sc == "rd":
-        e = _parse("-e", splitting.parse_splitting, args.e)
-        r, d = splitting.rd_from_splitting(args.g, e)
-        return cmd, {"g": args.g, "e": args.e}, {"r": r, "d": d}
-    if sc == "rho":
-        e = _parse("-e", splitting.parse_splitting, args.e)
-        return cmd, {"g": args.g, "e": args.e}, {
-            "rho_splitting": splitting.rho_splitting(args.g, e)
-        }
-    if sc == "maximal":
-        types = splitting.maximal_splitting_types(args.g, args.r, args.d, args.k)
-        return cmd, {"g": args.g, "r": args.r, "d": args.d, "k": args.k}, {
-            "types": [splitting.splitting_str(t) for t in types]
-        }
-    if sc == "predicates":
-        e = _parse("-e", splitting.parse_splitting, args.e)
-        rep = splitting.hbn_predicates(e, args.r)
-        return cmd, {"e": args.e, "r": args.r}, {
-            "basepoint_free": rep.basepoint_free,
-            "very_ample_sufficient": rep.very_ample_sufficient,
-        }
-    if sc == "majorizes":
-        res = splitting.majorizes(
-            _parse("--outer", splitting.parse_splitting, args.outer),
-            _parse("--inner", splitting.parse_splitting, args.inner),
-        )
-        return cmd, {"outer": args.outer, "inner": args.inner}, {
-            "majorizes": res.holds,
-            "reason": res.reason,
-        }
-    raise PreconditionError(f"unknown splitting subcommand {sc!r}")
-
-
-def _run_loci(args):
-    sc = args.subcommand
-    cmd = f"loci {sc}"
-    if sc == "dual":
-        g, r, d = loci.serre_dual(args.g, args.r, args.d)
-        return cmd, {"g": args.g, "r": args.r, "d": args.d}, {"g": g, "r": r, "d": d}
-    if sc == "maximal":
-        rep = loci.expected_maximal(args.g, args.r, args.d)
-        return cmd, {"g": args.g, "r": args.r, "d": args.d}, {
-            "is_expected_maximal": rep.is_expected_maximal,
-            "is_maximal_exception": rep.is_maximal_exception,
-            "rho": rep.rho,
-        }
-    if sc == "enumerate":
-        rows = loci.enumerate_expected_maximal(args.g)
-        return cmd, {"g": args.g}, [
-            {
-                "g": row.g,
-                "r": row.r,
-                "d": row.d,
-                "rho": row.rho,
-                "expected_maximal": True,
-                "exception": row.is_maximal_exception,
-            }
-            for row in rows
-        ]
-    raise PreconditionError(f"unknown loci subcommand {sc!r}")
-
-
-def _run_chain(args):
-    sc = args.subcommand
-    cmd = f"chain {sc}"
-    if sc == "search":
-        window = args.window if args.window is not None else args.g + 1
-        inputs = {"g": args.g, "r": args.r, "d": args.d, "window": window}
-        res = chain.search_limit_bundles(
-            args.g, args.r, args.d,
-            window=window, max_genus=args.max_genus,
-        )
-        payload = {
-            "count_exact": res.count_exact,
-            "count_with_generic": res.count_with_generic,
-        }
-        if args.witnesses:
-            payload["witnesses"] = [
-                {
-                    "aspects": chain.aspects_str(chain.LimitLineBundle(args.d, w.aspects)),
-                    "min_h0": w.min_h0,
-                }
-                for w in res.witnesses
-            ]
-        return cmd, inputs, payload
-    L, window = _chain_bundle(args)
-    inputs = {"aspects": chain.aspects_str(L), "window": window}
-    if sc == "h0":
-        dist = _parse("--dist", chain.parse_distribution, args.dist)
-        inputs["dist"] = args.dist
-        return cmd, inputs, {"h0": chain.h0_chain(L, dist)}
-    if sc == "min-h0":
-        rep = chain.is_r_positive(L, 0, window)
-        return cmd, inputs, {
-            "min_h0": rep.min_h0,
-            "witness": ",".join(str(x) for x in rep.witness),
-        }
-    if sc == "tables":
-        inputs["r"] = args.r
-        t = chain.vanishing_tables(L, args.r, window)
-        return cmd, inputs, {
-            "a": [list(row) for row in t.a_rows],
-            "b": [list(row) for row in t.b_rows],
-        }
-    if sc == "star":
-        inputs["r"] = args.r
-        rep = chain.star_components(L, args.r, window)
-        return cmd, inputs, {
-            "pairs": [list(p) for p in rep.pairs],
-            "per_n": {str(n): c for n, c in sorted(rep.per_n.items())},
-            "lower_bound": rep.lower_bound,
-        }
-    raise PreconditionError(f"unknown chain subcommand {sc!r}")
-
-
-def _run_lattice(args):
-    sc = args.subcommand
-    cmd = f"lattice {sc}"
-    if sc == "min-degree":
-        return cmd, {"r": args.r, "g": args.g}, {
-            "min_degree": lattice.min_degree(args.r, args.g)
-        }
-    if sc == "reachable":
-        pts = sorted(lattice.reachable_set(args.r, args.g_max, args.d_max))
-        return cmd, {"r": args.r, "g_max": args.g_max, "d_max": args.d_max}, [
-            {"d": d, "g": g} for (d, g) in pts
-        ]
-    if sc == "certificate":
-        cert = lattice.h1_certificate(args.r, args.d, args.g)
-        return cmd, {"r": args.r, "d": args.d, "g": args.g}, cert.to_payload()
-    raise PreconditionError(f"unknown lattice subcommand {sc!r}")
-
-
-def _run_nb(args):
-    sc = args.subcommand
-    cmd = f"nb {sc}"
-    if sc == "project":
-        seq = normal_bundle.projection_ledger(args.d)
-        return cmd, {"d": args.d}, {
-            "sub": seq.sub.degree,
-            "quot": seq.quot.degree,
-            "total_rank": seq.total_rank,
-            "total_degree": seq.total_degree,
-        }
-    if sc == "odd-cert":
-        c = normal_bundle.odd_degree_certificate(args.d)
-        return cmd, {"d": args.d}, {
-            "d": c.d,
-            "peels": c.peels,
-            "sub": c.sub,
-            "quot": c.quot,
-            "balanced": c.balanced,
-            "total": c.total,
-        }
-    if sc == "modify":
-        bundle = _parse(
-            "--degrees", lambda s: normal_bundle.SplitBundle(s.split(",")), args.degrees
-        )
-        out = normal_bundle.modify(bundle, args.summand, args.sign, args.points)
-        return cmd, {
-            "degrees": args.degrees,
-            "summand": args.summand,
-            "sign": args.sign,
-            "points": args.points,
-        }, {"degrees": list(out.degrees)}
-    raise PreconditionError(f"unknown nb subcommand {sc!r}")
-
-
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
+    cmd = args.leaf_command
     try:
-        cmd, inputs, result = _run(args)
+        result = cmd.run(args)
     except PreconditionError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except InternalCheckError as e:
         print(f"internal invariant violation: {e}", file=sys.stderr)
         return 3
-    print(_envelope(cmd, inputs, result, args.format))
+    inputs = {f.dest: getattr(args, f.dest) for f in cmd.flags if f.echo}
+    print(_envelope(cmd.name, inputs, result, args.format))
     return 0
 
 

@@ -233,6 +233,8 @@ def _replay_step(p: Partition, res: int, k: int) -> tuple[Partition, list[tuple[
     """One checked strict-add step: the new core and the boxes it added,
     which must share the residue ``res`` and sit at pairwise lattice
     distance a multiple of k."""
+    if not 0 <= res < k:
+        raise InternalCheckError(f"residue {res} is not in 0..{k - 1}")
     q = core_add_residue(p, res, k)
     boxes = sorted(set(_boxes(q)) - set(_boxes(p)))
     for (i1, j1) in boxes:

@@ -1,8 +1,15 @@
+import csv
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bnkit.cli import main
+from bnkit.cli import COMMANDS, _csv_cell, main
+
+from cli_table_goldens import TABLE_GOLDENS
 
 
 def run(capsys, *argv):
@@ -207,3 +214,77 @@ class TestExitCodes:
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("argv", sorted(TABLE_GOLDENS))
+    def test_table_output_is_pinned(self, capsys, argv):
+        assert main(argv.split()) == 0
+        assert capsys.readouterr().out == TABLE_GOLDENS[argv]
+
+    def test_every_command_has_a_pinned_argv(self):
+        pinned = {out.split("  ", 1)[0] for out in TABLE_GOLDENS.values()}
+        assert pinned == {cmd.name for cmd in COMMANDS}
+        assert len(pinned) == len(COMMANDS)
+
+    @pytest.mark.parametrize("argv", sorted(TABLE_GOLDENS))
+    def test_csv_rows_have_as_many_fields_as_the_header(self, capsys, argv):
+        assert main(["--format", "csv", *argv.split()]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) >= 2
+        assert all(len(row) == len(rows[0]) for row in rows)
+
+    def test_csv_quotes_as_in_rfc_4180(self, capsys):
+        code, out, _ = run(
+            capsys, "--format", "csv", "kfill", "--core", "4,2,1,1", "-k", "3", "-g", "5",
+            "--witnesses",
+        )
+        assert code == 0
+        assert out == 'count,witnesses\n2,"0,1,2,1,0;0,2,1,2,0"'
+        assert _csv_cell('say "a,b"') == '"say ""a,b"""'
+        assert _csv_cell("a\nb") == '"a\nb"'
+
+
+# Serialized values: comma lists of tokens, alone or joined by ";" into
+# groups, or well-formed aspects.  Tokens are integers of at most two digits
+# or junk, and the separators keep integers from running together.  Larger
+# integers reach inputs with no size budget yet (a large d in --aspects
+# allocates O(d) arrays).
+_INT = st.one_of(st.integers(0, 9), st.integers(-99, 99)).map(str)
+_TOKEN = st.one_of(_INT, st.sampled_from(["", " ", "-", "+", "x", "gen", "[", "]"]))
+_GROUP = st.lists(_TOKEN, min_size=1, max_size=4).map(",".join)
+_ASPECT = st.one_of(st.just("gen"), st.tuples(_INT, _INT).map(",".join))
+_VALUE = st.one_of(
+    _GROUP,
+    st.lists(_GROUP, max_size=4).map(";".join),
+    st.lists(_ASPECT, min_size=1, max_size=5).map(";".join),
+)
+_SMALL = st.integers(-3, 9).map(str)
+
+FUZZED = {
+    "--aspects": lambda v, w, n, m: ["chain", "min-h0", f"--aspects={v}"],
+    "--aspects -r": lambda v, w, n, m: ["chain", "star", f"--aspects={v}", "-r", n],
+    "--dist": lambda v, w, n, m: ["chain", "h0", f"--aspects={w}", f"--dist={v}"],
+    "--core": lambda v, w, n, m: ["kfill", f"--core={v}", "-k", n, "-g", m, "--witnesses"],
+    "-e": lambda v, w, n, m: ["splitting", "rd", "-g", n, f"-e={v}"],
+    "-e -r": lambda v, w, n, m: ["splitting", "predicates", f"-e={v}", "-r", n],
+    "--outer --inner": lambda v, w, n, m: [
+        "splitting", "majorizes", f"--outer={v}", f"--inner={w}"
+    ],
+    "--degrees": lambda v, w, n, m: [
+        "nb", "modify", f"--degrees={v}", "--summand", n, "--sign", "-", "--points", m
+    ],
+}
+
+
+class TestFuzzSerializedFlags:
+    @pytest.mark.parametrize("flags", sorted(FUZZED))
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @given(v=_VALUE, w=_VALUE, n=_SMALL, m=_SMALL, fmt=st.sampled_from(["table", "json", "csv"]))
+    def test_exit_code_contract(self, flags, v, w, n, m, fmt):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["--format", fmt, *FUZZED[flags](v, w, n, m)])
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""

@@ -162,7 +162,7 @@ class TestWitnessTampering:
         word = words[idx]
         tampered = [word[:-1], word[: len(word) // 2]]
         for pos in range(len(word)):
-            for res in range(k):
+            for res in (*range(k), word[pos] + k, -1):
                 bad = word[:pos] + (res,) + word[pos + 1:]
                 if bad not in words:
                     tampered.append(bad)
