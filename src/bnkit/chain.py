@@ -24,7 +24,8 @@ consumer is expected to re-check stability at 2*theta.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
+from math import prod
 from operator import sub
 from typing import NamedTuple
 
@@ -110,19 +111,16 @@ def chip_fire(dist, i: int) -> tuple[int, ...]:
     """Twist by the i-th component (1-indexed): the degree distribution
     fires vertex i of the dual chain.  Interior: (.., d^{i-1}+1, d^i - 2,
     d^{i+1}+1, ..); the endpoints lose only 1 since they have a single
-    node.  Total degree is conserved."""
+    node, and a lone component has none.  Total degree is conserved."""
     dist = tuple(dist)
     g = len(dist)
     if not 1 <= i <= g:
         raise IndexOutOfRange(f"component index {i} out of range 1..{g}")
     out = list(dist)
-    out[i - 1] -= 2 if 1 < i < g else 1
-    if i > 1:
-        out[i - 2] += 1
-    if i < g:
-        out[i] += 1
-    if g == 1:
-        out[0] = dist[0]  # a single component has no nodes; firing is trivial
+    for j in (i - 2, i):  # the neighbours of vertex i, 0-indexed
+        if 0 <= j < g:
+            out[j] += 1
+            out[i - 1] -= 1
     return tuple(out)
 
 
@@ -170,52 +168,37 @@ def h0_chain(L: LimitLineBundle, dist) -> int:
     """Dimension of the space of global sections of the multidegree-
     ``dist`` limit: tuples of component sections agreeing at the nodes.
 
-    Right-to-left sweep carrying (n, eps) where n is the h0 of the
-    processed suffix and eps in {0, 1} is the rank of evaluation of the
-    suffix sections at the next node to the left.  If eps = 1 the new
+    Right-to-left sweep over the prefix sums carrying (n, eps): n is the
+    h0 of the processed suffix and eps in {0, 1} the rank of evaluation of
+    its sections at the next node to the left.  If eps = 1 the new
     component's sections are unconstrained and one matching condition is
-    spent; if eps = 0 they must vanish at the shared node.
+    spent; if eps = 0 they must vanish at the shared node, one more twist
+    at the right.  Component i is twisted down by S_{i-1} and d - S_i as
+    in :func:`restrict`; the empty suffix enters as n = 1, eps = 1.
     """
-    B = restrict(L, dist)
-    g = len(B)
-    n = B[-1].h0()
-    if g == 1:
-        return n
-    eps = 1 if B[-1].twist(1, 0).h0() < n else 0
-    for i in range(g - 2, -1, -1):
-        if eps == 1:
-            defining = B[i]
-        else:
-            defining = B[i].twist(0, 1)
-        w = defining.h0()
-        n = w + n - eps
-        eps = 1 if defining.twist(1, 0).h0() < w else 0
+    d = L.d
+    n, eps, s = 1, 1, d
+    for a, k in zip(reversed(L.aspects), reversed(_check_dist(L, dist))):
+        u, v = s - k, d - s + 1 - eps
+        w = h0_twisted(a, d, u, v)
+        n += w - eps
+        eps = 1 if h0_twisted(a, d, u + 1, v) < w else 0
+        s = u
     return n
 
 
-def window_distributions(L: LimitLineBundle, window: int):
-    """All degree distributions whose prefix sums S_1..S_{g-1} lie in
-    [-window, d+window], in lexicographic order of the prefix sums."""
-    g, d = L.g, L.d
-    if g == 1:
-        yield (d,)
-        return
-    lo, hi = min(-window, d), max(d + window, 0)
-    span = range(lo, hi + 1)
-
-    def rec(prefixes):
-        if len(prefixes) == g - 1:
-            full = list(prefixes) + [d]
-            yield tuple(b - a for a, b in zip([0] + full[:-1], full))
-            return
-        for s in span:
-            yield from rec(prefixes + [s])
-
-    yield from rec([])
+def default_window(g: int) -> int:
+    """The degree window used when none is given: g + 1."""
+    return g + 1
 
 
-def default_window(L: LimitLineBundle) -> int:
-    return L.g + 1
+def window_distributions(L: LimitLineBundle, window: int | None):
+    """All degree distributions whose prefix sums S_1..S_{g-1} lie in the
+    window's range (see :func:`_window`), in lexicographic order of the
+    prefix sums."""
+    _, lo, hi = _window(L.g, L.d, window)
+    sums = product(range(lo, hi + 1), repeat=L.g - 1)
+    return (tuple(map(sub, (*s, L.d), (0, *s))) for s in sums)
 
 
 # --- the chain-DP kernel: one gluing step, linear in the window ---
@@ -226,13 +209,16 @@ def default_window(L: LimitLineBundle) -> int:
 # the prefix X^{<=j} among windowed prefixes with that sum whose
 # sections evaluate at p^j with rank eps = 0 resp. 1.
 
-def _window(d: int, window: int) -> tuple[int, int]:
-    """The prefix-sum window [lo, hi].  It keeps the forced boundary sums
+def _window(g: int, d: int, window: int | None) -> tuple[int, int, int]:
+    """The degree window, ``default_window(g)`` when None, and its
+    prefix-sum range [lo, hi].  The range keeps the forced boundary sums
     S_0 = 0 and S_g = d inside, and lo + hi = d, so the reflection
     s -> d - s maps it onto itself."""
+    if window is None:
+        window = default_window(g)
     if window < 0:
         raise PreconditionError(f"window must be >= 0, got {window}")
-    return min(-window, d), max(d + window, 0)
+    return window, min(-window, d), max(d + window, 0)
 
 
 def _start(lo: int, hi: int) -> list[int]:
@@ -296,7 +282,7 @@ def _dp_step(aspects, C: list[int], lo: int, s_lo: int, s_hi: int):
 
 # --- windowed minimum h0, tables and witnesses from one kernel pass ---
 
-def _suffix_pass(L: LimitLineBundle, window: int):
+def _suffix_pass(L: LimitLineBundle, window: int | None):
     """Run the kernel over the reflected chain E^g, .., E^1: aspects
     reversed and each pair's coordinates swapped, so that prefix sums map
     as S'_j = d - S_{g-j}.  The state after j components is the suffix
@@ -304,7 +290,7 @@ def _suffix_pass(L: LimitLineBundle, window: int):
     p^{g-j}; the last state is the whole chain at S_0 = 0.  Returns the
     window's lo, the reflected aspects and every state."""
     g, d = L.g, L.d
-    lo, hi = _window(d, window)
+    _, lo, hi = _window(g, d, window)
     aspects = tuple(None if a is None else (a[1], a[0]) for a in reversed(L.aspects))
     C = _start(lo, hi)
     states = []
@@ -347,8 +333,12 @@ def _witness(L: LimitLineBundle, lo: int, aspects, states) -> tuple[int, ...]:
             raise InternalCheckError(f"chain DP state at node {g - j} has no predecessor")
         s, eps, val = s_prev, e, n
         sums.append(d - s)
-    prefixes = [0, *sums, d]
-    return tuple(b - a for a, b in zip(prefixes, prefixes[1:]))
+    return tuple(map(sub, (*sums, d), (0, *sums)))
+
+
+def _check_rank(r: int) -> None:
+    if r < 0:
+        raise PreconditionError(f"projective dimension must be >= 0, got r={r}")
 
 
 def _best(states) -> int:
@@ -358,8 +348,6 @@ def _best(states) -> int:
 
 def min_h0(L: LimitLineBundle, window: int | None = None) -> int:
     """Minimum of h0_chain over all windowed degree distributions."""
-    if window is None:
-        window = default_window(L)
     return _best(_suffix_pass(L, window)[2])
 
 
@@ -373,8 +361,7 @@ class RPositivityReport:
 def is_r_positive(L: LimitLineBundle, r: int, window: int | None = None) -> RPositivityReport:
     """Whether every windowed multidegree limit has at least r+1 sections,
     together with a distribution attaining the minimum."""
-    if window is None:
-        window = default_window(L)
+    _check_rank(r)
     lo, aspects, states = _suffix_pass(L, window)
     best = _best(states)
     return RPositivityReport(best >= r + 1, best, _witness(L, lo, aspects, states))
@@ -413,9 +400,9 @@ class VanishingTable:
 def vanishing_tables(L: LimitLineBundle, r: int, window: int | None = None) -> VanishingTable:
     """Compute the a/b threshold tables of an r-positive limit line
     bundle.  Raises :class:`NotRPositive` otherwise."""
-    if window is None:
-        window = default_window(L)
+    _check_rank(r)
     g, d = L.g, L.d
+    window = _window(g, d, window)[0]  # resolved, for the WindowTooSmall message
     lo, _, states = _suffix_pass(L, window)
     best = _best(states)
     if best < r + 1:
@@ -562,33 +549,19 @@ def search_limit_bundles(
     """
     if g < 1:
         raise PreconditionError(f"need g >= 1, got g={g}")
-    if window is None:
-        window = g + 1
+    _check_rank(r)
+    window, lo, hi = _window(g, d, window)
+    options = aspect_options(g, d, window)
     if g > max_genus:
-        size = 1
-        for o in aspect_options(g, d, window):
-            size *= len(o)
         raise BudgetExceeded(
-            f"search over g = {g} > {max_genus} refused (state space {size} tuples); "
+            f"search over g = {g} > {max_genus} refused "
+            f"(state space {prod(map(len, options))} tuples); "
             "raise max_genus explicitly to override"
         )
-    lo, hi = _window(d, window)
-    minima = _search_minima(aspect_options(g, d, window), d, lo, hi, _start(lo, hi))
-    count_exact = 0
-    count_generic = 0
-    witnesses = []
-    for aspects, best in minima:
-        if best >= r + 1:
-            if any(a is None for a in aspects):
-                count_generic += 1
-            else:
-                count_exact += 1
-            witnesses.append(SearchWitness(aspects, best))
-    return SearchResult(
-        count_exact=count_exact,
-        count_with_generic=count_generic,
-        witnesses=tuple(witnesses),
-    )
+    minima = _search_minima(options, d, lo, hi, _start(lo, hi))
+    witnesses = tuple(SearchWitness(a, best) for a, best in minima if best >= r + 1)
+    generic = sum(None in w.aspects for w in witnesses)
+    return SearchResult(len(witnesses) - generic, generic, witnesses)
 
 
 # --- serialization ---

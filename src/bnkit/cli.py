@@ -20,6 +20,7 @@ adding a command means adding one entry.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable
@@ -174,7 +175,7 @@ def _chain_bundle(a) -> tuple[chain.LimitLineBundle, int]:
     L = _parse("--aspects", chain.parse_aspects, a.aspects)
     a.aspects = chain.aspects_str(L)
     if a.window is None:
-        a.window = chain.default_window(L)
+        a.window = chain.default_window(L.g)
     return L, a.window
 
 
@@ -207,7 +208,7 @@ def _star(a) -> dict:
 
 def _search(a) -> dict:
     if a.window is None:
-        a.window = a.g + 1
+        a.window = chain.default_window(a.g)
     res = chain.search_limit_bundles(a.g, a.r, a.d, window=a.window, max_genus=a.max_genus)
     payload = _fields(res, "count_exact", "count_with_generic")
     if a.witnesses:
@@ -267,8 +268,8 @@ COMMANDS = [
             lambda a: {"types": [splitting.splitting_str(t) for t in
                                  splitting.maximal_splitting_types(a.g, a.r, a.d, a.k)]}),
     Command("splitting predicates", "basepoint-freeness / very-ampleness flags",
-            (_str("-e"), _int("-r", default=None)),
-            lambda a: _fields(splitting.hbn_predicates(_splitting_type(a, "-e"), a.r),
+            (_str("-e"),),
+            lambda a: _fields(splitting.hbn_predicates(_splitting_type(a, "-e")),
                               "basepoint_free", "very_ample_sufficient")),
     Command("splitting majorizes", "containment order on splitting loci",
             (_str("--outer"), _str("--inner")), _majorizes),
@@ -317,7 +318,10 @@ COMMANDS = [
 ]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser tree of ``COMMANDS``, built once per process and shared
+    by every caller, so no caller may change it."""
     ap = argparse.ArgumentParser(
         prog="bnkit",
         description="Exact combinatorial invariants of Brill-Noether theory",

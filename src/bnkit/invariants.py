@@ -92,12 +92,20 @@ def chi_pullback_tangent(g: int, r: int, d: int) -> int:
 
 
 def hilbert_function(g: int, r: int, d: int, k: int) -> int:
-    """Hilbert function min(C(k+r, r), kd + 1 - g) of a general
-    Brill-Noether curve in P^r, i.e. the rank of restriction of degree-k
-    forms (maximal-rank behaviour)."""
+    """Hilbert function of a general Brill-Noether curve in P^r, i.e. the
+    rank of restriction of degree-k forms: r + 1 at k = 1, since the curve
+    is nondegenerate even when O_C(1) is special, and
+    min(C(k+r, r), kd + 1 - g) for k >= 2 (maximal-rank behaviour).  No
+    such curve exists at rho < 0."""
     _check_index(g, r)
     if k < 1:
         raise PreconditionError(f"power must be >= 1, got k={k}")
+    if rho(g, r, d) < 0:
+        raise PreconditionError(
+            f"Hilbert functions need rho >= 0, got rho({g}, {r}, {d}) = {rho(g, r, d)}"
+        )
+    if k == 1:
+        return r + 1
     return min(comb(k + r, r), k * d + 1 - g)
 
 

@@ -101,6 +101,8 @@ def maximal_splitting_types(g: int, r: int, d: int, k: int) -> list[SplittingTyp
     where b is the balanced type of given length and sum.  Every emitted
     type is checked to reproduce (r, d).
     """
+    if k < 2:
+        raise PreconditionError(f"gonality must be >= 2, got k={k}")
     if g - d + r <= 0:
         raise OutOfRegime(
             f"maximal splitting types are stated for g-d+r > 0, got {g - d + r}"
@@ -133,13 +135,13 @@ class HbnPredicates:
     very_ample_sufficient: bool
 
 
-def hbn_predicates(parts, r: int | None = None) -> HbnPredicates:
+def hbn_predicates(parts) -> HbnPredicates:
     """Basepoint-freeness (iff the second-largest part is >= 0) and the
     sufficient very-ampleness criterion (third-largest part >= 0 and
-    r >= 3) for a general line bundle in the splitting locus."""
+    r >= 3, with r the rank the type fixes) for a general line bundle in
+    the splitting locus."""
     e = check_splitting(parts)
-    if r is None:
-        r = sum(max(0, ei + 1) for ei in e) - 1
+    r = sum(max(0, ei + 1) for ei in e) - 1
     # e_{k-2} exists only for k >= 3; for k = 2 the criterion never applies
     very_ample = len(e) >= 3 and e[-3] >= 0 and r >= 3
     return HbnPredicates(basepoint_free=e[-2] >= 0, very_ample_sufficient=very_ample)

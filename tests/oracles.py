@@ -122,6 +122,26 @@ def brute_k_fillings(core: tuple[int, ...], k: int, g: int) -> list[tuple[int, .
 INF = 1 << 30
 
 
+def brute_window_distributions(g: int, d: int, window: int) -> list[tuple[int, ...]]:
+    """Every distribution of total degree d over g components whose prefix
+    sums S_1..S_{g-1} lie in [min(-window, d), max(d + window, 0)], by an
+    odometer over the prefix sums whose last digit turns fastest, so the
+    list is in lexicographic order of the prefix sums."""
+    lo, hi = min(-window, d), max(d + window, 0)
+    sums = [lo] * (g - 1)
+    out = []
+    while True:
+        full = [0, *sums, d]
+        out.append(tuple(full[i + 1] - full[i] for i in range(g)))
+        i = g - 2
+        while i >= 0 and sums[i] == hi:
+            sums[i] = lo
+            i -= 1
+        if i < 0:
+            return out
+        sums[i] += 1
+
+
 def h0_chain_lr(L, dist) -> int:
     """Left-to-right mirror of ``bnkit.chain.h0_chain``; must agree with it."""
     from bnkit.chain import restrict

@@ -9,6 +9,7 @@ from bnkit.chain import (
     aspect_options,
     aspects_str,
     chip_fire,
+    default_window,
     h0_chain,
     is_r_positive,
     min_h0,
@@ -30,7 +31,7 @@ from bnkit.errors import (
 )
 from bnkit.invariants import count_grd, rho
 
-from oracles import h0_chain_lr
+from oracles import brute_window_distributions, h0_chain_lr
 
 #: the worked genus-3 degree-4 limit line bundle: all degree at the nodes
 RUNNING = parse_aspects("0,4;2,2;0,4")
@@ -49,6 +50,9 @@ class TestChipFiring:
     def test_boundary_fires(self):
         assert chip_fire((3, 1, 0), 1) == (2, 2, 0)
         assert chip_fire((3, 1, 0), 3) == (3, 2, -1)
+
+    def test_lone_component_fire_is_trivial(self):
+        assert chip_fire((5,), 1) == (5,)
 
     def test_prefix_fire(self):
         assert prefix_fire((4, 0, 0), 1) == (3, 1, 0)
@@ -149,10 +153,44 @@ class TestH0Chain:
                 for i in range(1, L.g):
                     assert abs(h0_chain(L, prefix_fire(dist, i)) - base) <= 1
 
+    def test_sweep_directions_agree_on_random_long_chains(self):
+        # the exhaustive box above stops at g = 3; these reach g = 12
+        rng = random.Random(12)
+        for g in range(2, 13):
+            for _ in range(40):
+                d = rng.randint(g - 3, g + 3)
+                L = LimitLineBundle(d, tuple(rng.choice(o) for o in aspect_options(g, d, 2)))
+                for _ in range(5):
+                    sums = sorted(rng.randint(-2, d + 2) for _ in range(g - 1))
+                    if rng.random() < 0.5:
+                        rng.shuffle(sums)  # negative components too
+                    dist = tuple(b - a for a, b in zip([0, *sums], [*sums, d]))
+                    assert h0_chain(L, dist) == h0_chain_lr(L, dist), (L, dist)
+
     def test_single_component(self):
         assert h0_chain(LimitLineBundle(1, (None,)), (1,)) == 1
         assert h0_chain(LimitLineBundle(0, ((0, 0),)), (0,)) == 1
         assert h0_chain(LimitLineBundle(0, (None,)), (0,)) == 0
+
+
+class TestWindowDistributions:
+    def test_matches_nested_loop_enumeration(self):
+        for g in range(1, 6):
+            for d in (-2, 0, 1, 4):
+                L = LimitLineBundle(d, (None,) * g)
+                for window in (0, 1, 3):
+                    got = list(window_distributions(L, window))
+                    assert got == brute_window_distributions(g, d, window), (g, d, window)
+
+    def test_negative_window_is_refused(self):
+        for L in (RUNNING, LimitLineBundle(2, (None,))):
+            with pytest.raises(PreconditionError, match="window"):
+                window_distributions(L, -1)
+
+    def test_default_window(self):
+        assert default_window(3) == 4
+        assert list(window_distributions(RUNNING, None)) == list(window_distributions(RUNNING, 4))
+        assert min_h0(RUNNING) == min_h0(RUNNING, default_window(RUNNING.g))
 
 
 class TestMinH0:
@@ -190,6 +228,10 @@ class TestRPositivity:
         rep = is_r_positive(LimitLineBundle(1, (None,)), 0)
         assert rep.is_r_positive
 
+    def test_negative_r_is_refused(self):
+        with pytest.raises(PreconditionError, match="r=-1"):
+            is_r_positive(RUNNING, -1)
+
 
 class TestVanishingTables:
     def test_worked_tables(self):
@@ -219,6 +261,12 @@ class TestVanishingTables:
     def test_requires_r_positive(self):
         with pytest.raises(NotRPositive):
             vanishing_tables(RUNNING, 3)
+
+    def test_negative_r_is_refused(self):
+        # star_components reads the tables, so it refuses r = -1 as well
+        for engine in (vanishing_tables, star_components):
+            with pytest.raises(PreconditionError, match="r=-1"):
+                engine(RUNNING, -1)
 
     def test_lls_inequality_on_running_example(self):
         # sections through prescribed vanishing at both nodes
@@ -292,6 +340,11 @@ class TestSearch:
         assert size == 12500
         with pytest.raises(BudgetExceeded, match=rf"state space {size} tuples"):
             search_limit_bundles(7, 1, 3, window=0)
+
+    def test_negative_r_is_refused(self):
+        # at r = -1 every tuple would count as "r-positive"
+        with pytest.raises(PreconditionError, match="r=-1"):
+            search_limit_bundles(3, -1, 4)
 
     def test_negative_window_is_refused(self):
         with pytest.raises(PreconditionError, match="window"):

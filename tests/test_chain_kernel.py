@@ -55,7 +55,7 @@ class TestStep:
         diagonal_hits = 0
         for _ in range(3000):
             d = rng.randint(-2, 8)
-            lo, hi = chain._window(d, rng.randint(0, 5))
+            _, lo, hi = chain._window(1, d, rng.randint(0, 5))
             state = _random_state(rng, hi - lo + 1)
             aspect = _random_aspect(rng, d, lo, hi)
             want = oracles.forward_dp_step(aspect, d, lo, hi, state)
@@ -69,7 +69,7 @@ class TestStep:
         rng = random.Random(11)
         for _ in range(3000):
             d = rng.randint(-2, 8)
-            lo, hi = chain._window(d, rng.randint(0, 5))
+            _, lo, hi = chain._window(1, d, rng.randint(0, 5))
             state = _random_state(rng, hi - lo + 1)
             if min(min(state[0]), min(state[1])) >= INF:
                 continue
@@ -81,7 +81,7 @@ class TestStep:
         rng = random.Random(5)
         for _ in range(300):
             d = rng.randint(0, 6)
-            lo, hi = chain._window(d, rng.randint(0, 4))
+            _, lo, hi = chain._window(1, d, rng.randint(0, 4))
             C = chain._merge(*_random_state(rng, hi - lo + 1))
             aspects = [_random_aspect(rng, d, lo, hi) for _ in range(6)]
             together = chain._dp_step(aspects, C, lo, lo, hi)

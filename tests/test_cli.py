@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnkit.cli import COMMANDS, _csv_cell, main
+from bnkit.cli import COMMANDS, _csv_cell, build_parser, main
 
 from cli_table_goldens import TABLE_GOLDENS
 
@@ -215,6 +215,30 @@ class TestExitCodes:
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
 
+    @pytest.mark.parametrize("argv,named", [
+        (["chain", "tables", "--aspects", "0,4;2,2;0,4", "-r", "-1"], "r=-1"),
+        (["chain", "star", "--aspects", "0,4;2,2;0,4", "-r", "-1"], "r=-1"),
+        (["chain", "search", "-g", "3", "-r", "-1", "-d", "4"], "r=-1"),
+        (["splitting", "maximal", "-g", "8", "-r", "2", "-d", "7", "-k", "1"], "k=1"),
+        (["hilbert", "-g", "5", "-r", "3", "-d", "1", "-k", "1"], "rho"),
+    ])
+    def test_out_of_domain_index_is_a_precondition_error(self, capsys, argv, named):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and named in err
+
+    def test_predicates_take_the_rank_from_the_type(self, capsys):
+        env = run_json(capsys, "splitting", "predicates", "-e=0,0,0")
+        assert env["inputs"] == {"e": "0,0,0"}
+        assert env["result"] == {"basepoint_free": True, "very_ample_sufficient": False}
+        code, _, err = run(capsys, "splitting", "predicates", "-e=0,0,0", "-r", "3")
+        assert code == 2
+        assert "unrecognized arguments: -r 3" in err
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
 
 class TestCommandTable:
     @pytest.mark.parametrize("argv", sorted(TABLE_GOLDENS))
@@ -267,7 +291,7 @@ FUZZED = {
     "--dist": lambda v, w, n, m: ["chain", "h0", f"--aspects={w}", f"--dist={v}"],
     "--core": lambda v, w, n, m: ["kfill", f"--core={v}", "-k", n, "-g", m, "--witnesses"],
     "-e": lambda v, w, n, m: ["splitting", "rd", "-g", n, f"-e={v}"],
-    "-e -r": lambda v, w, n, m: ["splitting", "predicates", f"-e={v}", "-r", n],
+    "-e predicates": lambda v, w, n, m: ["splitting", "predicates", f"-e={v}"],
     "--outer --inner": lambda v, w, n, m: [
         "splitting", "majorizes", f"--outer={v}", f"--inner={w}"
     ],

@@ -125,6 +125,15 @@ class TestHilbert:
         for r in range(1, 9):
             assert hilbert_function(0, r, r, 1) == r + 1
 
+    def test_linear_forms_on_a_special_series(self):
+        # rho(8, 3, 9) = 0 and O_C(1) is special: h0 = 4 > 9 + 1 - 8 = 2
+        assert hilbert_function(8, 3, 9, 1) == 4
+
+    def test_rejects_negative_rho(self):
+        # no Brill-Noether curve exists; the formula would give -3
+        with pytest.raises(PreconditionError, match="rho"):
+            hilbert_function(5, 3, 1, 1)
+
     def test_rejects_k_zero(self):
         with pytest.raises(PreconditionError):
             hilbert_function(2, 3, 5, 0)

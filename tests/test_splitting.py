@@ -110,6 +110,11 @@ class TestMaximalTypes:
         with pytest.raises(OutOfRegime):
             maximal_splitting_types(2, 3, 5, 4)
 
+    def test_rejects_gonality_below_two(self):
+        # a degree-1 cover is no gonality; rho_k refuses k = 1 as well
+        with pytest.raises(PreconditionError, match="k=1"):
+            maximal_splitting_types(8, 2, 7, 1)
+
     def test_duality_with_gonality_rho(self):
         for g in range(1, 17):
             for k in range(2, 7):
@@ -139,6 +144,11 @@ class TestPredicates:
     def test_all_nonnegative(self):
         rep = hbn_predicates((0, 1, 1, 2))
         assert rep.basepoint_free and rep.very_ample_sufficient
+
+    def test_rank_comes_from_the_type(self):
+        # (0, 0, 0) has r = 2 < 3, so the very-ampleness criterion is silent
+        rep = hbn_predicates((0, 0, 0))
+        assert rep.basepoint_free and not rep.very_ample_sufficient
 
 
 class TestSerialization:
