@@ -38,6 +38,7 @@ from .errors import (
     NotRPositive,
     PreconditionError,
     WindowTooSmall,
+    require,
 )
 
 #: an aspect: None for a generic class, else (coeff at p^{i-1}, coeff at p^i)
@@ -189,6 +190,7 @@ def h0_chain(L: LimitLineBundle, dist) -> int:
 
 def default_window(g: int) -> int:
     """The degree window used when none is given: g + 1."""
+    require(1, g=g)
     return g + 1
 
 
@@ -216,8 +218,7 @@ def _window(g: int, d: int, window: int | None) -> tuple[int, int, int]:
     s -> d - s maps it onto itself."""
     if window is None:
         window = default_window(g)
-    if window < 0:
-        raise PreconditionError(f"window must be >= 0, got {window}")
+    require(0, window=window)
     return window, min(-window, d), max(d + window, 0)
 
 
@@ -288,9 +289,9 @@ def _suffix_pass(L: LimitLineBundle, window: int | None):
     as S'_j = d - S_{g-j}.  The state after j components is the suffix
     X^{>g-j} of L keyed by d - S_{g-j}, with eps the evaluation rank at
     p^{g-j}; the last state is the whole chain at S_0 = 0.  Returns the
-    window's lo, the reflected aspects and every state."""
+    resolved window, its lo, the reflected aspects and every state."""
     g, d = L.g, L.d
-    _, lo, hi = _window(g, d, window)
+    window, lo, hi = _window(g, d, window)
     aspects = tuple(None if a is None else (a[1], a[0]) for a in reversed(L.aspects))
     C = _start(lo, hi)
     states = []
@@ -302,7 +303,7 @@ def _suffix_pass(L: LimitLineBundle, window: int | None):
             C = _merge(*state)
     if _best(states) >= _INF:
         raise InternalCheckError("chain DP produced no state at S_0 = 0")
-    return lo, aspects, states
+    return window, lo, aspects, states
 
 
 def _witness(L: LimitLineBundle, lo: int, aspects, states) -> tuple[int, ...]:
@@ -336,11 +337,6 @@ def _witness(L: LimitLineBundle, lo: int, aspects, states) -> tuple[int, ...]:
     return tuple(map(sub, (*sums, d), (0, *sums)))
 
 
-def _check_rank(r: int) -> None:
-    if r < 0:
-        raise PreconditionError(f"projective dimension must be >= 0, got r={r}")
-
-
 def _best(states) -> int:
     (n0,), (n1,) = states[-1]
     return min(n0, n1)
@@ -348,7 +344,7 @@ def _best(states) -> int:
 
 def min_h0(L: LimitLineBundle, window: int | None = None) -> int:
     """Minimum of h0_chain over all windowed degree distributions."""
-    return _best(_suffix_pass(L, window)[2])
+    return _best(_suffix_pass(L, window)[3])
 
 
 @dataclass(frozen=True)
@@ -361,8 +357,8 @@ class RPositivityReport:
 def is_r_positive(L: LimitLineBundle, r: int, window: int | None = None) -> RPositivityReport:
     """Whether every windowed multidegree limit has at least r+1 sections,
     together with a distribution attaining the minimum."""
-    _check_rank(r)
-    lo, aspects, states = _suffix_pass(L, window)
+    require(0, r=r)
+    _, lo, aspects, states = _suffix_pass(L, window)
     best = _best(states)
     return RPositivityReport(best >= r + 1, best, _witness(L, lo, aspects, states))
 
@@ -400,10 +396,9 @@ class VanishingTable:
 def vanishing_tables(L: LimitLineBundle, r: int, window: int | None = None) -> VanishingTable:
     """Compute the a/b threshold tables of an r-positive limit line
     bundle.  Raises :class:`NotRPositive` otherwise."""
-    _check_rank(r)
+    require(0, r=r)
     g, d = L.g, L.d
-    window = _window(g, d, window)[0]  # resolved, for the WindowTooSmall message
-    lo, _, states = _suffix_pass(L, window)
+    window, lo, _, states = _suffix_pass(L, window)
     best = _best(states)
     if best < r + 1:
         raise NotRPositive(f"bundle has windowed min h0 = {best} < r+1 = {r + 1}")
@@ -491,6 +486,7 @@ def aspect_options(g: int, d: int, window: int) -> list[list[Aspect]]:
     engine computes can distinguish free-point mass from a generic
     class), and a generic class everywhere.  Exacts come first, ordered
     by left coefficient; the generic option is last."""
+    require(1, g=g)
     if g == 1:
         return [[(0, 0), None] if d == 0 else [None]]
     options: list[list[Aspect]] = []
@@ -547,9 +543,8 @@ def search_limit_bundles(
     r-positive ones.  ``count_exact`` counts tuples whose aspects are all
     exact; tuples containing a generic aspect are counted separately.
     """
-    if g < 1:
-        raise PreconditionError(f"need g >= 1, got g={g}")
-    _check_rank(r)
+    require(1, g=g)
+    require(0, r=r)
     window, lo, hi = _window(g, d, window)
     options = aspect_options(g, d, window)
     if g > max_genus:

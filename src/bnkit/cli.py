@@ -357,7 +357,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal invariant violation: {e}", file=sys.stderr)
         return 3
     inputs = {f.dest: getattr(args, f.dest) for f in cmd.flags if f.echo}
-    print(_envelope(cmd.name, inputs, result, args.format))
+    try:
+        text = _envelope(cmd.name, inputs, result, args.format)
+    except ValueError:  # str() of an int past the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        print(f"error: the answer has more than {limit} digits", file=sys.stderr)
+        return 2
+    print(text)
     return 0
 
 

@@ -4,7 +4,8 @@ Two families: :class:`PreconditionError` means the caller asked for
 something outside an operation's stated domain (the CLI maps these to
 exit code 2), while :class:`InternalCheckError` means an internal
 identity that should hold unconditionally failed (exit code 3 -- a bug
-in the engine, never a user error).
+in the engine, never a user error).  :func:`require` is the one
+integer-domain rule that every public entry point states its bounds with.
 """
 
 
@@ -18,6 +19,14 @@ class PreconditionError(BnkitError, ValueError):
 
 class InternalCheckError(BnkitError):
     """An internal consistency identity failed; indicates an engine bug."""
+
+
+def require(least: int, **values: int) -> None:
+    """The integer-domain rule of every public entry point: raise
+    :class:`PreconditionError` for the first of ``values`` below ``least``."""
+    for name, value in values.items():
+        if value < least:
+            raise PreconditionError(f"need {name} >= {least}, got {name}={value}")
 
 
 # --- precondition violations, named per operation domain ---

@@ -16,8 +16,8 @@ from .errors import (
     EmptyRange,
     InternalCheckError,
     OutOfConjectureRange,
-    PreconditionError,
     RhoNonzero,
+    require,
 )
 
 #: The four (g, r, d) for which general curves interpolate strictly fewer
@@ -25,16 +25,9 @@ from .errors import (
 INTERPOLATION_EXCEPTIONS = frozenset({(2, 3, 5), (4, 3, 6), (2, 5, 7), (6, 5, 10)})
 
 
-def _check_index(g: int, r: int) -> None:
-    if g < 0:
-        raise PreconditionError(f"genus must be >= 0, got g={g}")
-    if r < 0:
-        raise PreconditionError(f"projective dimension must be >= 0, got r={r}")
-
-
 def rho(g: int, r: int, d: int) -> int:
     """Brill-Noether number rho(g, r, d) = g - (r+1)(g-d+r)."""
-    _check_index(g, r)
+    require(0, g=g, r=r)
     return g - (r + 1) * (g - d + r)
 
 
@@ -46,9 +39,8 @@ def rho_k(g: int, r: int, d: int, k: int) -> int:
     :class:`EmptyRange` when g-d+r-1 < 0, i.e. outside the special range
     where the refinement says anything.
     """
-    _check_index(g, r)
-    if k < 2:
-        raise PreconditionError(f"gonality must be >= 2, got k={k}")
+    require(0, g=g, r=r)
+    require(2, k=k)
     ell_max = min(r, g - d + r - 1)
     if ell_max < 0:
         raise EmptyRange(
@@ -97,13 +89,9 @@ def hilbert_function(g: int, r: int, d: int, k: int) -> int:
     is nondegenerate even when O_C(1) is special, and
     min(C(k+r, r), kd + 1 - g) for k >= 2 (maximal-rank behaviour).  No
     such curve exists at rho < 0."""
-    _check_index(g, r)
-    if k < 1:
-        raise PreconditionError(f"power must be >= 1, got k={k}")
-    if rho(g, r, d) < 0:
-        raise PreconditionError(
-            f"Hilbert functions need rho >= 0, got rho({g}, {r}, {d}) = {rho(g, r, d)}"
-        )
+    require(0, g=g, r=r)
+    require(1, k=k)
+    require(0, rho=rho(g, r, d))
     if k == 1:
         return r + 1
     return min(comb(k + r, r), k * d + 1 - g)
@@ -117,7 +105,7 @@ def smrc_expected_dim(g: int, r: int, d: int, k: int) -> int:
     k >= 2; anything else raises :class:`OutOfConjectureRange` naming the
     violated inequality rather than extrapolating.
     """
-    _check_index(g, r)
+    require(0, g=g, r=r)
     if k < 2:
         raise OutOfConjectureRange(f"need k >= 2, got k={k}")
     if g - d + r < 0:
@@ -154,12 +142,8 @@ def interpolation_points(g: int, r: int, d: int) -> InterpolationReport:
     than the formula; the other three exceptions are reported as "below
     formula" with count None.
     """
-    if r < 3:
-        raise PreconditionError(f"interpolation counts need r >= 3, got r={r}")
-    if rho(g, r, d) < 0:
-        raise PreconditionError(
-            f"interpolation counts need rho >= 0, got rho({g}, {r}, {d}) = {rho(g, r, d)}"
-        )
+    require(3, r=r)
+    require(0, rho=rho(g, r, d))
     formula = ((r + 1) * d - (r - 3) * (g - 1)) // (r - 1)
     if (g, r, d) not in INTERPOLATION_EXCEPTIONS:
         return InterpolationReport(formula, False, formula)

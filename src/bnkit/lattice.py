@@ -20,15 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalCheckError, PreconditionError, RhoNegative
+from .errors import InternalCheckError, RhoNegative, require
 from .invariants import chi_pullback_tangent, rho
 from .normal_bundle import SplitBundle
 
 
 def min_degree(r: int, g: int) -> int:
     """Least degree with rho(g, r, d) >= 0: ceil(rg/(r+1)) + r."""
-    if r < 1 or g < 0:
-        raise PreconditionError(f"need r >= 1 and g >= 0, got r={r}, g={g}")
+    require(1, r=r)
+    require(0, g=g)
     d = -((-r * g) // (r + 1)) + r
     if rho(g, r, d) < 0 or rho(g, r, d - 1) >= 0:
         raise InternalCheckError(f"min_degree({r}, {g}) = {d} disagrees with the rho scan")
@@ -39,8 +39,9 @@ def reachable_set(r: int, g_max: int, d_max: int) -> set[tuple[int, int]]:
     """Closure of {(d, g) = (r, 0)} under moves A, B, C inside the box
     g <= g_max, d <= d_max.  Coincides with the set of (d, g) in the box
     with rho(g, r, d) >= 0."""
-    if r < 1 or g_max < 0 or d_max < 0:
-        raise PreconditionError("bounds must be nonnegative and r >= 1")
+    require(1, r=r)
+    require(0, g_max=g_max, d_max=d_max)
+    steps = [step for step, _ in _moves(r).values()]
     seen: set[tuple[int, int]] = set()
     frontier = [(r, 0)]
     while frontier:
@@ -48,26 +49,22 @@ def reachable_set(r: int, g_max: int, d_max: int) -> set[tuple[int, int]]:
         if d > d_max or g > g_max or (d, g) in seen:
             continue
         seen.add((d, g))
-        frontier.extend([(d + 1, g), (d + 1, g + 1), (d + r, g + r + 1)])
+        frontier.extend((d + dd, g + dg) for dd, dg in steps)
     return seen
 
 
-#: Splitting type of the tangent bundle of P^r restricted to the attached
-#: rational curve, twisted down by the secancy divisor, per move.
-def _move_bundle(move: str, r: int) -> SplitBundle:
-    if move == "A":
+def _moves(r: int) -> dict[str, tuple[tuple[int, int], SplitBundle]]:
+    """Each move's step on (d, g), and the splitting type of the tangent
+    bundle of P^r restricted to the attached rational curve, twisted down
+    by the secancy divisor."""
+    return {
         # line, 1 secancy point: O(1)^{r-1} + O(2) twisted down once
-        return SplitBundle((0,) * (r - 1) + (1,))
-    if move == "B":
+        "A": ((1, 0), SplitBundle((0,) * (r - 1) + (1,))),
         # line, 2 secancy points
-        return SplitBundle((-1,) * (r - 1) + (0,))
-    if move == "C":
+        "B": ((1, 1), SplitBundle((-1,) * (r - 1) + (0,))),
         # rational normal curve, r+2 secancy points: O(r+1)^r twisted down r+2
-        return SplitBundle((-1,) * r)
-    raise PreconditionError(f"unknown move {move!r}")
-
-
-_MOVE_STEP = {"A": (1, 0), "B": (1, 1), "C": None}  # C depends on r
+        "C": ((r, r + 1), SplitBundle((-1,) * r)),
+    }
 
 
 @dataclass(frozen=True)
@@ -113,26 +110,22 @@ def h1_certificate(r: int, d: int, g: int) -> MoveCertificate:
     then undo A down to the rational normal curve.  Any valid sequence
     would do; this one is reproducible.
     """
-    if r < 3:
-        raise PreconditionError(f"certificates are for r >= 3, got r={r}")
+    require(3, r=r)
     p = rho(g, r, d)
     if p < 0:
         raise RhoNegative(f"rho({g}, {r}, {d}) = {p} < 0; no certificate exists")
+    moves = _moves(r)
     moves_rev: list[str] = []
     cd, cg = d, g
-    while cg >= r + 1:
-        moves_rev.append("C")
-        cd, cg = cd - r, cg - r - 1
-        if rho(cg, r, cd) != p:
-            raise InternalCheckError("undoing C must preserve rho")
-    while cg > 0:
-        if rho(cg, r, cd) < 1:
+    while cd > r or cg > 0:
+        move = "C" if cg >= r + 1 else "B" if cg > 0 else "A"
+        if move == "B" and rho(cg, r, cd) < 1:
             raise InternalCheckError("undoing B needs rho >= 1")
-        moves_rev.append("B")
-        cd, cg = cd - 1, cg - 1
-    while cd > r:
-        moves_rev.append("A")
-        cd -= 1
+        moves_rev.append(move)
+        (dd, dg), _ = moves[move]
+        cd, cg = cd - dd, cg - dg
+        if move == "C" and rho(cg, r, cd) != p:
+            raise InternalCheckError("undoing C must preserve rho")
     if (cd, cg) != (r, 0):
         raise InternalCheckError(f"greedy descent ended at ({cd}, {cg}), not ({r}, 0)")
 
@@ -143,12 +136,11 @@ def h1_certificate(r: int, d: int, g: int) -> MoveCertificate:
     steps = []
     pd, pg = r, 0
     for move in reversed(moves_rev):
-        bundle = _move_bundle(move, r)
+        (dd, dg), bundle = moves[move]
         if bundle.h1 != 0:
             raise InternalCheckError(f"move {move} bundle {bundle} has h1 != 0")
         steps.append(MoveStep(move, bundle, bundle.h1))
         chi += bundle.chi
-        dd, dg = _MOVE_STEP[move] or (r, r + 1)
         pd, pg = pd + dd, pg + dg
     if (pd, pg) != (d, g):
         raise InternalCheckError(f"moves land at ({pd}, {pg}), not ({d}, {g})")

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .errors import InternalCheckError, NegativeRank, PreconditionError
+from .errors import InternalCheckError, NegativeRank, require
 from .invariants import rho
 
 #: Expected-maximal loci that nevertheless fail to be maximal with
@@ -21,6 +21,7 @@ def serre_dual(g: int, r: int, d: int) -> tuple[int, int, int]:
     """The Serre-dual locus index (g, g-d+r-1, 2g-2-d).  An involution
     that preserves rho; raises :class:`NegativeRank` if the dual rank
     would be negative."""
+    require(0, g=g, r=r)
     if g - d + r - 1 < 0:
         raise NegativeRank(f"dual rank g-d+r-1 = {g - d + r - 1} < 0 for ({g}, {r}, {d})")
     return (g, g - d + r - 1, 2 * g - 2 - d)
@@ -39,10 +40,8 @@ class LocusIndex:
 
     @classmethod
     def canonical(cls, g: int, r: int, d: int) -> "LocusIndex":
-        if g < 2:
-            raise PreconditionError(f"locus indices need g >= 2, got g={g}")
-        if r < 1:
-            raise PreconditionError(f"locus indices need r >= 1, got r={r}")
+        require(2, g=g)
+        require(1, r=r)
         cg, cr, cd = g, r, d
         if cd > g - 1:
             cg, cr, cd = serre_dual(g, r, d)
@@ -67,6 +66,7 @@ class Containment:
 def trivial_containments(g: int, r: int, d: int) -> list[Containment]:
     """The two loci trivially containing M^r_{g,d}: add a point
     (g, r, d+1) and subtract a general point (g, r-1, d-1)."""
+    require(0, g=g, r=r)
     return [
         Containment(g, r, d + 1, full_moduli=(r == 0)),
         Containment(g, r - 1, d - 1, full_moduli=(r - 1 == 0)),
@@ -91,10 +91,8 @@ def expected_maximal(g: int, r: int, d: int) -> ExpectedMaximalReport:
     When the locus is expected maximal, the degree identity
     d = ceil(rg/(r+1)) + r - 1 and the bound -rho <= r+1 are asserted.
     """
-    if g < 3:
-        raise PreconditionError(f"expected-maximality classification needs g >= 3, got g={g}")
-    if r < 1:
-        raise PreconditionError(f"need r >= 1, got r={r}")
+    require(3, g=g)
+    require(1, r=r)
     p = rho(g, r, d)
     is_em = p < 0 and rho(g, r, d + 1) >= 0 and rho(g, r - 1, d - 1) >= 0
     d_formula = -((-r * g) // (r + 1)) + r - 1  # ceil(rg/(r+1)) + r - 1
@@ -128,8 +126,7 @@ def enumerate_expected_maximal(g: int) -> list[ExpectedMaximalRow]:
     """All expected-maximal loci of genus g in the canonical range
     r >= 1, 2 <= d <= g-1, each annotated with rho and the exception
     flag."""
-    if g < 3:
-        raise PreconditionError(f"need g >= 3, got g={g}")
+    require(3, g=g)
     rows = []
     for r in range(1, g + 1):
         for d in range(2, g):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EvenDegree, IndexOutOfRange, InternalCheckError, PreconditionError
+from .errors import EvenDegree, IndexOutOfRange, InternalCheckError, PreconditionError, require
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,7 @@ def modify(bundle: SplitBundle, summand_index: int, sign: str, points: int) -> S
         raise IndexOutOfRange(
             f"summand index {summand_index} out of range for rank {bundle.rank}"
         )
-    if points < 0:
-        raise PreconditionError(f"divisor length must be >= 0, got {points}")
+    require(0, points=points)
     if sign not in ("+", "-"):
         raise PreconditionError(f"sign must be '+' or '-', got {sign!r}")
     degrees = list(bundle.degrees)
@@ -130,8 +129,7 @@ def projection_ledger(d: int) -> LedgerSequence:
     3-space: sub O(d+2) (the pointing bundle twisted up through q), quotient
     the plane-image normal sheaf O(3d-5) twisted by q, giving O(3d-4).
     Total: the rank-2 normal bundle of degree 4d-2."""
-    if d < 3:
-        raise PreconditionError(f"projection ledger needs degree >= 3, got d={d}")
+    require(3, d=d)
     sub = SplitBundle([pointing_degree(d, "on_curve_general")])
     quot = SplitBundle([3 * (d - 1) - 2 + 1])
     return LedgerSequence(sub=sub, quot=quot, total_rank=2, total_degree=4 * d - 2)
@@ -181,8 +179,7 @@ def odd_degree_certificate(d: int) -> OddDegreeCertificate:
         raise EvenDegree(
             f"degree {d} is even; this balancedness certificate covers odd degrees only"
         )
-    if d < 3:
-        raise PreconditionError(f"need odd degree >= 3, got d={d}")
+    require(3, d=d)
     peels = (d - 3) // 2
     reduced = (d + 3) // 2
     # sub: pointing bundle of the reduced curve through q, twisted by the

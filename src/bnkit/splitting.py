@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalCheckError, OutOfRegime, PreconditionError
+from .errors import InternalCheckError, OutOfRegime, PreconditionError, require
 
 SplittingType = tuple[int, ...]
 
@@ -32,6 +32,7 @@ def check_splitting(parts) -> SplittingType:
 def rd_from_splitting(g: int, parts) -> tuple[int, int]:
     """The (r, d) of the splitting type on a genus-g cover:
     d = k + sum(e) + g - 1 and r = sum(max(0, e_i + 1)) - 1."""
+    require(0, g=g)
     e = check_splitting(parts)
     d = len(e) + sum(e) + g - 1
     r = sum(max(0, ei + 1) for ei in e) - 1
@@ -41,6 +42,7 @@ def rd_from_splitting(g: int, parts) -> tuple[int, int]:
 def rho_splitting(g: int, parts) -> int:
     """Expected dimension g - sum_{i>j} max(0, e_i - e_j - 1) of the
     splitting-type locus W^e on a general genus-g cover."""
+    require(0, g=g)
     e = check_splitting(parts)
     gaps = sum(
         max(0, e[i] - e[j] - 1)
@@ -84,8 +86,7 @@ def majorizes(outer, inner) -> MajorizationResult:
 def balanced_type(length: int, total: int) -> SplittingType:
     """The balanced degree tuple of the given length and sum: parts differ
     by at most one, listed ascending."""
-    if length < 1:
-        raise PreconditionError(f"balanced type needs length >= 1, got {length}")
+    require(1, length=length)
     q, rem = divmod(total, length)
     return (q,) * (length - rem) + (q + 1,) * rem
 
@@ -101,8 +102,8 @@ def maximal_splitting_types(g: int, r: int, d: int, k: int) -> list[SplittingTyp
     where b is the balanced type of given length and sum.  Every emitted
     type is checked to reproduce (r, d).
     """
-    if k < 2:
-        raise PreconditionError(f"gonality must be >= 2, got k={k}")
+    require(0, g=g, r=r)
+    require(2, k=k)
     if g - d + r <= 0:
         raise OutOfRegime(
             f"maximal splitting types are stated for g-d+r > 0, got {g - d + r}"

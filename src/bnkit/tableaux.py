@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial, prod
 
-from .errors import InternalCheckError, NotACore, PreconditionError, SymbolCountMismatch
+from .errors import InternalCheckError, NotACore, PreconditionError, SymbolCountMismatch, require
 
 Partition = tuple[int, ...]
 
@@ -35,9 +35,9 @@ def check_partition(rows) -> Partition:
     return p
 
 
-# Public functions validate their partitions with check_partition; the
-# underscore helpers below trust theirs.  Partitions the engine builds are
-# checked where they are made, in _resize_rows.
+# Public functions validate their partitions with check_partition and k
+# with require; the underscore helpers below trust both.  Partitions the
+# engine builds are checked where they are made, in _resize_rows.
 
 def hook_lengths(p: Partition) -> list[int]:
     """All hook lengths of the diagram, row by row."""
@@ -59,19 +59,19 @@ def _conjugate(p: Partition) -> Partition:
 def is_core(p: Partition, k: int) -> bool:
     """True iff no hook length of p is divisible by k (no removable
     rim hook of length k)."""
+    require(2, k=k)
     return _is_core(check_partition(p), k)
 
 
 def _is_core(p: Partition, k: int) -> bool:
     # Abacus test, O(rows): the beads are the first-column hook lengths,
     # and a rim k-hook is removable iff some bead b >= k has no bead at b - k.
-    if k < 2:
-        raise PreconditionError(f"k must be >= 2, got {k}")
     beads = {r + len(p) - 1 - i for i, r in enumerate(p)}
     return all(b - k in beads for b in beads if b >= k)
 
 
 def _require_core(p: Partition, k: int) -> Partition:
+    require(2, k=k)
     p = check_partition(p)
     if not _is_core(p, k):
         raise NotACore(f"{p or '()'} is not a {k}-core")
@@ -308,8 +308,7 @@ def syt_count(shape: Partition) -> int:
 
 def syt_count_rect(rows: int, cols: int) -> int:
     """Standard Young tableaux on the rows x cols rectangle."""
-    if rows < 0 or cols < 0:
-        raise PreconditionError("rectangle dimensions must be nonnegative")
+    require(0, rows=rows, cols=cols)
     if rows == 0 or cols == 0:
         return 1
     return syt_count((cols,) * rows)

@@ -123,7 +123,7 @@ class TestWindowedMinima:
                 assert min_h0(L, window) == best
                 rep = is_r_positive(L, 0, window)
                 assert (rep.min_h0, rep.witness) == (best, witness)
-                lo, _, states = chain._suffix_pass(L, window)
+                _, lo, _, states = chain._suffix_pass(L, window)
                 for i in range(1, L.g):
                     n0, n1 = states[L.g - i - 1]
                     assert _norm(min(a, b) for a, b in zip(n0, n1))[::-1] == tables[i]

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -221,12 +222,25 @@ class TestExitCodes:
         (["chain", "search", "-g", "3", "-r", "-1", "-d", "4"], "r=-1"),
         (["splitting", "maximal", "-g", "8", "-r", "2", "-d", "7", "-k", "1"], "k=1"),
         (["hilbert", "-g", "5", "-r", "3", "-d", "1", "-k", "1"], "rho"),
+        (["splitting", "maximal", "-g", "8", "-r", "-1", "-d", "2", "-k", "4"], "r=-1"),
+        (["loci", "dual", "-g", "8", "-r", "-1", "-d", "2"], "r=-1"),
+        (["splitting", "rd", "-g", "-4", "-e=0,0"], "g=-4"),
+        (["splitting", "rho", "-g", "-4", "-e=0,0"], "g=-4"),
     ])
     def test_out_of_domain_index_is_a_precondition_error(self, capsys, argv, named):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    @pytest.mark.parametrize("argv", ["syt --rows 60 --cols 60", "count -g 14400 -r 1 -d 7201"])
+    def test_answer_past_the_digit_limit_is_refused(self, capsys, argv, fmt):
+        # both answers have more digits than int -> str allows (4,300 by default)
+        code, out, err = run(capsys, "--format", fmt, *argv.split())
+        assert code == 2
+        assert out == ""
+        assert err == f"error: the answer has more than {sys.get_int_max_str_digits()} digits\n"
 
     def test_predicates_take_the_rank_from_the_type(self, capsys):
         env = run_json(capsys, "splitting", "predicates", "-e=0,0,0")

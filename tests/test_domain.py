@@ -1,0 +1,99 @@
+"""The integer-domain rule at every public entry point.
+
+Each row of ``DOMAIN`` is one public function with in-domain keyword
+arguments.  Replacing its genus, rank or gonality by an out-of-domain
+value must raise :class:`PreconditionError`, and every public function of
+a bnkit module that takes a parameter named g, r or k must have a row, so
+a new entry point cannot skip the rule.
+"""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import bnkit
+from bnkit import chain, invariants, lattice, loci, splitting, tableaux
+from bnkit.errors import PreconditionError
+
+RUNNING = chain.parse_aspects("0,4;2,2;0,4")
+
+DOMAIN = {
+    invariants.rho: dict(g=8, r=2, d=7),
+    invariants.rho_k: dict(g=8, r=2, d=7, k=4),
+    invariants.count_grd: dict(g=4, r=1, d=3),
+    invariants.chi_pullback_tangent: dict(g=2, r=3, d=5),
+    invariants.hilbert_function: dict(g=2, r=3, d=5, k=2),
+    invariants.smrc_expected_dim: dict(g=13, r=5, d=16, k=2),
+    invariants.interpolation_points: dict(g=2, r=3, d=5),
+    tableaux.is_core: dict(p=(4, 2, 1, 1), k=3),
+    tableaux.core_apply_residue: dict(p=(), residue=0, k=3),
+    tableaux.core_add_residue: dict(p=(), residue=0, k=3),
+    tableaux.core_length: dict(p=(4, 2, 1, 1), k=3),
+    tableaux.count_k_fillings: dict(target=(4, 2, 1, 1), k=3, g=5),
+    tableaux.k_filling_witnesses: dict(target=(4, 2, 1, 1), k=3, g=5),
+    splitting.rd_from_splitting: dict(g=5, parts=(-2, -2, 1)),
+    splitting.rho_splitting: dict(g=5, parts=(-3, -1, 1)),
+    splitting.maximal_splitting_types: dict(g=8, r=1, d=4, k=3),
+    splitting.rho_splitting_vs_gonality: dict(g=8, r=2, d=7, k=4),
+    loci.serre_dual: dict(g=12, r=1, d=3),
+    loci.LocusIndex.canonical: dict(g=12, r=9, d=19),
+    loci.trivial_containments: dict(g=8, r=1, d=4),
+    loci.expected_maximal: dict(g=8, r=1, d=4),
+    loci.enumerate_expected_maximal: dict(g=7),
+    loci.sqrt_bound_holds: dict(g=8, r=1, d=4),
+    chain.default_window: dict(g=3),
+    chain.aspect_options: dict(g=3, d=4, window=1),
+    chain.is_r_positive: dict(L=RUNNING, r=2),
+    chain.vanishing_tables: dict(L=RUNNING, r=2),
+    chain.star_components: dict(L=RUNNING, r=2),
+    chain.search_limit_bundles: dict(g=3, r=2, d=4),
+    lattice.min_degree: dict(r=3, g=4),
+    lattice.reachable_set: dict(r=3, g_max=2, d_max=5),
+    lattice.h1_certificate: dict(r=3, d=5, g=2),
+}
+
+
+def _out_of_domain(f) -> dict:
+    # hilbert_function's k is the power of the hyperplane class, defined from 1 on
+    return {"g": -1, "r": -1, "k": 0 if f is invariants.hilbert_function else 1}
+
+
+CASES = [
+    (f, name, bad)
+    for f, kwargs in DOMAIN.items()
+    for name, bad in _out_of_domain(f).items()
+    if name in kwargs
+]
+
+
+def _id(f) -> str:
+    return f.__qualname__
+
+
+@pytest.mark.parametrize("f", DOMAIN, ids=_id)
+def test_in_domain_call_succeeds(f):
+    f(**DOMAIN[f])
+
+
+@pytest.mark.parametrize("f,name,bad", CASES, ids=[f"{_id(f)}-{n}" for f, n, _ in CASES])
+def test_out_of_domain_argument_is_a_precondition_error(f, name, bad):
+    with pytest.raises(PreconditionError):
+        f(**{**DOMAIN[f], name: bad})
+
+
+def test_every_entry_point_with_g_r_or_k_has_a_row():
+    public = set()
+    for info in pkgutil.iter_modules(bnkit.__path__):
+        module = importlib.import_module(f"bnkit.{info.name}")
+        for name, f in vars(module).items():
+            if (
+                not name.startswith("_")
+                and inspect.isfunction(f)
+                and f.__module__ == module.__name__
+                and {"g", "r", "k"} & set(inspect.signature(f).parameters)
+            ):
+                public.add(f"{module.__name__}.{name}")
+    covered = {f"{f.__module__}.{_id(f)}" for f in DOMAIN}
+    assert sorted(public - covered) == []
