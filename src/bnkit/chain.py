@@ -1,7 +1,7 @@
 """Symbolic limit line bundles on a chain of g elliptic curves with
 general attaching points: chip firing between degree distributions,
 exact h0 by a gluing sweep, r-positivity, vanishing tables, star
-conditions, and exhaustive (non)existence searches.
+conditions, and branch-and-bound (non)existence searches.
 
 Geometry of the chain X = E^1 u .. u E^g: the marked points are
 p^0, .., p^g, with p^i the node joining E^i and E^{i+1} for
@@ -19,6 +19,16 @@ O(a*p^{i-1} + b*p^i) with a + b = d.
 Degree distributions quantify over an infinite set; the engine works on
 the prefix-sum window [-theta, d+theta] (default theta = g+1) and every
 consumer is expected to re-check stability at 2*theta.
+
+The search over aspect tuples finds every r-positive tuple and skips
+most of the others.  An upper-bound table U[c][u] bounds what the
+components c..g can add to any prefix entering E^c at merged key u,
+whatever aspects they carry: each DP cell adds one of at most two
+outcomes, the generic one and the exact one, and the table takes the
+worse of the two cell by cell.  The final minimum h0 of any completion is
+at most C[u] + U[c][u] for the prefix's merged state C and every u, so a
+prefix with min_u (C[u] + U[c][u]) < r + 1 has no r-positive completion
+and its subtree is skipped.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, product
 from math import prod
-from operator import sub
+from operator import add, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -476,7 +486,7 @@ def star_components(L: LimitLineBundle, r: int, window: int | None = None) -> St
     return StarReport(pairs=tuple(pairs), per_n=per_n, lower_bound=bound)
 
 
-# --- exhaustive search over symbolic aspect tuples ---
+# --- branch-and-bound search over symbolic aspect tuples ---
 
 def aspect_options(g: int, d: int, window: int) -> list[list[Aspect]]:
     """The canonical symbolic aspect choices per component: exact classes
@@ -517,19 +527,71 @@ class SearchResult:
         return self.count_exact + self.count_with_generic
 
 
-def _search_minima(options, d: int, lo: int, hi: int, C: list[int], prefix=()):
-    """Yield (aspects, windowed min h0) for every aspect tuple extending
-    ``prefix``, in lexicographic option order.  ``C`` is the prefix's
-    merged DP state, shared by all its extensions; one kernel call glues
-    every option of the next component onto it, and the last component
-    needs only the target S_g = d."""
+def _bound_step(W0: list[int], W1: list[int], lo: int, s_lo: int, n: int) -> list[int]:
+    """One backward step of the upper-bound table: U[u] for the n keys
+    u = lo, lo + 1, .. of a component whose new prefix sum s ranges over
+    [s_lo, s_lo + len(W0) - 1].  W0[s] and W1[s] bound what the rest of
+    the chain adds after leaving the cell at s with eps 0 resp. 1.
+
+    Each cell (u, s), k = s - u, takes the worse outcome over every
+    aspect: k >= 2 adds k at eps 1 and k < 0 adds 0 at eps 0 whatever the
+    aspect, while k = 0 is (0, eps 0) generic or (1, eps 1) exact at u,
+    and k = 1 is (1, eps 1) generic or (1, eps 0) exact at u.  U[u] is the
+    best such cell: a suffix minimum of s + W1[s] over s >= u + 2, a
+    prefix minimum of W0[s] over s < u, and the two diagonal cells.
+    Linear in the window."""
+    # keys and sums share the index i = value - lo; sums outside the range are missing
+    w0, w1 = [_INF] * (n + 2), [_INF] * (n + 2)
+    t = s_lo - lo
+    w0[t:t + len(W0)], w1[t:t + len(W1)] = W0, W1
+    far = list(accumulate(reversed([s + x for s, x in enumerate(w1, lo)]), min))[::-1]
+    near = list(accumulate(w0, min, initial=_INF))
+    return [
+        min(far[i + 2] - u, near[i], max(w0[i], w1[i] + 1), max(w0[i + 1], w1[i + 1]) + 1)
+        for i, u in enumerate(range(lo, lo + n))
+    ]
+
+
+def _leave(U: list[int]) -> tuple[list[int], list[int]]:
+    """(W0, W1) over the prefix sums [lo, hi] from the table U of the next
+    component, as in :func:`_merge`: a cell left at s with eps 0 continues
+    to key s + 1, and one left with eps 1 continues to key s and adds -1."""
+    return U[1:], [x - 1 for x in U[:-1]]
+
+
+def _bound_tables(g: int, d: int, lo: int, hi: int) -> list[list[int]]:
+    """The upper-bound tables U[c] for c = 2..g, at index c - 2, each over
+    the merged keys [lo, hi + 1].  The last component meets only S_g = d
+    and nothing comes after it."""
+    n = hi - lo + 2
+    tables = []
+    W0 = W1 = [0]
+    s_lo = d
+    for _ in range(g - 1):
+        tables.append(_bound_step(W0, W1, lo, s_lo, n))
+        (W0, W1), s_lo = _leave(tables[-1]), lo
+    return tables[::-1]
+
+
+def _search_minima(options, leave, r: int, d: int, lo: int, hi: int, C: list[int], prefix=()):
+    """Yield (aspects, windowed min h0) for every r-positive aspect tuple
+    extending ``prefix``, in lexicographic option order.  ``C`` is the
+    prefix's merged DP state, shared by all its extensions; one kernel call
+    glues every option of the next component onto it, and the last
+    component needs only the target S_g = d.  An option is skipped with
+    its subtree when min_u (C'[u] + U[u]) < r + 1 for its merged state C'
+    and the next table U; ``leave`` holds each ``_leave(U)``, so that the
+    minimum is read off the unmerged state and only survivors merge."""
     opts = options[len(prefix)]
     if len(prefix) == len(options) - 1:
         for a, (m0, m1) in zip(opts, _dp_step(opts, C, lo, d, d)):
-            yield prefix + (a,), min(m0[0], m1[0])
+            if (best := min(m0[0], m1[0])) > r:
+                yield prefix + (a,), best
         return
-    for a, state in zip(opts, _dp_step(opts, C, lo, lo, hi)):
-        yield from _search_minima(options, d, lo, hi, _merge(*state), prefix + (a,))
+    W0, W1 = leave[len(prefix)]
+    for a, (m0, m1) in zip(opts, _dp_step(opts, C, lo, lo, hi)):
+        if min(map(add, m0, W0)) > r and min(map(add, m1, W1)) > r:
+            yield from _search_minima(options, leave, r, d, lo, hi, _merge(m0, m1), prefix + (a,))
 
 
 def search_limit_bundles(
@@ -539,9 +601,15 @@ def search_limit_bundles(
     window: int | None = None,
     max_genus: int = 6,
 ) -> SearchResult:
-    """Enumerate every canonical symbolic aspect tuple and count the
-    r-positive ones.  ``count_exact`` counts tuples whose aspects are all
-    exact; tuples containing a generic aspect are counted separately.
+    """Find every canonical symbolic aspect tuple that is r-positive, in
+    lexicographic option order, by a branch-and-bound search over the
+    tuples.  ``count_exact`` counts tuples whose aspects are all exact;
+    tuples containing a generic aspect are counted separately.
+
+    A prefix is skipped with its subtree when the upper-bound table (see
+    :func:`_bound_tables`) puts the windowed min h0 of all its completions
+    below r + 1.  The table bounds every completion from above, whatever
+    aspects it carries, so a skipped subtree holds no r-positive tuple.
     """
     require(1, g=g)
     require(0, r=r)
@@ -553,8 +621,9 @@ def search_limit_bundles(
             f"(state space {prod(map(len, options))} tuples); "
             "raise max_genus explicitly to override"
         )
-    minima = _search_minima(options, d, lo, hi, _start(lo, hi))
-    witnesses = tuple(SearchWitness(a, best) for a, best in minima if best >= r + 1)
+    leave = [_leave(U) for U in _bound_tables(g, d, lo, hi)]
+    hits = _search_minima(options, leave, r, d, lo, hi, _start(lo, hi))
+    witnesses = tuple(SearchWitness(a, best) for a, best in hits)
     generic = sum(None in w.aspects for w in witnesses)
     return SearchResult(len(witnesses) - generic, generic, witnesses)
 

@@ -26,7 +26,7 @@ import sys
 from typing import Callable
 
 from . import chain, invariants, lattice, loci, normal_bundle, splitting, tableaux
-from .errors import InternalCheckError, ParseError, PreconditionError
+from .errors import InternalCheckError, ParseError, PreconditionError, require
 
 
 def _envelope(command: str, inputs: dict, result, fmt: str) -> str:
@@ -171,11 +171,14 @@ def _kfill(a) -> dict:
 
 def _chain_bundle(a) -> tuple[chain.LimitLineBundle, int]:
     """The bundle of ``--aspects`` and its window; both are echoed, the
-    aspects in canonical form and the window with its default filled in."""
+    aspects in canonical form and the window with its default filled in.
+    ``chain h0`` sweeps no window, yet refuses a negative one like the
+    other chain commands."""
     L = _parse("--aspects", chain.parse_aspects, a.aspects)
     a.aspects = chain.aspects_str(L)
     if a.window is None:
         a.window = chain.default_window(L.g)
+    require(0, window=a.window)
     return L, a.window
 
 

@@ -65,8 +65,10 @@ class Containment:
 
 def trivial_containments(g: int, r: int, d: int) -> list[Containment]:
     """The two loci trivially containing M^r_{g,d}: add a point
-    (g, r, d+1) and subtract a general point (g, r-1, d-1)."""
-    require(0, g=g, r=r)
+    (g, r, d+1) and subtract a general point (g, r-1, d-1).  The second
+    has rank r - 1, so r >= 1."""
+    require(0, g=g)
+    require(1, r=r)
     return [
         Containment(g, r, d + 1, full_moduli=(r == 0)),
         Containment(g, r - 1, d - 1, full_moduli=(r - 1 == 0)),

@@ -299,11 +299,10 @@ def syt_count(shape: Partition) -> int:
     """Number of standard Young tableaux of the given shape, by the hook
     length formula n! / prod(hooks)."""
     shape = check_partition(shape)
-    denom = prod(hook_lengths(shape))
-    num = factorial(sum(shape))
-    if num % denom:
+    count, rem = divmod(factorial(sum(shape)), prod(hook_lengths(shape)))
+    if rem:
         raise InternalCheckError(f"hook length formula non-integral on {shape}")
-    return num // denom
+    return count
 
 
 def syt_count_rect(rows: int, cols: int) -> int:

@@ -293,10 +293,10 @@ def forward_dp_finish(aspect, d: int, lo: int, state) -> int:
     return best
 
 
-def oracle_search(g: int, r: int, d: int, window: int | None = None):
-    """``bnkit.chain.search_limit_bundles`` rebuilt on the quadratic
-    forward DP: a DFS over the aspect tuples in option order."""
-    from bnkit.chain import SearchResult, SearchWitness, aspect_options, h0_twisted
+def oracle_minima(g: int, d: int, window: int | None = None):
+    """Every canonical aspect tuple with its windowed min h0, on the
+    quadratic forward DP: a DFS over all tuples in option order."""
+    from bnkit.chain import aspect_options, h0_twisted
 
     if window is None:
         window = g + 1
@@ -313,10 +313,48 @@ def oracle_search(g: int, r: int, d: int, window: int | None = None):
                 rec(prefix + (a,), forward_dp_step(a, d, lo, hi, state))
 
     if g == 1:
-        minima = [((a,), h0_twisted(a, d, 0, 0)) for a in options[0]]
-    else:
-        for first in options[0]:
-            rec((first,), forward_dp_init(first, d, lo, hi))
+        return [((a,), h0_twisted(a, d, 0, 0)) for a in options[0]]
+    for first in options[0]:
+        rec((first,), forward_dp_init(first, d, lo, hi))
+    return minima
+
+
+def oracle_search(g: int, r: int, d: int, window: int | None = None, minima=None):
+    """``bnkit.chain.search_limit_bundles`` rebuilt by visiting every tuple
+    of :func:`oracle_minima`, or of ``minima`` when given."""
+    from bnkit.chain import SearchResult, SearchWitness
+
+    if minima is None:
+        minima = oracle_minima(g, d, window)
     hits = [SearchWitness(aspects, best) for aspects, best in minima if best >= r + 1]
     exact = sum(all(a is not None for a in w.aspects) for w in hits)
     return SearchResult(exact, len(hits) - exact, tuple(hits))
+
+
+def bound_tables(g: int, d: int, lo: int, hi: int):
+    """The search's upper-bound tables U[c], c = 2..g, by the min-max
+    recursion over every cell (u, s): at degree k = s - u the cell costs
+    the worse of its generic and its exact-at-u outcome (n added, eps),
+    plus U[c + 1] at key s + 1 - eps minus eps; the last component meets
+    only s = d and costs what it adds."""
+    nxt = None
+    out = []
+    for c in range(g, 1, -1):
+        sums = [d] if c == g else range(lo, hi + 1)
+        table = []
+        for u in range(lo, hi + 2):
+            best = INF
+            for s in sums:
+                k = s - u
+                outcomes = {0: [(0, 0), (1, 1)], 1: [(1, 1), (1, 0)]}.get(
+                    k, [(k, 1)] if k >= 2 else [(0, 0)]
+                )
+                costs = [
+                    n if nxt is None else n - eps + nxt[s + 1 - eps - lo]
+                    for n, eps in outcomes
+                ]
+                best = min(best, max(costs))
+            table.append(best)
+        out.append(table)
+        nxt = table
+    return out[::-1]

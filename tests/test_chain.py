@@ -329,6 +329,27 @@ class TestSearch:
                     else:
                         assert res.total > 0, (g, r, d)
 
+    def test_most_generic_aspects_is_the_brill_noether_number(self):
+        # the dimension theorem read off the chain: an r-positive tuple has
+        # at most min(rho, g) generic aspects, some has that many, and none
+        # exists when rho < 0
+        cases = [(g, r, d) for g in range(1, 5) for r in range(1, 4) for d in range(1, 2 * g + 1)]
+        cases += [(5, r, d) for r in range(1, 4) for d in range(1, 11) if rho(5, r, d) <= 2]
+        assert len(cases) == 77
+        for g, r, d in cases:
+            res = search_limit_bundles(g, r, d)
+            if rho(g, r, d) < 0:
+                assert res.total == 0, (g, r, d)
+            else:
+                most = max(w.aspects.count(None) for w in res.witnesses)
+                assert most == min(rho(g, r, d), g), (g, r, d)
+
+    def test_genus_six_rho_zero_counts(self):
+        for g, r, d in [(6, 1, 4), (6, 2, 6)]:
+            res = search_limit_bundles(g, r, d)
+            assert res.count_exact == count_grd(g, r, d) == 5
+            assert res.count_with_generic == 0
+
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
             search_limit_bundles(7, 1, 3)

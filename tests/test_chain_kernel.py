@@ -5,10 +5,18 @@ linear in the window.  ``oracles`` keeps the pairwise sweep, which tries
 every pair of old and new prefix sums; every test here asks the two for
 the same numbers, including missing states and exact aspects on the two
 diagonals where the component has degree 0 or 1.
+
+The search's upper-bound tables are checked the same way, against the
+min-max recursion over every cell, and the pruned search against the
+oracle that visits every tuple.  The bound itself is checked directly:
+at every prefix of a small search it is at least the min h0 of every
+completion, which catches an unsound table even where it happens not to
+cross r + 1.
 """
 
 import itertools
 import random
+from operator import add
 
 import pytest
 
@@ -160,3 +168,40 @@ class TestSearchAgainstOracleStep:
 
     def test_genus_five(self):
         assert search_limit_bundles(5, 1, 4) == oracles.oracle_search(5, 1, 4)
+
+    def test_every_window_rank_and_degree_on_small_chains(self):
+        for g in range(1, 5):
+            for d in range(-2, 2 * g + 2):
+                for window in (0, 1, 2, None):
+                    minima = oracles.oracle_minima(g, d, window)
+                    for r in range(5):
+                        want = oracles.oracle_search(g, r, d, window, minima)
+                        assert search_limit_bundles(g, r, d, window) == want, (g, r, d, window)
+
+
+class TestSearchBound:
+    def test_tables_match_min_max_over_every_cell(self):
+        for g in range(1, 6):
+            for d in range(-2, 9):
+                for window in (0, 1, 2, g + 1):
+                    _, lo, hi = chain._window(g, d, window)
+                    assert chain._bound_tables(g, d, lo, hi) == oracles.bound_tables(g, d, lo, hi)
+
+    def test_bound_is_at_least_every_completion(self):
+        for g in (2, 3):
+            for d in range(-2, 2 * g + 2):
+                for window in (0, 1, 2):
+                    _, lo, hi = chain._window(g, d, window)
+                    tables = chain._bound_tables(g, d, lo, hi)
+                    options = aspect_options(g, d, window)
+                    for j in range(1, g):
+                        for prefix in itertools.product(*options[:j]):
+                            C = chain._start(lo, hi)
+                            for a in prefix:
+                                C = chain._merge(*chain._dp_step((a,), C, lo, lo, hi)[0])
+                            bound = min(map(add, C, tables[j - 1]))
+                            worst = max(
+                                min_h0(LimitLineBundle(d, prefix + rest), window)
+                                for rest in itertools.product(*options[j:])
+                            )
+                            assert worst <= bound, (g, d, window, prefix)

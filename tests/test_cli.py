@@ -197,6 +197,15 @@ class TestExitCodes:
         assert code == 2
         assert "window 0" in err
 
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_negative_window_is_refused_by_chain_h0(self, capsys, fmt):
+        # h0 sweeps no window, but refuses a negative one like every chain command
+        code, out, err = run(capsys, "--format", fmt, "chain", "h0", "--aspects", "0,4;2,2;0,4",
+                             "--dist", "3,0,1", "--window", "-5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: need window >= 0, got window=-5\n"
+
     @pytest.mark.parametrize("flag,argv", [
         ("--core", ["kfill", "--core", "4,a", "-k", "3", "-g", "5"]),
         ("--dist", ["chain", "h0", "--aspects", "0,4;2,2;0,4", "--dist", "1,x,3"]),

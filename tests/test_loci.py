@@ -1,6 +1,6 @@
 import pytest
 
-from bnkit.errors import NegativeRank
+from bnkit.errors import NegativeRank, PreconditionError
 from bnkit.invariants import rho, rho_k
 from bnkit.loci import (
     MAXIMAL_EXCEPTIONS,
@@ -58,6 +58,11 @@ class TestTrivialContainments:
         targets = trivial_containments(9, 2, 7)
         assert [(t.g, t.r, t.d) for t in targets] == [(9, 2, 8), (9, 1, 6)]
         assert not any(t.full_moduli for t in targets)
+
+    def test_rank_zero_is_refused(self):
+        # subtracting a point from a rank-0 locus would give rank -1
+        with pytest.raises(PreconditionError, match="r=0"):
+            trivial_containments(8, 0, 4)
 
     def test_containment_targets_have_nonsmaller_rho(self):
         # adding a point raises rho by r+1; subtracting by g-d+r
