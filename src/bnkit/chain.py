@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, product
 from math import prod
-from operator import add, sub
+from operator import add, index, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -149,7 +149,7 @@ def prefix_fire(dist, i: int) -> tuple[int, ...]:
 
 
 def _check_dist(L: LimitLineBundle, dist) -> tuple[int, ...]:
-    dist = tuple(int(x) for x in dist)
+    dist = tuple(map(index, dist))
     if len(dist) != L.g:
         raise DegreeMismatch(f"distribution {dist} has {len(dist)} entries, chain has {L.g}")
     if sum(dist) != L.d:
@@ -393,13 +393,13 @@ class VanishingTable:
     b_rows: tuple[tuple[int, ...], ...]  # index 1..g, stored shifted by 1
 
     def a(self, i: int, n: int) -> int:
-        if not 0 <= i <= self.g - 1:
-            raise IndexOutOfRange(f"a-row index {i} out of range 0..{self.g - 1}")
+        if not (0 <= i <= self.g - 1 and 0 <= n <= self.r):
+            raise IndexOutOfRange(f"a({i}, {n}) needs 0 <= i <= {self.g - 1}, 0 <= n <= {self.r}")
         return self.a_rows[i][n]
 
     def b(self, i: int, n: int) -> int:
-        if not 1 <= i <= self.g:
-            raise IndexOutOfRange(f"b-row index {i} out of range 1..{self.g}")
+        if not (1 <= i <= self.g and 0 <= n <= self.r):
+            raise IndexOutOfRange(f"b({i}, {n}) needs 1 <= i <= {self.g}, 0 <= n <= {self.r}")
         return self.b_rows[i - 1][n]
 
 

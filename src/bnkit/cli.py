@@ -230,7 +230,8 @@ def _project(a) -> dict:
 
 
 def _modify(a) -> dict:
-    bundle = _parse("--degrees", lambda s: normal_bundle.SplitBundle(s.split(",")), a.degrees)
+    degrees = _parse("--degrees", lambda s: [int(t) for t in s.split(",")], a.degrees)
+    bundle = normal_bundle.SplitBundle(degrees)
     return {"degrees": list(normal_bundle.modify(bundle, a.summand, a.sign, a.points).degrees)}
 
 

@@ -12,6 +12,7 @@ is asserted throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .errors import EvenDegree, IndexOutOfRange, InternalCheckError, PreconditionError, require
 
@@ -26,7 +27,7 @@ class SplitBundle:
     degrees: tuple[int, ...]
 
     def __init__(self, degrees) -> None:
-        object.__setattr__(self, "degrees", tuple(int(e) for e in degrees))
+        object.__setattr__(self, "degrees", tuple(map(index, degrees)))
         if not self.degrees:
             raise PreconditionError("a split bundle needs at least one summand")
         if self.h0 - self.h1 != self.degree + self.rank:

@@ -15,6 +15,7 @@ trigonal genus-5 pencils wrong, so the h^0-consistent form is used.)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .errors import InternalCheckError, OutOfRegime, PreconditionError, require
 
@@ -22,8 +23,8 @@ SplittingType = tuple[int, ...]
 
 
 def check_splitting(parts) -> SplittingType:
-    """Normalize to an ascending tuple; length must be at least 2."""
-    e = tuple(sorted(int(x) for x in parts))
+    """Normalize to an ascending tuple of integers; length must be at least 2."""
+    e = tuple(sorted(map(index, parts)))
     if len(e) < 2:
         raise PreconditionError(f"a splitting type needs k >= 2 parts, got {e}")
     return e

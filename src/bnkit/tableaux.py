@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, prod
+from operator import index
 
 from .errors import InternalCheckError, NotACore, PreconditionError, SymbolCountMismatch, require
 
@@ -25,8 +26,8 @@ Partition = tuple[int, ...]
 
 
 def check_partition(rows) -> Partition:
-    """Validate and normalize weakly decreasing positive row lengths."""
-    p = tuple(int(x) for x in rows)
+    """Validate and normalize weakly decreasing positive integer row lengths."""
+    p = tuple(map(index, rows))
     for a, b in zip(p, p[1:]):
         if a < b:
             raise PreconditionError(f"row lengths must be weakly decreasing: {p}")
@@ -158,9 +159,10 @@ def _successors(p: Partition, k: int, target: Partition) -> list[tuple[int, Part
 
 def _filling_graph(target: Partition, k: int, g: int):
     """Validate the arguments and build the strict-add graph below the
-    k-core ``target``: ``succ[p]`` lists the moves out of p, built once per
-    partition, and ``count[(p, n)]`` is the number of n-step paths from p
-    to ``target``.  An explicit stack fills both, so they die with the call."""
+    k-core ``target`` by levels.  Each strict-add step raises core_length by
+    one, so a sweep forward from () lists ``succ[p]``, the moves out of each
+    core on levels 0..g-1, and a pass back from level g, where only
+    ``target`` counts, fills ``count[p]``, the paths from p to ``target``."""
     target = _require_core(target, k)
     forced = sum(1 for h in hook_lengths(target) if h < k)
     if g != forced:
@@ -168,23 +170,15 @@ def _filling_graph(target: Partition, k: int, g: int):
             f"{k}-fillings of {target or '()'} use exactly {forced} symbols, got g={g}"
         )
     succ: dict[Partition, list[tuple[int, Partition]]] = {}
-    count: dict[tuple[Partition, int], int] = {}
-    stack = [((), g)]
-    while stack:
-        key = stack[-1]
-        p, left = key
-        if key in count:
-            stack.pop()
-        elif left == 0:
-            count[key] = int(p == target)
-        else:
-            if p not in succ:
-                succ[p] = _successors(p, k, target)
-            todo = [(q, left - 1) for _, q in succ[p] if (q, left - 1) not in count]
-            if todo:
-                stack.extend(todo)
-            else:
-                count[key] = sum(count[(q, left - 1)] for _, q in succ[p])
+    levels: list[list[Partition]] = [[()]]
+    for _ in range(g):
+        for p in levels[-1]:
+            succ[p] = _successors(p, k, target)
+        levels.append(list(dict.fromkeys(q for p in levels[-1] for _, q in succ[p])))
+    count = {p: int(p == target) for p in levels[-1]}
+    for level in reversed(levels[:-1]):
+        for p in level:
+            count[p] = sum(count[q] for _, q in succ[p])
     return target, succ, count
 
 
@@ -199,7 +193,7 @@ def count_k_fillings(target: Partition, k: int, g: int) -> int:
     would contribute zero.
     """
     _, _, count = _filling_graph(target, k, g)
-    return count[((), g)]
+    return count[()]
 
 
 @dataclass(frozen=True)
@@ -215,7 +209,7 @@ class FillingWitness:
         p: Partition = ()
         steps: list[list[tuple[int, int]]] = []
         for res in self.residues:
-            p, boxes = _replay_step(p, res, self.k)
+            p, boxes = _replay_step(p, res, self.k, self.residues)
             steps.append(boxes)
         return p, steps
 
@@ -229,21 +223,26 @@ class FillingWitness:
         return ",".join(str(r) for r in self.residues)
 
 
-def _replay_step(p: Partition, res: int, k: int) -> tuple[Partition, list[tuple[int, int]]]:
-    """One checked strict-add step: the new core and the boxes it added,
-    which must share the residue ``res`` and sit at pairwise lattice
-    distance a multiple of k."""
+def _replay_step(p: Partition, res: int, k: int,
+                 word: tuple[int, ...]) -> tuple[Partition, list[tuple[int, int]]]:
+    """One checked strict-add step of the residue word ``word``: the new
+    core and the boxes it added, which must share the residue ``res`` and
+    sit at pairwise lattice distance a multiple of k."""
     if not 0 <= res < k:
-        raise InternalCheckError(f"residue {res} is not in 0..{k - 1}")
-    q = core_add_residue(p, res, k)
+        raise InternalCheckError(f"witness {word}: residue {res} is not in 0..{k - 1}")
+    q = _apply_residue(p, res, k)
+    if sum(q) <= sum(p):
+        raise InternalCheckError(
+            f"witness {word}: residue {res} mod {k} does not strictly add boxes to {p or '()'}"
+        )
     boxes = sorted(set(_boxes(q)) - set(_boxes(p)))
     for (i1, j1) in boxes:
-        if (j1 - i1) % k != res % k:
-            raise InternalCheckError(f"box {(i1, j1)} has wrong residue for {res} mod {k}")
+        if (j1 - i1) % k != res:
+            raise InternalCheckError(f"witness {word}: box {(i1, j1)} is not of residue {res}")
         for (i2, j2) in boxes:
             if (abs(i1 - i2) + abs(j1 - j2)) % k != 0:
                 raise InternalCheckError(
-                    f"boxes {(i1, j1)}, {(i2, j2)} of one symbol are at lattice "
+                    f"witness {word}: boxes {(i1, j1)}, {(i2, j2)} of one symbol are at lattice "
                     f"distance {abs(i1 - i2) + abs(j1 - j2)}, not a multiple of {k}"
                 )
     return q, boxes
@@ -260,11 +259,8 @@ def _validate_words(words, k: int, target: Partition) -> None:
         while n < len(prev) and n < len(word) and prev[n] == word[n]:
             n += 1
         del path[n + 1:]
-        try:
-            for res in word[n:]:
-                path.append(_replay_step(path[-1], res, k)[0])
-        except PreconditionError as e:
-            raise InternalCheckError(f"witness {word} does not replay: {e}") from None
+        for res in word[n:]:
+            path.append(_replay_step(path[-1], res, k, word)[0])
         if path[-1] != target:
             raise InternalCheckError(f"witness {word} replays to {path[-1]}, not {target}")
         prev = word
@@ -282,15 +278,15 @@ def k_filling_witnesses(target: Partition, k: int, g: int) -> list[FillingWitnes
     words: list[tuple[int, ...]] = []
     # depth first; pushing in reverse pops residues in increasing order, and
     # only children with a path to target are entered
-    stack = [((), g, ())] if count[((), g)] else []
+    stack = [((), ())] if count[()] else []
     while stack:
-        p, left, word = stack.pop()
-        if left == 0:
+        p, word = stack.pop()
+        if p == target:
             words.append(word)
             continue
         for res, q in reversed(succ[p]):
-            if count[(q, left - 1)]:
-                stack.append((q, left - 1, word + (res,)))
+            if count[q]:
+                stack.append((q, word + (res,)))
     _validate_words(words, k, target)
     return [FillingWitness(w, k) for w in words]
 

@@ -240,6 +240,15 @@ class TestVanishingTables:
         assert t.b_rows == ((1, 2, 4), (0, 2, 3), (0, 1, 2))
         assert [t.a(2, n) for n in range(3)] == [1, 2, 4]
 
+    def test_column_index_out_of_range_is_refused(self):
+        # n runs over 0..r; -1 must not wrap to the last column
+        t = vanishing_tables(RUNNING, 2)
+        for n in (-1, 3):
+            with pytest.raises(IndexOutOfRange, match=r"0 <= n <= 2"):
+                t.a(1, n)
+            with pytest.raises(IndexOutOfRange, match=r"0 <= n <= 2"):
+                t.b(1, n)
+
     def test_boundaries(self):
         t = vanishing_tables(RUNNING, 2)
         assert t.a_rows[0] == (0, 1, 2)

@@ -14,7 +14,7 @@ import pkgutil
 import pytest
 
 import bnkit
-from bnkit import chain, invariants, lattice, loci, splitting, tableaux
+from bnkit import chain, invariants, lattice, loci, normal_bundle, splitting, tableaux
 from bnkit.errors import PreconditionError
 
 RUNNING = chain.parse_aspects("0,4;2,2;0,4")
@@ -97,3 +97,22 @@ def test_every_entry_point_with_g_r_or_k_has_a_row():
                 public.add(f"{module.__name__}.{name}")
     covered = {f"{f.__module__}.{_id(f)}" for f in DOMAIN}
     assert sorted(public - covered) == []
+
+
+# Integers only: each validator of an integer sequence refuses a float or a
+# numeric string with TypeError, as range() does, instead of truncating or
+# parsing it.  Every sequence below is valid with 3 in place of the bad entry.
+INTEGER_SEQUENCES = {
+    "check_partition": lambda x: tableaux.check_partition((4, x, 1)),
+    "check_splitting": lambda x: splitting.check_splitting((-2, x, 1)),
+    "chain._check_dist": lambda x: chain.h0_chain(RUNNING, (x, 0, 1)),
+    "SplitBundle": lambda x: normal_bundle.SplitBundle((2, x, 1)),
+}
+
+
+@pytest.mark.parametrize("bad", [2.7, "3"])
+@pytest.mark.parametrize("name", sorted(INTEGER_SEQUENCES))
+def test_integer_sequence_refuses_non_integers(name, bad):
+    INTEGER_SEQUENCES[name](3)
+    with pytest.raises(TypeError):
+        INTEGER_SEQUENCES[name](bad)

@@ -95,6 +95,22 @@ class TestCoreLength:
     def test_worked_example(self):
         assert core_length((4, 2, 1, 1), 3) == 5
 
+    def test_every_strict_add_raises_length_by_one(self):
+        # the k-filling graph is graded by core_length and keys its counts
+        # by the core alone; this is the grading it relies on
+        for k in (2, 3, 4, 5):
+            moves = 0
+            for n in range(13):
+                for p in partitions_of(n):
+                    if not hook_is_core(p, k):
+                        continue
+                    for res in range(k):
+                        q = core_apply_residue(p, res, k)
+                        if sum(q) > sum(p):
+                            assert core_length(q, k) == core_length(p, k) + 1, (p, res, k)
+                            moves += 1
+            assert moves > 0
+
 
 class TestFillings:
     def test_worked_three_core(self):
@@ -171,6 +187,19 @@ class TestWitnessTampering:
                 _validate_words(words[:idx] + [bad] + words[idx + 1:], k, target)
             with pytest.raises(InternalCheckError):
                 FillingWitness(bad, k).validate(target)
+
+
+class TestReplayDiagnostics:
+    def test_failed_step_names_the_word(self):
+        # replay applies the private action, so a step that removes boxes is
+        # an internal check failure, not a precondition error
+        with pytest.raises(InternalCheckError, match=r"witness \(0, 0\): .* does not strictly add"):
+            FillingWitness((0, 0), 3).replay()
+        word = (0, 0, 2, 1, 0)
+        with pytest.raises(InternalCheckError, match=r"witness \(0, 0, 2, 1, 0\): .* strictly add"):
+            _validate_words([(0, 1, 2, 1, 0), word], 3, (4, 2, 1, 1))
+        with pytest.raises(InternalCheckError, match=r"witness \(0, 3\): residue 3 is not in 0..2"):
+            FillingWitness((0, 3), 3).validate((2,))
 
 
 class TestSerialization:
