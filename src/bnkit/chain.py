@@ -33,7 +33,7 @@ and its subtree is skipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, product
 from math import prod
 from operator import add, index, sub
@@ -58,22 +58,22 @@ Aspect = tuple[int, int] | None
 _INF = 1 << 30
 
 
-@dataclass(frozen=True)
-class LimitLineBundle:
+class LimitLineBundle(namedtuple("LimitLineBundle", "d aspects")):
     """A degree-d limit line bundle on the chain of g elliptic curves,
     as the tuple of its g aspects."""
 
-    d: int
-    aspects: tuple[Aspect, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.aspects:
+    def __new__(cls, d: int, aspects: tuple[Aspect, ...]) -> LimitLineBundle:
+        if not aspects:
             raise PreconditionError("a chain needs at least one component")
-        for i, a in enumerate(self.aspects):
-            if a is not None and a[0] + a[1] != self.d:
-                raise PreconditionError(
-                    f"aspect {i + 1} = {a} does not have total degree {self.d}"
-                )
+        for i, a in enumerate(aspects):
+            if a is not None and a[0] + a[1] != d:
+                raise PreconditionError(f"aspect {i + 1} = {a} does not have total degree {d}")
+        return super().__new__(cls, d, aspects)
+
+    #: ``_replace`` builds through ``_make``, so it validates too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def g(self) -> int:
@@ -357,8 +357,7 @@ def min_h0(L: LimitLineBundle, window: int | None = None) -> int:
     return _best(_suffix_pass(L, window)[3])
 
 
-@dataclass(frozen=True)
-class RPositivityReport:
+class RPositivityReport(NamedTuple):
     is_r_positive: bool
     min_h0: int
     witness: tuple[int, ...]  # a distribution attaining the minimum
@@ -375,8 +374,7 @@ def is_r_positive(L: LimitLineBundle, r: int, window: int | None = None) -> RPos
 
 # --- vanishing tables and star conditions ---
 
-@dataclass(frozen=True)
-class VanishingTable:
+class VanishingTable(NamedTuple):
     """Extremal degree thresholds at the nodes of an r-positive limit.
 
     a(i, n) for 0 <= i <= g-1: the largest windowed prefix sum alpha at
@@ -440,8 +438,7 @@ def vanishing_tables(L: LimitLineBundle, r: int, window: int | None = None) -> V
     return VanishingTable(r=r, d=d, g=g, a_rows=tuple(a_rows), b_rows=tuple(b_rows))
 
 
-@dataclass(frozen=True)
-class StarReport:
+class StarReport(NamedTuple):
     """Components whose aspect is pinned by an extremal section: the pairs
     (i, n) with a(i-1, n) + b(i, r-n) = d.  At each such pair the aspect
     is checked to be the exact class O(a(i-1, n) p^{i-1} + b(i, r-n) p^i).
@@ -510,14 +507,12 @@ def aspect_options(g: int, d: int, window: int) -> list[list[Aspect]]:
     return options
 
 
-@dataclass(frozen=True, slots=True)
-class SearchWitness:
+class SearchWitness(NamedTuple):
     aspects: tuple[Aspect, ...]
     min_h0: int
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     count_exact: int
     count_with_generic: int
     witnesses: tuple[SearchWitness, ...]

@@ -9,8 +9,8 @@ No floats anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial, prod
+from typing import NamedTuple
 
 from .errors import (
     EmptyRange,
@@ -118,8 +118,7 @@ def smrc_expected_dim(g: int, r: int, d: int, k: int) -> int:
     return p - 1 - abs(comb(r + k, k) - (d * k + 1 - g))
 
 
-@dataclass(frozen=True)
-class InterpolationReport:
+class InterpolationReport(NamedTuple):
     """Outcome of the interpolation count for Brill-Noether curves.
 
     ``count`` is None for the non-quadric exceptional triples, where the

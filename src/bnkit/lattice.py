@@ -18,7 +18,7 @@ the accumulated Euler characteristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalCheckError, RhoNegative, require
 from .invariants import chi_pullback_tangent, rho
@@ -67,15 +67,13 @@ def _moves(r: int) -> dict[str, tuple[tuple[int, int], SplitBundle]]:
     }
 
 
-@dataclass(frozen=True)
-class MoveStep:
+class MoveStep(NamedTuple):
     move: str
     bundle: SplitBundle
     h1: int
 
 
-@dataclass(frozen=True)
-class MoveCertificate:
+class MoveCertificate(NamedTuple):
     """A certified path from the rational normal curve (d, g) = (r, 0) to
     the target point: every attached bundle has h1 = 0, and the Euler
     characteristics accumulate to (r+1)d - r(g-1)."""

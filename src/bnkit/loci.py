@@ -6,8 +6,8 @@ classification with its three exceptional genera.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import InternalCheckError, NegativeRank, require
 from .invariants import rho
@@ -27,8 +27,7 @@ def serre_dual(g: int, r: int, d: int) -> tuple[int, int, int]:
     return (g, g - d + r - 1, 2 * g - 2 - d)
 
 
-@dataclass(frozen=True)
-class LocusIndex:
+class LocusIndex(NamedTuple):
     """A Brill-Noether locus index, canonicalized so d <= g-1 via Serre
     duality (the standard redundancy removal); the index as given is kept
     for display."""
@@ -52,8 +51,7 @@ class LocusIndex:
         return rho(self.g, self.r, self.d)
 
 
-@dataclass(frozen=True)
-class Containment:
+class Containment(NamedTuple):
     """A trivially larger locus; ``full_moduli`` marks r = 0 targets,
     which are the whole moduli space rather than proper loci."""
 
@@ -75,8 +73,7 @@ def trivial_containments(g: int, r: int, d: int) -> list[Containment]:
     ]
 
 
-@dataclass(frozen=True)
-class ExpectedMaximalReport:
+class ExpectedMaximalReport(NamedTuple):
     is_expected_maximal: bool
     is_maximal_exception: bool
     rho: int
@@ -115,8 +112,7 @@ def expected_maximal(g: int, r: int, d: int) -> ExpectedMaximalReport:
     )
 
 
-@dataclass(frozen=True)
-class ExpectedMaximalRow:
+class ExpectedMaximalRow(NamedTuple):
     g: int
     r: int
     d: int

@@ -11,27 +11,31 @@ is asserted throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import index
+from typing import NamedTuple
 
 from .errors import EvenDegree, IndexOutOfRange, InternalCheckError, PreconditionError, require
 
 
-@dataclass(frozen=True)
-class SplitBundle:
+class SplitBundle(namedtuple("SplitBundle", "degrees")):
     """A direct sum of line bundles on the line, recorded as the multiset
     of summand degrees.  Order is preserved as given so that individual
     summands keep their identity under modifications; serialization and
     multiset comparison use the sorted form."""
 
-    degrees: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, degrees) -> None:
-        object.__setattr__(self, "degrees", tuple(map(index, degrees)))
+    def __new__(cls, degrees) -> SplitBundle:
+        self = super().__new__(cls, tuple(map(index, degrees)))
         if not self.degrees:
             raise PreconditionError("a split bundle needs at least one summand")
         if self.h0 - self.h1 != self.degree + self.rank:
             raise InternalCheckError(f"Riemann-Roch ledger identity failed on {self.degrees}")
+        return self
+
+    #: ``_replace`` builds through ``_make``, so it validates too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def multiset(self) -> tuple[int, ...]:
@@ -107,22 +111,23 @@ def pointing_degree(d: int, q_position: str) -> int:
     )
 
 
-@dataclass(frozen=True)
-class LedgerSequence:
+class LedgerSequence(namedtuple("LedgerSequence", "sub quot total_rank total_degree")):
     """An exact sequence of split bundles recorded at ledger level: the
     sub and quotient are explicit splittings, the total may only be known
     by rank and degree.  Additivity of rank and degree is asserted."""
 
-    sub: SplitBundle
-    quot: SplitBundle
-    total_rank: int
-    total_degree: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.sub.rank + self.quot.rank != self.total_rank:
+    def __new__(cls, sub: SplitBundle, quot: SplitBundle,
+                total_rank: int, total_degree: int) -> LedgerSequence:
+        if sub.rank + quot.rank != total_rank:
             raise InternalCheckError("ledger sequence rank additivity failed")
-        if self.sub.degree + self.quot.degree != self.total_degree:
+        if sub.degree + quot.degree != total_degree:
             raise InternalCheckError("ledger sequence degree additivity failed")
+        return super().__new__(cls, sub, quot, total_rank, total_degree)
+
+    #: ``_replace`` builds through ``_make``, so it validates too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def projection_ledger(d: int) -> LedgerSequence:
@@ -150,8 +155,7 @@ def hh_restriction(bundle: SplitBundle, node_targets) -> SplitBundle:
     return out
 
 
-@dataclass(frozen=True)
-class OddDegreeCertificate:
+class OddDegreeCertificate(NamedTuple):
     """Balancedness certificate for the normal bundle of a general
     rational curve of odd degree d in 3-space.
 

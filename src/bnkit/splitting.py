@@ -14,8 +14,8 @@ trigonal genus-5 pencils wrong, so the h^0-consistent form is used.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
+from typing import NamedTuple
 
 from .errors import InternalCheckError, OutOfRegime, PreconditionError, require
 
@@ -53,8 +53,7 @@ def rho_splitting(g: int, parts) -> int:
     return g - gaps
 
 
-@dataclass(frozen=True)
-class MajorizationResult:
+class MajorizationResult(NamedTuple):
     """Truthy wrapper so callers can ask both *whether* and *why not*."""
 
     holds: bool
@@ -128,8 +127,7 @@ def maximal_splitting_types(g: int, r: int, d: int, k: int) -> list[SplittingTyp
     return out
 
 
-@dataclass(frozen=True)
-class HbnPredicates:
+class HbnPredicates(NamedTuple):
     """Geometric predicates read off a splitting type.  The very-ample
     flag is a sufficient criterion only, never a characterization."""
 

@@ -16,9 +16,9 @@ k, and witnesses are checked against this rule on replay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, prod
 from operator import index
+from typing import NamedTuple
 
 from .errors import InternalCheckError, NotACore, PreconditionError, SymbolCountMismatch, require
 
@@ -196,8 +196,7 @@ def count_k_fillings(target: Partition, k: int, g: int) -> int:
     return count[()]
 
 
-@dataclass(frozen=True)
-class FillingWitness:
+class FillingWitness(NamedTuple):
     """A k-filling witness: the residue sequence in application order."""
 
     residues: tuple[int, ...]
@@ -249,21 +248,20 @@ def _replay_step(p: Partition, res: int, k: int,
 
 
 def _validate_words(words, k: int, target: Partition) -> None:
-    """Replay each residue word from () with :func:`_replay_step` and check
-    that it ends at ``target``.  ``path[i]`` is the core after i steps of the
-    previous word, so sorted words replay each distinct prefix once."""
-    path: list[Partition] = [()]
-    prev: tuple[int, ...] = ()
+    """Replay each residue word from () and check that it ends at
+    ``target``.  A step's check depends only on its move (core, residue), so
+    :func:`_replay_step` checks each distinct move once per call and
+    ``moves`` keeps the cores of the moves that passed."""
+    moves: dict[tuple[Partition, int], Partition] = {}
     for word in words:
-        n = 0
-        while n < len(prev) and n < len(word) and prev[n] == word[n]:
-            n += 1
-        del path[n + 1:]
-        for res in word[n:]:
-            path.append(_replay_step(path[-1], res, k, word)[0])
-        if path[-1] != target:
-            raise InternalCheckError(f"witness {word} replays to {path[-1]}, not {target}")
-        prev = word
+        p: Partition = ()
+        for res in word:
+            q = moves.get((p, res))
+            if q is None:
+                q = moves[p, res] = _replay_step(p, res, k, word)[0]
+            p = q
+        if p != target:
+            raise InternalCheckError(f"witness {word} replays to {p}, not {target}")
 
 
 def _boxes(p: Partition) -> list[tuple[int, int]]:

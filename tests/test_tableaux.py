@@ -1,5 +1,6 @@
 import pytest
 
+from bnkit import tableaux
 from bnkit.errors import InternalCheckError, NotACore, PreconditionError, SymbolCountMismatch
 from bnkit.tableaux import (
     FillingWitness,
@@ -158,7 +159,7 @@ class TestFillings:
 
 
 class TestWitnessTampering:
-    """Validation shares work between witnesses with a common prefix; every
+    """Validation shares work between witnesses with a common move; every
     altered or truncated witness must still be caught, wherever it sits in
     the list, and a single witness's validate must catch it too."""
 
@@ -200,6 +201,39 @@ class TestReplayDiagnostics:
             _validate_words([(0, 1, 2, 1, 0), word], 3, (4, 2, 1, 1))
         with pytest.raises(InternalCheckError, match=r"witness \(0, 3\): residue 3 is not in 0..2"):
             FillingWitness((0, 3), 3).validate((2,))
+
+    def test_bad_move_after_a_shared_prefix_names_its_word(self):
+        target, k = (6, 4, 2, 2, 1, 1), 3
+        words = [w.residues for w in k_filling_witnesses(target, k, core_length(target, k))]
+        assert words[1][:5] == words[2][:5] == (0, 1, 2, 1, 0)
+        # every move of the shared prefix passed already; residue 0 twice in
+        # a row adds nothing
+        bad = (0, 1, 2, 1, 0, 0, 2, 1)
+        with pytest.raises(InternalCheckError,
+                           match=r"witness \(0, 1, 2, 1, 0, 0, 2, 1\): .* strictly add"):
+            _validate_words([words[0], words[1], bad, words[2]], k, target)
+
+
+class TestReplayOncePerMove:
+    @pytest.mark.parametrize("target,k", TestWitnessTampering.CASES)
+    def test_each_distinct_move_is_checked_exactly_once(self, target, k, monkeypatch):
+        calls = []
+        replay_step = tableaux._replay_step
+
+        def counting(p, res, k, word):
+            calls.append((p, res))
+            return replay_step(p, res, k, word)
+
+        monkeypatch.setattr(tableaux, "_replay_step", counting)
+        words = [w.residues for w in k_filling_witnesses(target, k, core_length(target, k))]
+        moves = set()
+        for word in words:
+            p = ()
+            for res in word:
+                moves.add((p, res))
+                p = core_apply_residue(p, res, k)
+        assert len(moves) < sum(map(len, words))  # the witnesses share moves
+        assert sorted(calls) == sorted(moves)
 
 
 class TestSerialization:
