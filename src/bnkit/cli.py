@@ -12,9 +12,13 @@ error).
 A command is one entry of ``COMMANDS``: its name, help text, flags and a
 function from the parsed arguments to the result payload.  The parser tree
 is built from that table, and every command runs through the one wrapper
-in :func:`main`: parse, run, envelope.  The envelope's ``inputs`` echo the
-declared flags in order, except switches and the ``--max-genus`` budget;
-adding a command means adding one entry.
+in :func:`main`: parse, read, run, envelope.  A flag of serialized text
+names its reader, a library parse function, and ``main`` reads every such
+value before ``run``, so ``run`` receives values, never text.  ``inputs``
+echo the declared flags in order, except switches and ``--max-genus``: a
+serialized value as typed, or in the canonical form its flag declares.  A
+defaulted chain ``--window`` is the one value filled in at run time.
+Adding a command means adding one entry.
 """
 
 from __future__ import annotations
@@ -82,32 +86,21 @@ def _table(command: str, inputs: dict, result) -> str:
     return "\n".join(lines)
 
 
-def _parse(flag: str, parse, text: str):
-    """Parse the serialized value of ``flag``; any malformed value raises
-    :class:`ParseError` naming the flag, so it exits 2 like every other
-    precondition."""
-    try:
-        return parse(text)
-    except ValueError as e:
-        raise ParseError(f"malformed {flag} {text!r}: {e}") from None
-
-
 class Flag:
-    """One option: its name, the ``add_argument`` keywords, and whether the
-    envelope's ``inputs`` echo its value."""
+    """One option: its name, its ``add_argument`` keywords, whether ``inputs``
+    echo it and, for serialized text, the library function that reads it and
+    the one that writes its echo (the text as typed when None)."""
 
-    __slots__ = ("name", "spec", "echo", "dest")
+    __slots__ = ("name", "spec", "echo", "read", "show", "dest")
 
-    def __init__(self, name: str, spec: dict, echo: bool = True):
-        self.name = name
-        self.spec = spec
-        self.echo = echo
+    def __init__(self, name: str, spec: dict, echo: bool = True, read=None, show=None):
+        self.name, self.spec, self.echo, self.read, self.show = name, spec, echo, read, show
         self.dest = name.lstrip("-").replace("-", "_")
 
 
-def _str(name: str, help: str | None = None, **spec) -> Flag:
-    """A value flag, required unless it has a default."""
-    return Flag(name, {"required": "default" not in spec, "help": help, **spec})
+def _str(name: str, help: str | None = None, read=None, show=None, **spec) -> Flag:
+    """A value flag, required unless it has a default; see :class:`Flag`."""
+    return Flag(name, {"required": "default" not in spec, "help": help, **spec}, True, read, show)
 
 
 def _int(name: str, help: str | None = None, **spec) -> Flag:
@@ -119,8 +112,8 @@ def _switch(name: str, help: str) -> Flag:
 
 
 class Command:
-    """A leaf command.  ``run`` maps the parsed arguments to the result
-    payload; it may replace an echoed argument with its canonical form."""
+    """A leaf command.  ``run`` maps the parsed arguments, every serialized
+    value already read, to the result payload."""
 
     __slots__ = ("name", "help", "flags", "run")
 
@@ -136,21 +129,28 @@ def _fields(obj, *names: str) -> dict:
     return {n: getattr(obj, n) for n in names}
 
 
+def _read(cmd: Command, args) -> dict:
+    """Replace each serialized text in ``args`` by its value and return their
+    echoes; a malformed value is a :class:`ParseError` naming its flag."""
+    shown = {}
+    for f in cmd.flags:
+        if f.read is not None:
+            text = getattr(args, f.dest)
+            try:
+                value = f.read(text)
+            except ValueError as e:
+                raise ParseError(f"malformed {f.name} {text!r}: {e}") from None
+            setattr(args, f.dest, value)
+            shown[f.dest] = text if f.show is None else f.show(value)
+    return shown
+
+
 def _interp(a) -> dict:
     rep = invariants.interpolation_points(a.g, a.r, a.d)
     result = _fields(rep, "formula_value", "is_exception", "count")
     if rep.is_exception and rep.count is None:
         result["note"] = "below formula; exact count not pinned"
     return result
-
-
-def _splitting_type(a, flag: str):
-    return _parse(flag, splitting.parse_splitting, getattr(a, flag.lstrip("-")))
-
-
-def _majorizes(a) -> dict:
-    res = splitting.majorizes(_splitting_type(a, "--outer"), _splitting_type(a, "--inner"))
-    return {"majorizes": res.holds, "reason": res.reason}
 
 
 def _enumerate_loci(a) -> list:
@@ -162,46 +162,35 @@ def _enumerate_loci(a) -> list:
 
 
 def _kfill(a) -> dict:
-    core = _parse("--core", tableaux.parse_partition, a.core)
     if not a.witnesses:
-        return {"count": tableaux.count_k_fillings(core, a.k, a.g)}
-    words = [str(w) for w in tableaux.k_filling_witnesses(core, a.k, a.g)]
+        return {"count": tableaux.count_k_fillings(a.core, a.k, a.g)}
+    words = [str(w) for w in tableaux.k_filling_witnesses(a.core, a.k, a.g)]
     return {"count": len(words), "witnesses": words}
 
 
-def _chain_bundle(a) -> tuple[chain.LimitLineBundle, int]:
-    """The bundle of ``--aspects`` and its window; both are echoed, the
-    aspects in canonical form and the window with its default filled in.
-    ``chain h0`` sweeps no window, yet refuses a negative one like the
-    other chain commands."""
-    L = _parse("--aspects", chain.parse_aspects, a.aspects)
-    a.aspects = chain.aspects_str(L)
-    if a.window is None:
-        a.window = chain.default_window(L.g)
-    require(0, window=a.window)
-    return L, a.window
-
-
-def _h0(a) -> dict:
-    L, _ = _chain_bundle(a)
-    return {"h0": chain.h0_chain(L, _parse("--dist", chain.parse_distribution, a.dist))}
+def _windowed(run, genus=lambda a: a.aspects.g):
+    """``run`` with the default ``--window`` filled in for the echo and a
+    negative one refused, also by ``chain h0``, which sweeps no window."""
+    def windowed(a):
+        if a.window is None:
+            a.window = chain.default_window(genus(a))
+        require(0, window=a.window)
+        return run(a)
+    return windowed
 
 
 def _min_h0(a) -> dict:
-    L, window = _chain_bundle(a)
-    rep = chain.is_r_positive(L, 0, window)
+    rep = chain.is_r_positive(a.aspects, 0, a.window)
     return {"min_h0": rep.min_h0, "witness": ",".join(str(x) for x in rep.witness)}
 
 
 def _tables(a) -> dict:
-    L, window = _chain_bundle(a)
-    t = chain.vanishing_tables(L, a.r, window)
+    t = chain.vanishing_tables(a.aspects, a.r, a.window)
     return {"a": [list(row) for row in t.a_rows], "b": [list(row) for row in t.b_rows]}
 
 
 def _star(a) -> dict:
-    L, window = _chain_bundle(a)
-    rep = chain.star_components(L, a.r, window)
+    rep = chain.star_components(a.aspects, a.r, a.window)
     return {
         "pairs": [list(p) for p in rep.pairs],
         "per_n": {str(n): c for n, c in sorted(rep.per_n.items())},
@@ -210,8 +199,6 @@ def _star(a) -> dict:
 
 
 def _search(a) -> dict:
-    if a.window is None:
-        a.window = chain.default_window(a.g)
     res = chain.search_limit_bundles(a.g, a.r, a.d, window=a.window, max_genus=a.max_genus)
     payload = _fields(res, "count_exact", "count_with_generic")
     if a.witnesses:
@@ -229,15 +216,13 @@ def _project(a) -> dict:
             **_fields(seq, "total_rank", "total_degree")}
 
 
-def _modify(a) -> dict:
-    degrees = _parse("--degrees", lambda s: [int(t) for t in s.split(",")], a.degrees)
-    bundle = normal_bundle.SplitBundle(degrees)
-    return {"degrees": list(normal_bundle.modify(bundle, a.summand, a.sign, a.points).degrees)}
-
-
 _GRD = (_int("-g", "genus"), _int("-r", "target projective dimension"), _int("-d", "degree"))
 _GONALITY = _int("-k", "gonality")
-_BUNDLE = (_str("--aspects", 'e.g. "0,4;2,2;0,4" ("gen" allowed)'), _int("--window", default=None))
+_WINDOW = _int("--window", default=None)
+_BUNDLE = (_str("--aspects", 'e.g. "0,4;2,2;0,4" ("gen" allowed)', read=chain.parse_aspects,
+                show=chain.aspects_str), _WINDOW)
+_TYPE = _str("-e", "splitting type; pass leading minus as -e=-2,-2,1",
+             read=splitting.parse_splitting)
 
 GROUPS = {
     "splitting": "splitting-type operations",
@@ -264,19 +249,19 @@ COMMANDS = [
             lambda a: {"expected_dim": invariants.smrc_expected_dim(a.g, a.r, a.d, a.k)}),
     Command("interp", "interpolation point count", _GRD, _interp),
     Command("splitting rd", "(r, d) of a splitting type",
-            (_int("-g"), _str("-e", "splitting type; pass leading minus as -e=-2,-2,1")),
-            lambda a: dict(zip("rd", splitting.rd_from_splitting(a.g, _splitting_type(a, "-e"))))),
-    Command("splitting rho", "expected dimension of a splitting locus", (_int("-g"), _str("-e")),
-            lambda a: {"rho_splitting": splitting.rho_splitting(a.g, _splitting_type(a, "-e"))}),
+            (_int("-g"), _TYPE), lambda a: dict(zip("rd", splitting.rd_from_splitting(a.g, a.e)))),
+    Command("splitting rho", "expected dimension of a splitting locus", (_int("-g"), _TYPE),
+            lambda a: {"rho_splitting": splitting.rho_splitting(a.g, a.e)}),
     Command("splitting maximal", "maximal splitting types for (g, r, d, k)", (*_GRD, _GONALITY),
             lambda a: {"types": [splitting.splitting_str(t) for t in
                                  splitting.maximal_splitting_types(a.g, a.r, a.d, a.k)]}),
     Command("splitting predicates", "basepoint-freeness / very-ampleness flags",
-            (_str("-e"),),
-            lambda a: _fields(splitting.hbn_predicates(_splitting_type(a, "-e")),
-                              "basepoint_free", "very_ample_sufficient")),
+            (_TYPE,), lambda a: _fields(splitting.hbn_predicates(a.e),
+                                       "basepoint_free", "very_ample_sufficient")),
     Command("splitting majorizes", "containment order on splitting loci",
-            (_str("--outer"), _str("--inner")), _majorizes),
+            (_str("--outer", read=splitting.parse_splitting),
+             _str("--inner", read=splitting.parse_splitting)),
+            lambda a: dict(zip(("majorizes", "reason"), splitting.majorizes(a.outer, a.inner)))),
     Command("loci dual", "Serre-dual locus index", _GRD,
             lambda a: dict(zip("grd", loci.serre_dual(a.g, a.r, a.d)))),
     Command("loci maximal", "expected-maximality of one locus", _GRD,
@@ -285,22 +270,25 @@ COMMANDS = [
     Command("loci enumerate", "all expected-maximal loci of a genus", (_int("-g"),),
             _enumerate_loci),
     Command("kfill", "count k-fillings of a k-core",
-            (_str("--core", 'target core, e.g. "4,2,1,1"'), _int("-k"),
-             _int("-g", "number of symbols"), _switch("--witnesses", "list the residue words")),
-            _kfill),
+            (_str("--core", 'target core, e.g. "4,2,1,1"', read=tableaux.parse_partition),
+             _int("-k"), _int("-g", "number of symbols"),
+             _switch("--witnesses", "list the residue words")), _kfill),
     Command("syt", "standard Young tableaux on a rectangle", (_int("--rows"), _int("--cols")),
             lambda a: {"count": tableaux.syt_count_rect(a.rows, a.cols)}),
     Command("chain h0", "h0 of one multidegree limit",
-            (*_BUNDLE, _str("--dist", 'degree distribution, e.g. "3,0,1"')), _h0),
-    Command("chain min-h0", "windowed minimum of h0 over distributions", _BUNDLE, _min_h0),
+            (*_BUNDLE, _str("--dist", 'degree distribution, e.g. "3,0,1"',
+                            read=chain.parse_distribution)),
+            _windowed(lambda a: {"h0": chain.h0_chain(a.aspects, a.dist)})),
+    Command("chain min-h0", "windowed minimum of h0 over distributions", _BUNDLE,
+            _windowed(_min_h0)),
     Command("chain tables", "vanishing tables of an r-positive bundle",
-            (*_BUNDLE, _int("-r")), _tables),
-    Command("chain star", "star components of an r-positive bundle", (*_BUNDLE, _int("-r")), _star),
-    Command("chain search", "exhaustive symbolic (non)existence search",
-            (*_GRD, _int("--window", default=None),
-             Flag("--max-genus", {"type": int, "default": 6}, echo=False),
+            (*_BUNDLE, _int("-r")), _windowed(_tables)),
+    Command("chain star", "star components of an r-positive bundle", (*_BUNDLE, _int("-r")),
+            _windowed(_star)),
+    Command("chain search", "branch-and-bound search that finds every r-positive aspect tuple",
+            (*_GRD, _WINDOW, Flag("--max-genus", {"type": int, "default": 6}, echo=False),
              _switch("--witnesses", "list the r-positive tuples")),
-            _search),
+            _windowed(_search, lambda a: a.g)),
     Command("lattice min-degree", "least degree with rho >= 0", (_int("-r"), _int("-g")),
             lambda a: {"min_degree": lattice.min_degree(a.r, a.g)}),
     Command("lattice reachable", "lattice points inside a box",
@@ -315,10 +303,12 @@ COMMANDS = [
             lambda a: _fields(normal_bundle.odd_degree_certificate(a.d),
                               "d", "peels", "sub", "quot", "balanced", "total")),
     Command("nb modify", "elementary modification of a split bundle",
-            (_str("--degrees", 'summand degrees, e.g. "2,1,1"'),
+            (_str("--degrees", 'summand degrees, e.g. "2,1,1"',
+                  read=normal_bundle.parse_split_bundle),
              _int("--summand", "0-based summand index"),
              _str("--sign", choices=("+", "-")), _int("--points")),
-            _modify),
+            lambda a: {"degrees": list(normal_bundle.modify(a.degrees, a.summand, a.sign,
+                                                            a.points).degrees)}),
 ]
 
 
@@ -353,6 +343,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if e.code else 0
     cmd = args.leaf_command
     try:
+        shown = _read(cmd, args)
         result = cmd.run(args)
     except PreconditionError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -360,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalCheckError as e:
         print(f"internal invariant violation: {e}", file=sys.stderr)
         return 3
-    inputs = {f.dest: getattr(args, f.dest) for f in cmd.flags if f.echo}
+    inputs = {f.dest: shown.get(f.dest, getattr(args, f.dest)) for f in cmd.flags if f.echo}
     try:
         text = _envelope(cmd.name, inputs, result, args.format)
     except ValueError:  # str() of an int past the interpreter's digit limit

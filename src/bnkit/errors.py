@@ -81,7 +81,7 @@ class ParseError(PreconditionError):
 
 
 class BudgetExceeded(PreconditionError):
-    """An exhaustive search was requested beyond the configured size guard."""
+    """A search was requested beyond the configured size guard."""
 
 
 class RhoNegative(PreconditionError):

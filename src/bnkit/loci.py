@@ -11,6 +11,7 @@ from typing import NamedTuple
 
 from .errors import InternalCheckError, NegativeRank, require
 from .invariants import rho
+from .lattice import min_degree
 
 #: Expected-maximal loci that nevertheless fail to be maximal with
 #: respect to containment (the only three, for g >= 3).
@@ -94,7 +95,7 @@ def expected_maximal(g: int, r: int, d: int) -> ExpectedMaximalReport:
     require(1, r=r)
     p = rho(g, r, d)
     is_em = p < 0 and rho(g, r, d + 1) >= 0 and rho(g, r - 1, d - 1) >= 0
-    d_formula = -((-r * g) // (r + 1)) + r - 1  # ceil(rg/(r+1)) + r - 1
+    d_formula = min_degree(r, g) - 1  # ceil(rg/(r+1)) + r - 1
     if is_em:
         if d != d_formula:
             raise InternalCheckError(

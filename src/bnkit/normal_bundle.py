@@ -73,6 +73,11 @@ class SplitBundle(namedtuple("SplitBundle", "degrees")):
         return ",".join(str(e) for e in self.multiset)
 
 
+def parse_split_bundle(text: str) -> SplitBundle:
+    """Parse "2,1,1" into the split bundle with those summand degrees, in order."""
+    return SplitBundle(int(t) for t in text.split(","))
+
+
 def modify(bundle: SplitBundle, summand_index: int, sign: str, points: int) -> SplitBundle:
     """Elementary modification of a split bundle along a reduced divisor of
     length ``points`` toward the summand at ``summand_index``.

@@ -141,7 +141,7 @@ def hbn_predicates(parts) -> HbnPredicates:
     r >= 3, with r the rank the type fixes) for a general line bundle in
     the splitting locus."""
     e = check_splitting(parts)
-    r = sum(max(0, ei + 1) for ei in e) - 1
+    r, _ = rd_from_splitting(0, e)  # the rank does not depend on the genus
     # e_{k-2} exists only for k >= 3; for k = 2 the criterion never applies
     very_ample = len(e) >= 3 and e[-3] >= 0 and r >= 3
     return HbnPredicates(basepoint_free=e[-2] >= 0, very_ample_sufficient=very_ample)

@@ -164,7 +164,7 @@ def _filling_graph(target: Partition, k: int, g: int):
     core on levels 0..g-1, and a pass back from level g, where only
     ``target`` counts, fills ``count[p]``, the paths from p to ``target``."""
     target = _require_core(target, k)
-    forced = sum(1 for h in hook_lengths(target) if h < k)
+    forced = core_length(target, k)
     if g != forced:
         raise SymbolCountMismatch(
             f"{k}-fillings of {target or '()'} use exactly {forced} symbols, got g={g}"

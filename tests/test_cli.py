@@ -213,6 +213,9 @@ class TestExitCodes:
         ("--degrees", ["nb", "modify", "--degrees", "1,,2", "--summand", "0",
                        "--sign", "+", "--points", "1"]),
         ("-e", ["splitting", "rd", "-g", "5", "-e=1,x"]),
+        ("--outer", ["splitting", "majorizes", "--outer=1,,2", "--inner=0,0"]),
+        ("--inner", ["splitting", "majorizes", "--outer=0,0", "--inner=0;1"]),
+        ("-e", ["splitting", "predicates", "-e=gen,1"]),
     ])
     def test_malformed_value_is_a_parse_error(self, capsys, flag, argv):
         code, out, err = run(capsys, "--format", "json", *argv)
@@ -259,11 +262,47 @@ class TestExitCodes:
         assert code == 2
         assert "unrecognized arguments: -r 3" in err
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_aspects_echo_in_canonical_form(self, capsys, fmt):
+        argv = ["chain", "min-h0", "--aspects", "[0,4; 2,2; 0,4]"]
+        code, out, _ = run(capsys, "--format", fmt, *argv)
+        assert code == 0
+        if fmt == "json":
+            assert json.loads(out)["inputs"] == {"aspects": "0,4;2,2;0,4", "window": 4}
+        else:
+            assert out.splitlines()[0] == "chain min-h0  aspects=0,4;2,2;0,4 window=4"
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_splitting_type_echoes_as_typed(self, capsys, fmt):
+        # the type is read in ascending order, but echoed as the user typed it
+        code, out, _ = run(capsys, "--format", fmt, "splitting", "rd", "-g", "5", "-e=1,-2,-2")
+        assert code == 0
+        if fmt == "json":
+            env = json.loads(out)
+            assert env["inputs"] == {"g": 5, "e": "1,-2,-2"}
+            assert env["result"] == {"r": 1, "d": 4}
+        else:
+            assert out.splitlines()[0] == "splitting rd  g=5 e=1,-2,-2"
+
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
 
 
 class TestCommandTable:
+    def test_every_serialized_flag_names_one_reader(self):
+        # a flag whose value is text (no type, no choices, not a switch) is
+        # read by a library function before the command runs; a flag name
+        # shared by several commands is read the same way in each
+        readers = {}
+        for cmd in COMMANDS:
+            for flag in cmd.flags:
+                text = not {"type", "choices", "action"} & set(flag.spec)
+                assert (flag.read is not None) == text, (cmd.name, flag.name)
+                if text:
+                    assert readers.setdefault(flag.name, flag.read) is flag.read, flag.name
+        assert set(readers) == {"--aspects", "--dist", "--core", "-e", "--outer", "--inner",
+                                "--degrees"}
+
     @pytest.mark.parametrize("argv", sorted(TABLE_GOLDENS))
     def test_table_output_is_pinned(self, capsys, argv):
         assert main(argv.split()) == 0
