@@ -34,7 +34,7 @@ and its subtree is skipped.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import accumulate, product
+from itertools import accumulate
 from math import prod
 from operator import add, index, sub
 from typing import NamedTuple
@@ -109,11 +109,6 @@ class ComponentBundle(NamedTuple):
 
     def h0(self) -> int:
         return h0_twisted(self.base, self.aspect_degree, self.left_twist, self.right_twist)
-
-    def twist(self, du: int, dv: int) -> "ComponentBundle":
-        return ComponentBundle(
-            self.base, self.left_twist + du, self.right_twist + dv, self.aspect_degree
-        )
 
 
 # --- degree distributions and chip firing ---
@@ -202,15 +197,6 @@ def default_window(g: int) -> int:
     """The degree window used when none is given: g + 1."""
     require(1, g=g)
     return g + 1
-
-
-def window_distributions(L: LimitLineBundle, window: int | None):
-    """All degree distributions whose prefix sums S_1..S_{g-1} lie in the
-    window's range (see :func:`_window`), in lexicographic order of the
-    prefix sums."""
-    _, lo, hi = _window(L.g, L.d, window)
-    sums = product(range(lo, hi + 1), repeat=L.g - 1)
-    return (tuple(map(sub, (*s, L.d), (0, *s))) for s in sums)
 
 
 # --- the chain-DP kernel: one gluing step, linear in the window ---
@@ -632,8 +618,8 @@ def parse_aspects(text: str, d: int | None = None) -> LimitLineBundle:
     (p^{i-1}, p^i); the two end components are written free point first,
     i.e. (p^0 coeff, p^1 coeff) for E^1 and (p^g coeff, p^{g-1} coeff)
     for E^g, so the canonical all-degree-at-the-node classes read "0,d"
-    at both ends.  "gen" denotes a generic aspect.  The total degree is
-    inferred from any exact aspect unless given."""
+    at both ends.  "gen" denotes a generic aspect.  Unless given, the
+    total degree is read off the exact aspects, which must agree on it."""
     body = text.strip().strip("[]")
     parts = [p.strip() for p in body.split(";")]
     raw: list[Aspect] = []
@@ -645,12 +631,12 @@ def parse_aspects(text: str, d: int | None = None) -> LimitLineBundle:
             raw.append((x, y))
     g = len(raw)
     if d is None:
-        exact_sums = {a[0] + a[1] for a in raw if a is not None}
-        if len(exact_sums) != 1:
-            raise PreconditionError(
-                "cannot infer the total degree: pass d explicitly or include exact aspects"
-            )
-        d = exact_sums.pop()
+        exact_sums = sorted({a[0] + a[1] for a in raw if a is not None})
+        if not exact_sums:
+            raise PreconditionError("no exact aspect fixes the total degree")
+        if len(exact_sums) > 1:
+            raise PreconditionError(f"exact aspects have different total degrees {exact_sums}")
+        d = exact_sums[0]
     aspects: list[Aspect] = []
     for i, a in enumerate(raw):
         if a is not None and g >= 2 and i == g - 1:

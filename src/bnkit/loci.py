@@ -6,7 +6,6 @@ classification with its three exceptional genera.
 
 from __future__ import annotations
 
-from math import isqrt
 from typing import NamedTuple
 
 from .errors import InternalCheckError, NegativeRank, require
@@ -28,30 +27,6 @@ def serre_dual(g: int, r: int, d: int) -> tuple[int, int, int]:
     return (g, g - d + r - 1, 2 * g - 2 - d)
 
 
-class LocusIndex(NamedTuple):
-    """A Brill-Noether locus index, canonicalized so d <= g-1 via Serre
-    duality (the standard redundancy removal); the index as given is kept
-    for display."""
-
-    g: int
-    r: int
-    d: int
-    original: tuple[int, int, int]
-
-    @classmethod
-    def canonical(cls, g: int, r: int, d: int) -> "LocusIndex":
-        require(2, g=g)
-        require(1, r=r)
-        cg, cr, cd = g, r, d
-        if cd > g - 1:
-            cg, cr, cd = serre_dual(g, r, d)
-        return cls(cg, cr, cd, (g, r, d))
-
-    @property
-    def rho(self) -> int:
-        return rho(self.g, self.r, self.d)
-
-
 class Containment(NamedTuple):
     """A trivially larger locus; ``full_moduli`` marks r = 0 targets,
     which are the whole moduli space rather than proper loci."""
@@ -69,7 +44,7 @@ def trivial_containments(g: int, r: int, d: int) -> list[Containment]:
     require(0, g=g)
     require(1, r=r)
     return [
-        Containment(g, r, d + 1, full_moduli=(r == 0)),
+        Containment(g, r, d + 1, full_moduli=False),
         Containment(g, r - 1, d - 1, full_moduli=(r - 1 == 0)),
     ]
 
@@ -94,7 +69,7 @@ def expected_maximal(g: int, r: int, d: int) -> ExpectedMaximalReport:
     require(3, g=g)
     require(1, r=r)
     p = rho(g, r, d)
-    is_em = p < 0 and rho(g, r, d + 1) >= 0 and rho(g, r - 1, d - 1) >= 0
+    is_em = p < 0 and all(rho(t.g, t.r, t.d) >= 0 for t in trivial_containments(g, r, d))
     d_formula = min_degree(r, g) - 1  # ceil(rg/(r+1)) + r - 1
     if is_em:
         if d != d_formula:
@@ -136,9 +111,3 @@ def enumerate_expected_maximal(g: int) -> list[ExpectedMaximalRow]:
                 )
     return rows
 
-
-def sqrt_bound_holds(g: int, r: int, d: int) -> bool:
-    """The integer form of the codimension bound for expected-maximal
-    loci: -rho <= isqrt(g) + 1 (weaker than the real bound -rho <= sqrt(g),
-    kept exact)."""
-    return -rho(g, r, d) <= isqrt(g) + 1

@@ -6,10 +6,12 @@ degree-k cover of the line.  It refines (r, d), carries its own expected
 dimension, and specializes along the majorization (prefix-sum) order.
 
 Note on the rank formula: the number of sections contributed by a
-summand of degree e on the line is max(0, e+1), so
-r = sum_i max(0, e_i + 1) - 1.  (A version of this formula sometimes
-circulates with e_i - 1 in place of e_i + 1; that variant gets the
-trigonal genus-5 pencils wrong, so the h^0-consistent form is used.)
+summand of degree e on the line is max(0, e+1), so r = h0(E) - 1 =
+sum_i max(0, e_i + 1) - 1, read off the split bundle E that
+:class:`~bnkit.normal_bundle.SplitBundle` records.  (A version of this
+formula sometimes circulates with e_i - 1 in place of e_i + 1; that
+variant gets the trigonal genus-5 pencils wrong, so the h^0-consistent
+form is used.)
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from operator import index
 from typing import NamedTuple
 
 from .errors import InternalCheckError, OutOfRegime, PreconditionError, require
+from .normal_bundle import SplitBundle
 
 SplittingType = tuple[int, ...]
 
@@ -31,26 +34,21 @@ def check_splitting(parts) -> SplittingType:
 
 
 def rd_from_splitting(g: int, parts) -> tuple[int, int]:
-    """The (r, d) of the splitting type on a genus-g cover:
-    d = k + sum(e) + g - 1 and r = sum(max(0, e_i + 1)) - 1."""
+    """The (r, d) of the splitting type on a genus-g cover.  The type is
+    the split bundle E = pi_*L on the line, so r = h0(E) - 1, and
+    chi(E) = chi(L) = d - g + 1 gives d."""
     require(0, g=g)
-    e = check_splitting(parts)
-    d = len(e) + sum(e) + g - 1
-    r = sum(max(0, ei + 1) for ei in e) - 1
-    return r, d
+    E = SplitBundle(check_splitting(parts))
+    return E.h0 - 1, E.chi + g - 1
 
 
 def rho_splitting(g: int, parts) -> int:
-    """Expected dimension g - sum_{i>j} max(0, e_i - e_j - 1) of the
-    splitting-type locus W^e on a general genus-g cover."""
+    """Expected dimension g - h1(End E) of the splitting-type locus W^e on
+    a general genus-g cover, with End E the split bundle of the
+    differences e_i - e_j."""
     require(0, g=g)
     e = check_splitting(parts)
-    gaps = sum(
-        max(0, e[i] - e[j] - 1)
-        for i in range(len(e))
-        for j in range(i)
-    )
-    return g - gaps
+    return g - SplitBundle(a - b for a in e for b in e).h1
 
 
 class MajorizationResult(NamedTuple):
@@ -100,7 +98,9 @@ def maximal_splitting_types(g: int, r: int, d: int, k: int) -> list[SplittingTyp
 
     over max(0, r+2-k) <= ell <= r with ell = 0 or ell <= g-d+2r+1-k,
     where b is the balanced type of given length and sum.  Every emitted
-    type is checked to reproduce (r, d).
+    type is checked to reproduce (r, d).  Its locus can still be empty:
+    (-4, 0, 0) at (g, r, d, k) = (5, 1, 3, 3), where ell = 0, and
+    (-2, -2, 2) at (5, 2, 5, 3), where ell = 2, have rho_splitting = -1.
     """
     require(0, g=g, r=r)
     require(2, k=k)
@@ -155,11 +155,3 @@ def parse_splitting(text: str) -> SplittingType:
     """Parse "-3,-1,1" into an ascending splitting type."""
     return check_splitting(int(t) for t in text.strip().split(","))
 
-
-def rho_splitting_vs_gonality(g: int, r: int, d: int, k: int) -> int:
-    """Max of rho_splitting over the maximal types; agrees with the
-    gonality-refined rho and is exposed for cross-checks."""
-    types = maximal_splitting_types(g, r, d, k)
-    if not types:
-        raise OutOfRegime(f"no admissible maximal types for ({g}, {r}, {d}, {k})")
-    return max(rho_splitting(g, w) for w in types)

@@ -99,18 +99,6 @@ def core_apply_residue(p: Partition, residue: int, k: int) -> Partition:
     return _apply_residue(_require_core(p, k), residue, k)
 
 
-def core_add_residue(p: Partition, residue: int, k: int) -> Partition:
-    """Strict-add variant: like :func:`core_apply_residue` but raises unless
-    the move strictly adds boxes."""
-    p = _require_core(p, k)
-    q = _apply_residue(p, residue, k)
-    if sum(q) <= sum(p):
-        raise PreconditionError(
-            f"residue {residue} mod {k} does not strictly add boxes to {p or '()'}"
-        )
-    return q
-
-
 def _apply_residue(p: Partition, residue: int, k: int) -> Partition:
     add, rem = _residue_moves(p, residue, k)
     if add and rem:
@@ -314,6 +302,3 @@ def parse_partition(text: str) -> Partition:
         return ()
     return check_partition(int(t) for t in text.split(","))
 
-
-def partition_str(p: Partition) -> str:
-    return ",".join(str(r) for r in p)

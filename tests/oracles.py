@@ -116,6 +116,43 @@ def brute_k_fillings(core: tuple[int, ...], k: int, g: int) -> list[tuple[int, .
     return out
 
 
+# --- splitting types and loci: hand-written sums and stated bounds ---
+
+def splitting_rank(parts) -> int:
+    """r = sum_i max(0, e_i + 1) - 1: a summand of degree e on the line has
+    max(0, e + 1) sections."""
+    return sum(max(0, e + 1) for e in parts) - 1
+
+
+def splitting_rho(g: int, parts) -> int:
+    """g - sum_{i>j} max(0, e_i - e_j - 1) over the ascending type."""
+    e = sorted(parts)
+    return g - sum(max(0, e[i] - e[j] - 1) for i in range(len(e)) for j in range(i))
+
+
+def rho_splitting_vs_gonality(g: int, r: int, d: int, k: int) -> int:
+    """Max of rho_splitting over the maximal types; agrees with the
+    gonality-refined rho."""
+    from bnkit.errors import OutOfRegime
+    from bnkit.splitting import maximal_splitting_types, rho_splitting
+
+    types = maximal_splitting_types(g, r, d, k)
+    if not types:
+        raise OutOfRegime(f"no admissible maximal types for ({g}, {r}, {d}, {k})")
+    return max(rho_splitting(g, w) for w in types)
+
+
+def sqrt_bound_holds(g: int, r: int, d: int) -> bool:
+    """The integer form of the codimension bound for expected-maximal
+    loci: -rho <= isqrt(g) + 1 (weaker than the real bound -rho <= sqrt(g),
+    kept exact)."""
+    from math import isqrt
+
+    from bnkit.invariants import rho
+
+    return -rho(g, r, d) <= isqrt(g) + 1
+
+
 # --- the quadratic chain DP, kept as an independent check of the kernel ---
 
 #: a missing DP state
@@ -142,6 +179,12 @@ def brute_window_distributions(g: int, d: int, window: int) -> list[tuple[int, .
         sums[i] += 1
 
 
+def twist(comp, du: int, dv: int):
+    """The component bundle ``comp`` twisted down by du more at its left
+    marked point and dv more at its right one."""
+    return comp._replace(left_twist=comp.left_twist + du, right_twist=comp.right_twist + dv)
+
+
 def h0_chain_lr(L, dist) -> int:
     """Left-to-right mirror of ``bnkit.chain.h0_chain``; must agree with it."""
     from bnkit.chain import restrict
@@ -151,15 +194,15 @@ def h0_chain_lr(L, dist) -> int:
     n = B[0].h0()
     if g == 1:
         return n
-    eps = 1 if B[0].twist(0, 1).h0() < n else 0
+    eps = 1 if twist(B[0], 0, 1).h0() < n else 0
     for i in range(1, g):
         if eps == 1:
             defining = B[i]
         else:
-            defining = B[i].twist(1, 0)
+            defining = twist(B[i], 1, 0)
         w = defining.h0()
         n = w + n - eps
-        eps = 1 if defining.twist(0, 1).h0() < w else 0
+        eps = 1 if twist(defining, 0, 1).h0() < w else 0
     return n
 
 

@@ -22,7 +22,6 @@ from bnkit.chain import (
     search_limit_bundles,
     star_components,
     vanishing_tables,
-    window_distributions,
 )
 from bnkit.invariants import (
     INTERPOLATION_EXCEPTIONS,
@@ -45,7 +44,7 @@ from bnkit.splitting import (
 )
 from bnkit.tableaux import count_k_fillings, k_filling_witnesses, syt_count_rect
 
-from oracles import h0_chain_lr, rho_zero_triples
+from oracles import brute_window_distributions, h0_chain_lr, rho_zero_triples
 
 RUNNING = parse_aspects("0,4;2,2;0,4")
 
@@ -206,9 +205,10 @@ def test_criterion_12_property_suites():
     # (aspect and distribution boxes of width 2 around [0, d])
     for g in range(1, 5):
         for d in range(0, 4):
+            dists = brute_window_distributions(g, d, 2)
             for aspects in itertools.product(*aspect_options(g, d, 2)):
                 L = LimitLineBundle(d, aspects)
-                for dist in window_distributions(L, 2):
+                for dist in dists:
                     assert h0_chain(L, dist) == h0_chain_lr(L, dist)
     # section-count lower bound at prescribed vanishing, on every witness
     # found by the grid searches

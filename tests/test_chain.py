@@ -20,7 +20,6 @@ from bnkit.chain import (
     search_limit_bundles,
     star_components,
     vanishing_tables,
-    window_distributions,
 )
 from bnkit.errors import (
     BudgetExceeded,
@@ -142,13 +141,14 @@ class TestH0Chain:
     def test_sweep_directions_agree_exhaustively(self):
         # full enumeration over a box: every bundle, every distribution
         for g, d in [(2, 3), (3, 2), (3, 4)]:
+            dists = brute_window_distributions(g, d, 2)
             for L in all_bundles(g, d, 2):
-                for dist in window_distributions(L, 2):
+                for dist in dists:
                     assert h0_chain(L, dist) == h0_chain_lr(L, dist)
 
     def test_one_step_continuity(self):
         for L in all_bundles(3, 3, 2):
-            for dist in window_distributions(L, 2):
+            for dist in brute_window_distributions(3, 3, 2):
                 base = h0_chain(L, dist)
                 for i in range(1, L.g):
                     assert abs(h0_chain(L, prefix_fire(dist, i)) - base) <= 1
@@ -174,22 +174,11 @@ class TestH0Chain:
 
 
 class TestWindowDistributions:
-    def test_matches_nested_loop_enumeration(self):
-        for g in range(1, 6):
-            for d in (-2, 0, 1, 4):
-                L = LimitLineBundle(d, (None,) * g)
-                for window in (0, 1, 3):
-                    got = list(window_distributions(L, window))
-                    assert got == brute_window_distributions(g, d, window), (g, d, window)
-
-    def test_negative_window_is_refused(self):
-        for L in (RUNNING, LimitLineBundle(2, (None,))):
-            with pytest.raises(PreconditionError, match="window"):
-                window_distributions(L, -1)
-
     def test_default_window(self):
         assert default_window(3) == 4
-        assert list(window_distributions(RUNNING, None)) == list(window_distributions(RUNNING, 4))
+        # at rho = 1 the number of r-positive tuples grows with the window
+        assert [search_limit_bundles(3, 1, 3, window=w).total for w in (3, 4, 5)] == [13, 15, 17]
+        assert search_limit_bundles(3, 1, 3) == search_limit_bundles(3, 1, 3, window=4)
         assert min_h0(RUNNING) == min_h0(RUNNING, default_window(RUNNING.g))
 
 
@@ -206,10 +195,10 @@ class TestMinH0:
 
     def test_min_matches_exhaustive_enumeration(self):
         for L in all_bundles(2, 3, 3):
-            brute = min(h0_chain(L, dist) for dist in window_distributions(L, 3))
+            brute = min(h0_chain(L, dist) for dist in brute_window_distributions(2, 3, 3))
             assert min_h0(L, 3) == brute
         for L in itertools.islice(all_bundles(3, 2, 3), 0, None, 7):
-            brute = min(h0_chain(L, dist) for dist in window_distributions(L, 3))
+            brute = min(h0_chain(L, dist) for dist in brute_window_distributions(3, 2, 3))
             assert min_h0(L, 3) == brute
 
 
@@ -399,6 +388,14 @@ class TestSerialization:
         L = parse_aspects("gen;0,3;gen", d=3)
         assert L.aspects == (None, (0, 3), None)
         assert aspects_str(L) == "gen;0,3;gen"
+
+    def test_total_degree_comes_from_agreeing_exact_aspects(self):
+        with pytest.raises(PreconditionError) as info:
+            parse_aspects("0,4;2,3;0,4")
+        assert str(info.value) == "exact aspects have different total degrees [4, 5]"
+        with pytest.raises(PreconditionError) as info:
+            parse_aspects("gen;gen")
+        assert str(info.value) == "no exact aspect fixes the total degree"
 
     def test_distribution_parsing(self):
         assert parse_distribution("3,0,1") == (3, 0, 1)

@@ -224,6 +224,17 @@ class TestExitCodes:
         assert err.startswith(f"error: malformed {flag} ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("aspects,why", [
+        ("0,4;2,3;0,4", "exact aspects have different total degrees [4, 5]"),
+        ("gen;gen", "no exact aspect fixes the total degree"),
+    ])
+    def test_total_degree_diagnostic(self, capsys, fmt, aspects, why):
+        code, out, err = run(capsys, "--format", fmt, "chain", "min-h0", "--aspects", aspects)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: malformed --aspects {aspects!r}: {why}\n"
+
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2

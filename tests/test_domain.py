@@ -17,6 +17,8 @@ import bnkit
 from bnkit import chain, invariants, lattice, loci, normal_bundle, splitting, tableaux
 from bnkit.errors import PreconditionError
 
+import oracles
+
 RUNNING = chain.parse_aspects("0,4;2,2;0,4")
 
 DOMAIN = {
@@ -29,20 +31,16 @@ DOMAIN = {
     invariants.interpolation_points: dict(g=2, r=3, d=5),
     tableaux.is_core: dict(p=(4, 2, 1, 1), k=3),
     tableaux.core_apply_residue: dict(p=(), residue=0, k=3),
-    tableaux.core_add_residue: dict(p=(), residue=0, k=3),
     tableaux.core_length: dict(p=(4, 2, 1, 1), k=3),
     tableaux.count_k_fillings: dict(target=(4, 2, 1, 1), k=3, g=5),
     tableaux.k_filling_witnesses: dict(target=(4, 2, 1, 1), k=3, g=5),
     splitting.rd_from_splitting: dict(g=5, parts=(-2, -2, 1)),
     splitting.rho_splitting: dict(g=5, parts=(-3, -1, 1)),
     splitting.maximal_splitting_types: dict(g=8, r=1, d=4, k=3),
-    splitting.rho_splitting_vs_gonality: dict(g=8, r=2, d=7, k=4),
     loci.serre_dual: dict(g=12, r=1, d=3),
-    loci.LocusIndex.canonical: dict(g=12, r=9, d=19),
     loci.trivial_containments: dict(g=8, r=1, d=4),
     loci.expected_maximal: dict(g=8, r=1, d=4),
     loci.enumerate_expected_maximal: dict(g=7),
-    loci.sqrt_bound_holds: dict(g=8, r=1, d=4),
     chain.default_window: dict(g=3),
     chain.aspect_options: dict(g=3, d=4, window=1),
     chain.is_r_positive: dict(L=RUNNING, r=2),
@@ -52,6 +50,9 @@ DOMAIN = {
     lattice.min_degree: dict(r=3, g=4),
     lattice.reachable_set: dict(r=3, g_max=2, d_max=5),
     lattice.h1_certificate: dict(r=3, d=5, g=2),
+    # two stated bounds, checked in the oracles
+    oracles.rho_splitting_vs_gonality: dict(g=8, r=2, d=7, k=4),
+    oracles.sqrt_bound_holds: dict(g=8, r=1, d=4),
 }
 
 

@@ -4,13 +4,13 @@ from bnkit.errors import NegativeRank, PreconditionError
 from bnkit.invariants import rho, rho_k
 from bnkit.loci import (
     MAXIMAL_EXCEPTIONS,
-    LocusIndex,
     enumerate_expected_maximal,
     expected_maximal,
     serre_dual,
-    sqrt_bound_holds,
     trivial_containments,
 )
+
+from oracles import sqrt_bound_holds
 
 
 class TestSerreDual:
@@ -34,18 +34,6 @@ class TestSerreDual:
     def test_negative_rank(self):
         with pytest.raises(NegativeRank):
             serre_dual(3, 1, 6)
-
-
-class TestCanonicalization:
-    def test_already_canonical(self):
-        idx = LocusIndex.canonical(8, 2, 7)
-        assert (idx.g, idx.r, idx.d) == (8, 2, 7)
-
-    def test_high_degree_is_dualized(self):
-        idx = LocusIndex.canonical(12, 9, 19)
-        assert (idx.g, idx.r, idx.d) == (12, 1, 3)
-        assert idx.original == (12, 9, 19)
-        assert idx.rho == -8
 
 
 class TestTrivialContainments:

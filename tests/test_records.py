@@ -79,10 +79,6 @@ RECORDS = {
         lambda: splitting.hbn_predicates((-1, 0, 1, 2)),
         "HbnPredicates(basepoint_free=True, very_ample_sufficient=True)",
     ),
-    "LocusIndex": (
-        lambda: loci.LocusIndex.canonical(8, 2, 9),
-        "LocusIndex(g=8, r=0, d=5, original=(8, 2, 9))",
-    ),
     "Containment": (
         lambda: loci.trivial_containments(8, 1, 4)[0],
         "Containment(g=8, r=1, d=5, full_moduli=False)",

@@ -12,9 +12,10 @@ from bnkit.splitting import (
     parse_splitting,
     rd_from_splitting,
     rho_splitting,
-    rho_splitting_vs_gonality,
     splitting_str,
 )
+
+from oracles import rho_splitting_vs_gonality, splitting_rank, splitting_rho
 
 
 class TestRdExtraction:
@@ -43,6 +44,21 @@ class TestRhoSplitting:
             for k in range(2, 6):
                 for total in range(-6, 7):
                     assert rho_splitting(g, balanced_type(k, total)) == g
+
+
+class TestLedger:
+    # both read the split bundle pi_*L: r = h0(E) - 1, rho = g - h1(End E)
+    def test_matches_the_hand_written_sums(self):
+        for k in range(2, 6):
+            for e in itertools.combinations_with_replacement(range(-6, 5), k):
+                for g in (0, 3, 9):
+                    assert rd_from_splitting(g, e[::-1]) == (splitting_rank(e), k + sum(e) + g - 1)
+                    assert rho_splitting(g, e[::-1]) == splitting_rho(g, e)
+
+    def test_genus_is_checked_before_the_type(self):
+        for f in (rd_from_splitting, rho_splitting):
+            with pytest.raises(PreconditionError, match="g=-1"):
+                f(-1, (1,))
 
 
 class TestMajorization:
@@ -105,6 +121,12 @@ class TestMaximalTypes:
         ]
         for t in types:
             assert rd_from_splitting(8, t) == (2, 7)
+
+    def test_an_emitted_type_can_have_an_empty_locus(self):
+        # the ell = 0 type at (5, 1, 3, 3) and the ell = 2 type at (5, 2, 5, 3)
+        assert maximal_splitting_types(5, 1, 3, 3) == [(-4, 0, 0), (-3, -2, 1)]
+        assert maximal_splitting_types(5, 2, 5, 3) == [(-3, 0, 1), (-2, -2, 2)]
+        assert rho_splitting(5, (-4, 0, 0)) == rho_splitting(5, (-2, -2, 2)) == -1
 
     def test_out_of_regime(self):
         with pytest.raises(OutOfRegime):

@@ -1,18 +1,16 @@
 import pytest
 
 from bnkit import tableaux
-from bnkit.errors import InternalCheckError, NotACore, PreconditionError, SymbolCountMismatch
+from bnkit.errors import InternalCheckError, NotACore, SymbolCountMismatch
 from bnkit.tableaux import (
     FillingWitness,
     _validate_words,
-    core_add_residue,
     core_apply_residue,
     core_length,
     count_k_fillings,
     is_core,
     k_filling_witnesses,
     parse_partition,
-    partition_str,
     syt_count,
     syt_count_rect,
 )
@@ -77,10 +75,6 @@ class TestCoreBasics:
                     q = core_apply_residue(p, res, k)
                     assert is_core(q, k)
                     assert core_apply_residue(q, res, k) == p
-
-    def test_strict_add_refuses_non_adds(self):
-        with pytest.raises(PreconditionError):
-            core_add_residue((1,), 0, 3)  # residue 0 would remove the box
 
     def test_not_a_core_raises(self):
         with pytest.raises(NotACore):
@@ -239,5 +233,4 @@ class TestReplayOncePerMove:
 class TestSerialization:
     def test_roundtrip(self):
         assert parse_partition("4,2,1,1") == (4, 2, 1, 1)
-        assert partition_str((4, 2, 1, 1)) == "4,2,1,1"
         assert parse_partition("") == ()
