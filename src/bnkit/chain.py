@@ -57,6 +57,12 @@ Aspect = tuple[int, int] | None
 #: marks a missing DP state; the kernel keeps every missing value >= _INF
 _INF = 1 << 30
 
+#: size guards, checked before any state is built: a DP sweep over 10**6
+#: cells takes about 0.5 s and 64 MiB on one core, and 2,000,000 tuples admit
+#: every default-window search with g <= 6, 0 <= d <= 2g - 2 and no g = 7 one
+_MAX_CELLS = 10**6
+_MAX_TUPLES = 2_000_000
+
 
 class LimitLineBundle(namedtuple("LimitLineBundle", "d aspects")):
     """A degree-d limit line bundle on the chain of g elliptic curves,
@@ -211,11 +217,14 @@ def _window(g: int, d: int, window: int | None) -> tuple[int, int, int]:
     """The degree window, ``default_window(g)`` when None, and its
     prefix-sum range [lo, hi].  The range keeps the forced boundary sums
     S_0 = 0 and S_g = d inside, and lo + hi = d, so the reflection
-    s -> d - s maps it onto itself."""
+    s -> d - s maps it onto itself.  Refuses more than _MAX_CELLS cells."""
     if window is None:
         window = default_window(g)
     require(0, window=window)
-    return window, min(-window, d), max(d + window, 0)
+    lo, hi = min(-window, d), max(d + window, 0)
+    if (cells := g * (hi - lo + 2)) > _MAX_CELLS:
+        raise BudgetExceeded(f"chain DP over {cells} cells refused (guard {_MAX_CELLS})")
+    return window, lo, hi
 
 
 def _start(lo: int, hi: int) -> list[int]:
@@ -580,7 +589,6 @@ def search_limit_bundles(
     r: int,
     d: int,
     window: int | None = None,
-    max_genus: int = 6,
 ) -> SearchResult:
     """Find every canonical symbolic aspect tuple that is r-positive, in
     lexicographic option order, by a branch-and-bound search over the
@@ -596,12 +604,8 @@ def search_limit_bundles(
     require(0, r=r)
     window, lo, hi = _window(g, d, window)
     options = aspect_options(g, d, window)
-    if g > max_genus:
-        raise BudgetExceeded(
-            f"search over g = {g} > {max_genus} refused "
-            f"(state space {prod(map(len, options))} tuples); "
-            "raise max_genus explicitly to override"
-        )
+    if (size := prod(map(len, options))) > _MAX_TUPLES:
+        raise BudgetExceeded(f"search refused: state space {size} tuples (guard {_MAX_TUPLES})")
     leave = [_leave(U) for U in _bound_tables(g, d, lo, hi)]
     hits = _search_minima(options, leave, r, d, lo, hi, _start(lo, hi))
     witnesses = tuple(SearchWitness(a, best) for a, best in hits)

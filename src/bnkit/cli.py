@@ -15,10 +15,10 @@ is built from that table, and every command runs through the one wrapper
 in :func:`main`: parse, read, run, envelope.  A flag of serialized text
 names its reader, a library parse function, and ``main`` reads every such
 value before ``run``, so ``run`` receives values, never text.  ``inputs``
-echo the declared flags in order, except switches and ``--max-genus``: a
-serialized value as typed, or in the canonical form its flag declares.  A
-defaulted chain ``--window`` is the one value filled in at run time.
-Adding a command means adding one entry.
+echo the declared flags in order, except switches: a serialized value as
+typed, or in the canonical form its flag declares.  A defaulted chain
+``--window`` is the one value filled in at run time.  Adding a command
+means adding one entry.
 """
 
 from __future__ import annotations
@@ -87,20 +87,21 @@ def _table(command: str, inputs: dict, result) -> str:
 
 
 class Flag:
-    """One option: its name, its ``add_argument`` keywords, whether ``inputs``
-    echo it and, for serialized text, the library function that reads it and
-    the one that writes its echo (the text as typed when None)."""
+    """One option: its name, its ``add_argument`` keywords and, for serialized
+    text, the library function that reads it and the one that writes its echo
+    (the text as typed when None).  ``inputs`` echo all but switches."""
 
     __slots__ = ("name", "spec", "echo", "read", "show", "dest")
 
-    def __init__(self, name: str, spec: dict, echo: bool = True, read=None, show=None):
-        self.name, self.spec, self.echo, self.read, self.show = name, spec, echo, read, show
+    def __init__(self, name: str, spec: dict, read=None, show=None):
+        self.name, self.spec, self.read, self.show = name, spec, read, show
         self.dest = name.lstrip("-").replace("-", "_")
+        self.echo = spec.get("action") != "store_true"
 
 
 def _str(name: str, help: str | None = None, read=None, show=None, **spec) -> Flag:
     """A value flag, required unless it has a default; see :class:`Flag`."""
-    return Flag(name, {"required": "default" not in spec, "help": help, **spec}, True, read, show)
+    return Flag(name, {"required": "default" not in spec, "help": help, **spec}, read, show)
 
 
 def _int(name: str, help: str | None = None, **spec) -> Flag:
@@ -108,7 +109,7 @@ def _int(name: str, help: str | None = None, **spec) -> Flag:
 
 
 def _switch(name: str, help: str) -> Flag:
-    return Flag(name, {"action": "store_true", "help": help}, echo=False)
+    return Flag(name, {"action": "store_true", "help": help})
 
 
 class Command:
@@ -199,7 +200,7 @@ def _star(a) -> dict:
 
 
 def _search(a) -> dict:
-    res = chain.search_limit_bundles(a.g, a.r, a.d, window=a.window, max_genus=a.max_genus)
+    res = chain.search_limit_bundles(a.g, a.r, a.d, window=a.window)
     payload = _fields(res, "count_exact", "count_with_generic")
     if a.witnesses:
         payload["witnesses"] = [
@@ -286,8 +287,7 @@ COMMANDS = [
     Command("chain star", "star components of an r-positive bundle", (*_BUNDLE, _int("-r")),
             _windowed(_star)),
     Command("chain search", "branch-and-bound search that finds every r-positive aspect tuple",
-            (*_GRD, _WINDOW, Flag("--max-genus", {"type": int, "default": 6}, echo=False),
-             _switch("--witnesses", "list the r-positive tuples")),
+            (*_GRD, _WINDOW, _switch("--witnesses", "list the r-positive tuples")),
             _windowed(_search, lambda a: a.g)),
     Command("lattice min-degree", "least degree with rho >= 0", (_int("-r"), _int("-g")),
             lambda a: {"min_degree": lattice.min_degree(a.r, a.g)}),

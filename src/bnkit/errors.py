@@ -81,7 +81,7 @@ class ParseError(PreconditionError):
 
 
 class BudgetExceeded(PreconditionError):
-    """A search was requested beyond the configured size guard."""
+    """A chain computation larger than its size guard."""
 
 
 class RhoNegative(PreconditionError):

@@ -107,7 +107,7 @@ TABLE_GOLDENS = {
         '  pairs = [1, 0];[2, 1];[3, 2]\n'
         "  per_n = {'0': 1, '1': 1, '2': 1}\n"
     ),
-    'chain search -g 3 -r 2 -d 4 --max-genus 4 --witnesses': (
+    'chain search -g 3 -r 2 -d 4 --witnesses': (
         'chain search  g=3 r=2 d=4 window=4\n'
         '  count_exact = 1\n'
         '  count_with_generic = 0\n'

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from bnkit import chain
 from bnkit.chain import (
     LimitLineBundle,
     aspect_options,
@@ -351,14 +352,30 @@ class TestSearch:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
             search_limit_bundles(7, 1, 3)
-        assert search_limit_bundles(2, 1, 2, max_genus=2).count_exact == 1
 
     def test_budget_refusal_reports_the_window_asked_for(self):
-        # window 0: 2 * 5**5 * 2 tuples, not the default window's count
-        size = math.prod(len(o) for o in aspect_options(7, 3, 0))
-        assert size == 12500
+        # window 40: 2 * 85**3 * 2 tuples, not the default window's count
+        size = math.prod(len(o) for o in aspect_options(5, 3, 40))
+        assert size == 2456500
         with pytest.raises(BudgetExceeded, match=rf"state space {size} tuples"):
-            search_limit_bundles(7, 1, 3, window=0)
+            search_limit_bundles(5, 1, 3, window=40)
+
+    def test_refusals_come_before_any_work(self, monkeypatch):
+        def start(lo, hi):
+            raise AssertionError("a refused computation reached the chain DP")
+
+        monkeypatch.setattr(chain, "_start", start)
+        guarded = [
+            lambda: min_h0(RUNNING, 10**6),
+            lambda: is_r_positive(RUNNING, 2, 10**6),
+            lambda: vanishing_tables(RUNNING, 2, 10**6),
+            lambda: star_components(RUNNING, 2, 10**6),
+            lambda: search_limit_bundles(1, 0, 0, window=10**6),
+            lambda: search_limit_bundles(6, 0, 11),
+        ]
+        for call in guarded:
+            with pytest.raises(BudgetExceeded):
+                call()
 
     def test_negative_r_is_refused(self):
         # at r = -1 every tuple would count as "r-positive"

@@ -343,11 +343,14 @@ class TestCommandTable:
 
 
 # Serialized values: comma lists of tokens, alone or joined by ";" into
-# groups, or well-formed aspects.  Tokens are integers of at most two digits
-# or junk, and the separators keep integers from running together.  Larger
-# integers reach inputs with no size budget yet (a large d in --aspects
-# allocates O(d) arrays).
-_INT = st.one_of(st.integers(0, 9), st.integers(-99, 99)).map(str)
+# groups, or well-formed aspects.  Tokens are integers of any size or junk,
+# and the separators keep integers from running together.  Each flag stays
+# bounded at any size: --aspects fixes d, and the chain DP refuses more than
+# 10**6 cells before it builds an array; --dist feeds h0_chain, O(g) integer
+# steps; -e, --outer/--inner and --degrees are O(length) in the integers;
+# --core meets the O(rows) core test first, and with -k <= 9 and at most 4
+# rows a k-core's rows are shorter than 4k, so it refuses any larger row.
+_INT = st.one_of(st.integers(0, 9), st.integers()).map(str)
 _TOKEN = st.one_of(_INT, st.sampled_from(["", " ", "-", "+", "x", "gen", "[", "]"]))
 _GROUP = st.lists(_TOKEN, min_size=1, max_size=4).map(",".join)
 _ASPECT = st.one_of(st.just("gen"), st.tuples(_INT, _INT).map(",".join))
