@@ -39,17 +39,7 @@ from math import prod
 from operator import add, index, sub
 from typing import NamedTuple
 
-from .errors import (
-    BudgetExceeded,
-    DegreeMismatch,
-    GenericityViolation,
-    IndexOutOfRange,
-    InternalCheckError,
-    NotRPositive,
-    PreconditionError,
-    WindowTooSmall,
-    require,
-)
+from .errors import InternalCheckError, PreconditionError, require
 
 #: an aspect: None for a generic class, else (coeff at p^{i-1}, coeff at p^i)
 Aspect = tuple[int, int] | None
@@ -127,7 +117,7 @@ def chip_fire(dist, i: int) -> tuple[int, ...]:
     dist = tuple(dist)
     g = len(dist)
     if not 1 <= i <= g:
-        raise IndexOutOfRange(f"component index {i} out of range 1..{g}")
+        raise PreconditionError(f"component index {i} out of range 1..{g}")
     out = list(dist)
     for j in (i - 2, i):  # the neighbours of vertex i, 0-indexed
         if 0 <= j < g:
@@ -142,7 +132,7 @@ def prefix_fire(dist, i: int) -> tuple[int, ...]:
     dist = tuple(dist)
     g = len(dist)
     if not 1 <= i <= g - 1:
-        raise IndexOutOfRange(f"node index {i} out of range 1..{g - 1}")
+        raise PreconditionError(f"node index {i} out of range 1..{g - 1}")
     out = list(dist)
     out[i - 1] -= 1
     out[i] += 1
@@ -152,9 +142,9 @@ def prefix_fire(dist, i: int) -> tuple[int, ...]:
 def _check_dist(L: LimitLineBundle, dist) -> tuple[int, ...]:
     dist = tuple(map(index, dist))
     if len(dist) != L.g:
-        raise DegreeMismatch(f"distribution {dist} has {len(dist)} entries, chain has {L.g}")
+        raise PreconditionError(f"distribution {dist} has {len(dist)} entries, chain has {L.g}")
     if sum(dist) != L.d:
-        raise DegreeMismatch(f"distribution {dist} has total {sum(dist)}, bundle degree {L.d}")
+        raise PreconditionError(f"distribution {dist} has total {sum(dist)}, bundle degree {L.d}")
     return dist
 
 
@@ -223,7 +213,7 @@ def _window(g: int, d: int, window: int | None) -> tuple[int, int, int]:
     require(0, window=window)
     lo, hi = min(-window, d), max(d + window, 0)
     if (cells := g * (hi - lo + 2)) > _MAX_CELLS:
-        raise BudgetExceeded(f"chain DP over {cells} cells refused (guard {_MAX_CELLS})")
+        raise PreconditionError(f"chain DP over {cells} cells refused (guard {_MAX_CELLS})")
     return window, lo, hi
 
 
@@ -387,24 +377,24 @@ class VanishingTable(NamedTuple):
 
     def a(self, i: int, n: int) -> int:
         if not (0 <= i <= self.g - 1 and 0 <= n <= self.r):
-            raise IndexOutOfRange(f"a({i}, {n}) needs 0 <= i <= {self.g - 1}, 0 <= n <= {self.r}")
+            raise PreconditionError(f"a({i}, {n}) needs 0 <= i <= {self.g - 1}, 0 <= n <= {self.r}")
         return self.a_rows[i][n]
 
     def b(self, i: int, n: int) -> int:
         if not (1 <= i <= self.g and 0 <= n <= self.r):
-            raise IndexOutOfRange(f"b({i}, {n}) needs 1 <= i <= {self.g}, 0 <= n <= {self.r}")
+            raise PreconditionError(f"b({i}, {n}) needs 1 <= i <= {self.g}, 0 <= n <= {self.r}")
         return self.b_rows[i - 1][n]
 
 
 def vanishing_tables(L: LimitLineBundle, r: int, window: int | None = None) -> VanishingTable:
     """Compute the a/b threshold tables of an r-positive limit line
-    bundle.  Raises :class:`NotRPositive` otherwise."""
+    bundle.  Raises :class:`PreconditionError` otherwise."""
     require(0, r=r)
     g, d = L.g, L.d
     window, lo, _, states = _suffix_pass(L, window)
     best = _best(states)
     if best < r + 1:
-        raise NotRPositive(f"bundle has windowed min h0 = {best} < r+1 = {r + 1}")
+        raise PreconditionError(f"bundle has windowed min h0 = {best} < r+1 = {r + 1}")
     a_rows: list[tuple[int, ...]] = [tuple(range(r + 1))]
     for i in range(1, g):
         # node i is reflected node g - i, keyed by d - S_i
@@ -419,7 +409,7 @@ def vanishing_tables(L: LimitLineBundle, r: int, window: int | None = None) -> V
             need = r + 1 - n
             alphas = [lo + idx for idx, m in enumerate(minsuf) if m >= need]
             if not alphas or alphas[-1] == lo + len(minsuf) - 1:
-                raise WindowTooSmall(
+                raise PreconditionError(
                     f"a({i}, {n}) is not attained strictly inside window {window}; enlarge it"
                 )
             row.append(alphas[-1])
@@ -465,7 +455,7 @@ def star_components(L: LimitLineBundle, r: int, window: int | None = None) -> St
                 forced = (t.a(i - 1, n), t.b(i, r - n))
                 actual = L.aspects[i - 1]
                 if actual is None or actual != forced:
-                    raise GenericityViolation(
+                    raise InternalCheckError(
                         f"component {i} is starred with forced aspect {forced} "
                         f"but carries {actual}"
                     )
@@ -605,7 +595,7 @@ def search_limit_bundles(
     window, lo, hi = _window(g, d, window)
     options = aspect_options(g, d, window)
     if (size := prod(map(len, options))) > _MAX_TUPLES:
-        raise BudgetExceeded(f"search refused: state space {size} tuples (guard {_MAX_TUPLES})")
+        raise PreconditionError(f"search refused: state space {size} tuples (guard {_MAX_TUPLES})")
     leave = [_leave(U) for U in _bound_tables(g, d, lo, hi)]
     hits = _search_minima(options, leave, r, d, lo, hi, _start(lo, hi))
     witnesses = tuple(SearchWitness(a, best) for a, best in hits)

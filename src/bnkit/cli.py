@@ -30,7 +30,7 @@ import sys
 from typing import Callable
 
 from . import chain, invariants, lattice, loci, normal_bundle, splitting, tableaux
-from .errors import InternalCheckError, ParseError, PreconditionError, require
+from .errors import InternalCheckError, PreconditionError, require
 
 
 def _envelope(command: str, inputs: dict, result, fmt: str) -> str:
@@ -132,7 +132,7 @@ def _fields(obj, *names: str) -> dict:
 
 def _read(cmd: Command, args) -> dict:
     """Replace each serialized text in ``args`` by its value and return their
-    echoes; a malformed value is a :class:`ParseError` naming its flag."""
+    echoes; a malformed value is a :class:`PreconditionError` naming its flag."""
     shown = {}
     for f in cmd.flags:
         if f.read is not None:
@@ -140,7 +140,7 @@ def _read(cmd: Command, args) -> dict:
             try:
                 value = f.read(text)
             except ValueError as e:
-                raise ParseError(f"malformed {f.name} {text!r}: {e}") from None
+                raise PreconditionError(f"malformed {f.name} {text!r}: {e}") from None
             setattr(args, f.dest, value)
             shown[f.dest] = text if f.show is None else f.show(value)
     return shown
@@ -196,6 +196,16 @@ def _star(a) -> dict:
         "pairs": [list(p) for p in rep.pairs],
         "per_n": {str(n): c for n, c in sorted(rep.per_n.items())},
         "lower_bound": rep.lower_bound,
+    }
+
+
+def _certificate(a) -> dict:
+    cert = lattice.h1_certificate(a.r, a.d, a.g)
+    return {
+        "moves": cert.moves,
+        "steps": [{"move": s.move, "bundle": list(s.bundle.degrees), "h1": s.h1}
+                  for s in cert.steps],
+        "chi": cert.chi,
     }
 
 
@@ -296,8 +306,7 @@ COMMANDS = [
             lambda a: [{"d": d, "g": g}
                        for d, g in sorted(lattice.reachable_set(a.r, a.g_max, a.d_max))]),
     Command("lattice certificate", "h1-vanishing certificate for (d, g)",
-            (_int("-r"), _int("-d"), _int("-g")),
-            lambda a: lattice.h1_certificate(a.r, a.d, a.g).to_payload()),
+            (_int("-r"), _int("-d"), _int("-g")), _certificate),
     Command("nb project", "projection-from-a-point ledger sequence", (_int("-d"),), _project),
     Command("nb odd-cert", "balancedness certificate for odd degree", (_int("-d"),),
             lambda a: _fields(normal_bundle.odd_degree_certificate(a.d),

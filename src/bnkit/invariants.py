@@ -12,13 +12,7 @@ from __future__ import annotations
 from math import comb, factorial, prod
 from typing import NamedTuple
 
-from .errors import (
-    EmptyRange,
-    InternalCheckError,
-    OutOfConjectureRange,
-    RhoNonzero,
-    require,
-)
+from .errors import InternalCheckError, PreconditionError, require
 
 #: The four (g, r, d) for which general curves interpolate strictly fewer
 #: points than the dimension count predicts.
@@ -36,14 +30,14 @@ def rho_k(g: int, r: int, d: int, k: int) -> int:
     0 <= ell <= min(r, g-d+r-1).
 
     Governs dim W^r_d on a general k-gonal curve.  Raises
-    :class:`EmptyRange` when g-d+r-1 < 0, i.e. outside the special range
+    :class:`PreconditionError` when g-d+r-1 < 0, i.e. outside the special range
     where the refinement says anything.
     """
     require(0, g=g, r=r)
     require(2, k=k)
     ell_max = min(r, g - d + r - 1)
     if ell_max < 0:
-        raise EmptyRange(
+        raise PreconditionError(
             f"empty ell-range for (g, r, d) = ({g}, {r}, {d}): min(r, g-d+r-1) = {ell_max} < 0"
         )
     return max(rho(g, r - ell, d) - ell * k for ell in range(ell_max + 1))
@@ -55,10 +49,10 @@ def count_grd(g: int, r: int, d: int) -> int:
         N(g, r, d) = g! * prod_{a=0}^{r} a! / (g-d+r+a)!
 
     which also counts standard Young tableaux on the (r+1) x (g-d+r)
-    rectangle.  Raises :class:`RhoNonzero` away from rho = 0.
+    rectangle.  Raises :class:`PreconditionError` away from rho = 0.
     """
     if rho(g, r, d) != 0:
-        raise RhoNonzero(f"rho({g}, {r}, {d}) = {rho(g, r, d)} != 0; count undefined")
+        raise PreconditionError(f"rho({g}, {r}, {d}) = {rho(g, r, d)} != 0; count undefined")
     s = g - d + r  # rho = 0 forces s >= 0
     num = factorial(g) * prod(factorial(a) for a in range(r + 1))
     count, rem = divmod(num, prod(factorial(s + a) for a in range(r + 1)))
@@ -102,19 +96,19 @@ def smrc_expected_dim(g: int, r: int, d: int, k: int) -> int:
     line bundles whose degree-k multiplication map drops rank.
 
     Only meaningful under the hypotheses g-d+r >= 0, 0 <= rho < r-2 and
-    k >= 2; anything else raises :class:`OutOfConjectureRange` naming the
+    k >= 2; anything else raises :class:`PreconditionError` naming the
     violated inequality rather than extrapolating.
     """
     require(0, g=g, r=r)
     if k < 2:
-        raise OutOfConjectureRange(f"need k >= 2, got k={k}")
+        raise PreconditionError(f"need k >= 2, got k={k}")
     if g - d + r < 0:
-        raise OutOfConjectureRange(f"need g-d+r >= 0, got {g - d + r}")
+        raise PreconditionError(f"need g-d+r >= 0, got {g - d + r}")
     p = rho(g, r, d)
     if p < 0:
-        raise OutOfConjectureRange(f"need rho >= 0, got rho = {p}")
+        raise PreconditionError(f"need rho >= 0, got rho = {p}")
     if p >= r - 2:
-        raise OutOfConjectureRange(f"need rho < r-2, got rho = {p}, r-2 = {r - 2}")
+        raise PreconditionError(f"need rho < r-2, got rho = {p}, r-2 = {r - 2}")
     return p - 1 - abs(comb(r + k, k) - (d * k + 1 - g))
 
 

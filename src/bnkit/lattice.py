@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InternalCheckError, RhoNegative, require
+from .errors import InternalCheckError, PreconditionError, require
 from .invariants import chi_pullback_tangent, rho
 from .normal_bundle import SplitBundle
 
@@ -86,16 +86,6 @@ class MoveCertificate(NamedTuple):
     base_bundle: SplitBundle
     chi: int
 
-    def to_payload(self) -> dict:
-        return {
-            "moves": self.moves,
-            "steps": [
-                {"move": s.move, "bundle": list(s.bundle.degrees), "h1": s.h1}
-                for s in self.steps
-            ],
-            "chi": self.chi,
-        }
-
 
 def h1_certificate(r: int, d: int, g: int) -> MoveCertificate:
     """Build the h1-vanishing certificate for (d, g) with rho >= 0 and
@@ -111,7 +101,7 @@ def h1_certificate(r: int, d: int, g: int) -> MoveCertificate:
     require(3, r=r)
     p = rho(g, r, d)
     if p < 0:
-        raise RhoNegative(f"rho({g}, {r}, {d}) = {p} < 0; no certificate exists")
+        raise PreconditionError(f"rho({g}, {r}, {d}) = {p} < 0; no certificate exists")
     moves = _moves(r)
     moves_rev: list[str] = []
     cd, cg = d, g

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InternalCheckError, NegativeRank, require
+from .errors import InternalCheckError, PreconditionError, require
 from .invariants import rho
 from .lattice import min_degree
 
@@ -19,11 +19,11 @@ MAXIMAL_EXCEPTIONS = frozenset({(7, 2, 6), (8, 1, 4), (9, 2, 7)})
 
 def serre_dual(g: int, r: int, d: int) -> tuple[int, int, int]:
     """The Serre-dual locus index (g, g-d+r-1, 2g-2-d).  An involution
-    that preserves rho; raises :class:`NegativeRank` if the dual rank
+    that preserves rho; raises :class:`PreconditionError` if the dual rank
     would be negative."""
     require(0, g=g, r=r)
     if g - d + r - 1 < 0:
-        raise NegativeRank(f"dual rank g-d+r-1 = {g - d + r - 1} < 0 for ({g}, {r}, {d})")
+        raise PreconditionError(f"dual rank g-d+r-1 = {g - d + r - 1} < 0 for ({g}, {r}, {d})")
     return (g, g - d + r - 1, 2 * g - 2 - d)
 
 

@@ -15,7 +15,7 @@ from collections import namedtuple
 from operator import index
 from typing import NamedTuple
 
-from .errors import EvenDegree, IndexOutOfRange, InternalCheckError, PreconditionError, require
+from .errors import InternalCheckError, PreconditionError, require
 
 
 class SplitBundle(namedtuple("SplitBundle", "degrees")):
@@ -89,7 +89,7 @@ def modify(bundle: SplitBundle, summand_index: int, sign: str, points: int) -> S
     Only modifications toward a summand are defined on this ledger.
     """
     if not 0 <= summand_index < bundle.rank:
-        raise IndexOutOfRange(
+        raise PreconditionError(
             f"summand index {summand_index} out of range for rank {bundle.rank}"
         )
     require(0, points=points)
@@ -186,7 +186,7 @@ def odd_degree_certificate(d: int) -> OddDegreeCertificate:
     """Run the 1-secant peeling ledger for an odd degree d >= 3.  Even
     degrees are refused: the ledger certifies odd d only."""
     if d % 2 == 0:
-        raise EvenDegree(
+        raise PreconditionError(
             f"degree {d} is even; this balancedness certificate covers odd degrees only"
         )
     require(3, d=d)

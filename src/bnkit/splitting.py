@@ -19,7 +19,7 @@ from __future__ import annotations
 from operator import index
 from typing import NamedTuple
 
-from .errors import InternalCheckError, OutOfRegime, PreconditionError, require
+from .errors import InternalCheckError, PreconditionError, require
 from .normal_bundle import SplitBundle
 
 SplittingType = tuple[int, ...]
@@ -105,7 +105,7 @@ def maximal_splitting_types(g: int, r: int, d: int, k: int) -> list[SplittingTyp
     require(0, g=g, r=r)
     require(2, k=k)
     if g - d + r <= 0:
-        raise OutOfRegime(
+        raise PreconditionError(
             f"maximal splitting types are stated for g-d+r > 0, got {g - d + r}"
         )
     out = []

@@ -20,7 +20,7 @@ from math import factorial, prod
 from operator import index
 from typing import NamedTuple
 
-from .errors import InternalCheckError, NotACore, PreconditionError, SymbolCountMismatch, require
+from .errors import InternalCheckError, PreconditionError, require
 
 Partition = tuple[int, ...]
 
@@ -75,7 +75,7 @@ def _require_core(p: Partition, k: int) -> Partition:
     require(2, k=k)
     p = check_partition(p)
     if not _is_core(p, k):
-        raise NotACore(f"{p or '()'} is not a {k}-core")
+        raise PreconditionError(f"{p or '()'} is not a {k}-core")
     return p
 
 
@@ -154,7 +154,7 @@ def _filling_graph(target: Partition, k: int, g: int):
     target = _require_core(target, k)
     forced = core_length(target, k)
     if g != forced:
-        raise SymbolCountMismatch(
+        raise PreconditionError(
             f"{k}-fillings of {target or '()'} use exactly {forced} symbols, got g={g}"
         )
     succ: dict[Partition, list[tuple[int, Partition]]] = {}
@@ -177,7 +177,7 @@ def count_k_fillings(target: Partition, k: int, g: int) -> int:
 
     The number of steps is forced (every strict-add path from () to the
     core has :func:`core_length` steps); a different g raises
-    :class:`SymbolCountMismatch` since every sequence of that length
+    :class:`PreconditionError` since every sequence of that length
     would contribute zero.
     """
     _, _, count = _filling_graph(target, k, g)

@@ -133,12 +133,12 @@ def splitting_rho(g: int, parts) -> int:
 def rho_splitting_vs_gonality(g: int, r: int, d: int, k: int) -> int:
     """Max of rho_splitting over the maximal types; agrees with the
     gonality-refined rho."""
-    from bnkit.errors import OutOfRegime
+    from bnkit.errors import PreconditionError
     from bnkit.splitting import maximal_splitting_types, rho_splitting
 
     types = maximal_splitting_types(g, r, d, k)
     if not types:
-        raise OutOfRegime(f"no admissible maximal types for ({g}, {r}, {d}, {k})")
+        raise PreconditionError(f"no admissible maximal types for ({g}, {r}, {d}, {k})")
     return max(rho_splitting(g, w) for w in types)
 
 

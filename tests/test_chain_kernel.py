@@ -29,7 +29,7 @@ from bnkit.chain import (
     search_limit_bundles,
     vanishing_tables,
 )
-from bnkit.errors import WindowTooSmall
+from bnkit.errors import PreconditionError
 
 import oracles
 from oracles import INF
@@ -140,7 +140,7 @@ class TestWindowedMinima:
                     continue
                 rows = _oracle_a_rows(tables, L.g, r, lo)
                 if rows is None:
-                    with pytest.raises(WindowTooSmall):
+                    with pytest.raises(PreconditionError, match="not attained strictly inside window"):
                         vanishing_tables(L, r, window)
                 else:
                     assert vanishing_tables(L, r, window).a_rows == rows

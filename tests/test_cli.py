@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnkit import chain
 from bnkit.cli import COMMANDS, _csv_cell, build_parser, main
+from bnkit.errors import InternalCheckError
 
 from cli_table_goldens import TABLE_GOLDENS
 
@@ -137,6 +139,14 @@ class TestStructuredCommands:
         env = run_json(capsys, "lattice", "certificate", "-r", "3", "-d", "5", "-g", "2")
         assert env["result"]["moves"] == "BB" and env["result"]["chi"] == 17
 
+    def test_certificate_payload_shape(self, capsys):
+        env = run_json(capsys, "lattice", "certificate", "-r", "3", "-d", "6", "-g", "4")
+        assert env["result"] == {
+            "moves": "C",
+            "steps": [{"move": "C", "bundle": [-1, -1, -1], "h1": 0}],
+            "chi": 15,
+        }
+
     def test_nb_tree(self, capsys):
         assert run_json(capsys, "nb", "project", "-d", "3")["result"] == {
             "sub": 5,
@@ -234,6 +244,18 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == f"error: malformed --aspects {aspects!r}: {why}\n"
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_internal_check_failure_exits_3(self, capsys, monkeypatch, fmt):
+        def broken(*args, **kwargs):
+            raise InternalCheckError("x")
+
+        monkeypatch.setattr(chain, "vanishing_tables", broken)
+        code, out, err = run(capsys, "--format", fmt, "chain", "tables",
+                             "--aspects", "0,4;2,2;0,4", "-r", "2")
+        assert code == 3
+        assert out == ""
+        assert err == "internal invariant violation: x\n"
 
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")

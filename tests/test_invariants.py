@@ -1,6 +1,6 @@
 import pytest
 
-from bnkit.errors import EmptyRange, OutOfConjectureRange, PreconditionError, RhoNonzero
+from bnkit.errors import PreconditionError
 from bnkit.invariants import (
     INTERPOLATION_EXCEPTIONS,
     chi_pullback_tangent,
@@ -51,7 +51,7 @@ class TestRhoK:
         assert rho_k(8, 2, 7, 100) == scan == -1
 
     def test_empty_range(self):
-        with pytest.raises(EmptyRange):
+        with pytest.raises(PreconditionError, match=r"empty ell-range .* = -2 < 0"):
             rho_k(3, 1, 5, 3)  # g - d + r - 1 = -2
 
     def test_monotone_in_k_with_threshold(self):
@@ -85,7 +85,7 @@ class TestCountGrd:
         assert count_grd(3, 2, 4) == brute_syt_count((1, 1, 1)) == 1
 
     def test_rejects_nonzero_rho(self):
-        with pytest.raises(RhoNonzero):
+        with pytest.raises(PreconditionError, match="!= 0; count undefined"):
             count_grd(8, 2, 7)
 
     def test_matches_tableaux_for_small_genus(self):
@@ -145,13 +145,13 @@ class TestSmrc:
         assert smrc_expected_dim(g, r, d, 2) == -1
 
     def test_out_of_range_is_named(self):
-        with pytest.raises(OutOfConjectureRange, match="rho >= 0"):
+        with pytest.raises(PreconditionError, match="rho >= 0"):
             smrc_expected_dim(8, 2, 7, 2)
-        with pytest.raises(OutOfConjectureRange, match="rho < r-2"):
+        with pytest.raises(PreconditionError, match="rho < r-2"):
             smrc_expected_dim(2, 3, 5, 2)  # rho = 2 >= r-2 = 1
-        with pytest.raises(OutOfConjectureRange, match=r"g-d\+r"):
+        with pytest.raises(PreconditionError, match=r"g-d\+r"):
             smrc_expected_dim(1, 5, 10, 2)
-        with pytest.raises(OutOfConjectureRange, match="k >= 2"):
+        with pytest.raises(PreconditionError, match="k >= 2"):
             smrc_expected_dim(13, 5, 16, 1)
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from bnkit.errors import PreconditionError, RhoNegative
+from bnkit.errors import PreconditionError
 from bnkit.invariants import chi_pullback_tangent, rho
 from bnkit.lattice import h1_certificate, min_degree, reachable_set
 
@@ -81,17 +81,9 @@ class TestCertificates:
                         assert b.h0 - b.h1 == b.degree + b.rank
 
     def test_rho_negative_refused(self):
-        with pytest.raises(RhoNegative):
+        with pytest.raises(PreconditionError, match=r"< 0; no certificate exists"):
             h1_certificate(3, 5, 4)
 
     def test_small_r_refused(self):
         with pytest.raises(PreconditionError):
             h1_certificate(2, 5, 2)
-
-    def test_payload_shape(self):
-        payload = h1_certificate(3, 6, 4).to_payload()
-        assert payload == {
-            "moves": "C",
-            "steps": [{"move": "C", "bundle": [-1, -1, -1], "h1": 0}],
-            "chi": 15,
-        }

@@ -1,6 +1,6 @@
 import pytest
 
-from bnkit.errors import NegativeRank, PreconditionError
+from bnkit.errors import PreconditionError
 from bnkit.invariants import rho, rho_k
 from bnkit.loci import (
     MAXIMAL_EXCEPTIONS,
@@ -32,7 +32,7 @@ class TestSerreDual:
                     assert rho(*dual) == rho(g, r, d)
 
     def test_negative_rank(self):
-        with pytest.raises(NegativeRank):
+        with pytest.raises(PreconditionError, match=r"dual rank g-d\+r-1 = -3 < 0"):
             serre_dual(3, 1, 6)
 
 

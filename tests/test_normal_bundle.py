@@ -1,6 +1,6 @@
 import pytest
 
-from bnkit.errors import EvenDegree, IndexOutOfRange, PreconditionError
+from bnkit.errors import PreconditionError
 from bnkit.invariants import interpolation_points
 from bnkit.normal_bundle import (
     SplitBundle,
@@ -57,7 +57,7 @@ class TestModify:
                     assert all(m == q - p for m, q in zip(minus.degrees, plus.degrees))
 
     def test_index_error(self):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(PreconditionError, match="summand index 2 out of range for rank 2"):
             modify(SplitBundle((1, 1)), 2, "+", 1)
 
 
@@ -135,7 +135,7 @@ class TestOddDegreeCertificate:
             assert c.total == 4 * d - 2
 
     def test_even_degree_refused(self):
-        with pytest.raises(EvenDegree):
+        with pytest.raises(PreconditionError, match="degree 4 is even"):
             odd_degree_certificate(4)
 
     def test_degree_one_refused(self):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from bnkit.errors import OutOfRegime, PreconditionError
+from bnkit.errors import PreconditionError
 from bnkit.invariants import rho, rho_k
 from bnkit.splitting import (
     balanced_type,
@@ -129,7 +129,7 @@ class TestMaximalTypes:
         assert rho_splitting(5, (-4, 0, 0)) == rho_splitting(5, (-2, -2, 2)) == -1
 
     def test_out_of_regime(self):
-        with pytest.raises(OutOfRegime):
+        with pytest.raises(PreconditionError, match=r"stated for g-d\+r > 0, got 0"):
             maximal_splitting_types(2, 3, 5, 4)
 
     def test_rejects_gonality_below_two(self):

@@ -1,7 +1,7 @@
 import pytest
 
 from bnkit import tableaux
-from bnkit.errors import InternalCheckError, NotACore, SymbolCountMismatch
+from bnkit.errors import InternalCheckError, PreconditionError
 from bnkit.tableaux import (
     FillingWitness,
     _validate_words,
@@ -77,7 +77,7 @@ class TestCoreBasics:
                     assert core_apply_residue(q, res, k) == p
 
     def test_not_a_core_raises(self):
-        with pytest.raises(NotACore):
+        with pytest.raises(PreconditionError, match=r"\(2,\) is not a 2-core"):
             core_apply_residue((2,), 0, 2)
 
 
@@ -127,11 +127,11 @@ class TestFillings:
             assert count_k_fillings(shape, 100, sum(shape)) == syt_count(shape)
 
     def test_symbol_count_mismatch(self):
-        with pytest.raises(SymbolCountMismatch):
+        with pytest.raises(PreconditionError, match=r"\(4, 2, 1, 1\) use exactly 5 symbols, got g=8"):
             count_k_fillings((4, 2, 1, 1), 3, 8)
 
     def test_not_a_core(self):
-        with pytest.raises(NotACore):
+        with pytest.raises(PreconditionError, match=r"\(3, 1\) is not a 2-core"):
             count_k_fillings((3, 1), 2, 3)
 
     def test_witness_counts_agree_on_small_cores(self):
