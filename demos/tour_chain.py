@@ -4,7 +4,8 @@ curves.
 A degree-4 line bundle with 3 sections on a genus-3 curve degenerates,
 on the chain E^1 u E^2 u E^3, to a tuple of "aspects" related by chip
 firing.  This tour replays that specimen end to end and then runs the
-exhaustive searches behind the (non)existence theorem at desk scale.
+branch-and-bound searches behind the (non)existence theorem at desk
+scale.
 """
 
 from bnkit import (
@@ -59,7 +60,7 @@ stars = star_components(L, 2)
 print(f"Star pairs (components whose aspect is forced): {stars.pairs}")
 print()
 
-print("Exhaustive searches over symbolic aspect tuples:")
+print("Branch-and-bound searches over symbolic aspect tuples:")
 for g, r, d in [(2, 1, 1), (3, 2, 4), (4, 1, 3)]:
     res = search_limit_bundles(g, r, d)
     line = (f"  (g, r, d) = ({g}, {r}, {d}): rho = {rho(g, r, d)}, "

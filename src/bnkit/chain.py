@@ -63,10 +63,16 @@ class LimitLineBundle(namedtuple("LimitLineBundle", "d aspects")):
     def __new__(cls, d: int, aspects: tuple[Aspect, ...]) -> LimitLineBundle:
         if not aspects:
             raise PreconditionError("a chain needs at least one component")
+        d, pairs = index(d), []
         for i, a in enumerate(aspects):
-            if a is not None and a[0] + a[1] != d:
-                raise PreconditionError(f"aspect {i + 1} = {a} does not have total degree {d}")
-        return super().__new__(cls, d, aspects)
+            if a is not None:
+                x, y = a  # exactly two coefficients
+                x, y = index(x), index(y)
+                if x + y != d:
+                    raise PreconditionError(f"aspect {i + 1} = {a} does not have total degree {d}")
+                a = (x, y)
+            pairs.append(a)
+        return super().__new__(cls, d, tuple(pairs))
 
     #: ``_replace`` builds through ``_make``, so it validates too
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -114,7 +120,7 @@ def chip_fire(dist, i: int) -> tuple[int, ...]:
     fires vertex i of the dual chain.  Interior: (.., d^{i-1}+1, d^i - 2,
     d^{i+1}+1, ..); the endpoints lose only 1 since they have a single
     node, and a lone component has none.  Total degree is conserved."""
-    dist = tuple(dist)
+    dist = tuple(map(index, dist))
     g = len(dist)
     if not 1 <= i <= g:
         raise PreconditionError(f"component index {i} out of range 1..{g}")
@@ -129,7 +135,7 @@ def chip_fire(dist, i: int) -> tuple[int, ...]:
 def prefix_fire(dist, i: int) -> tuple[int, ...]:
     """Twist by E^1 + .. + E^i: moves one unit of degree from component i
     to component i+1 across the node p^i."""
-    dist = tuple(dist)
+    dist = tuple(map(index, dist))
     g = len(dist)
     if not 1 <= i <= g - 1:
         raise PreconditionError(f"node index {i} out of range 1..{g - 1}")

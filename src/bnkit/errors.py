@@ -2,11 +2,11 @@
 
 :class:`PreconditionError` means the caller asked for something outside
 an operation's stated domain (the CLI maps it to exit code 2), while
-:class:`InternalCheckError` means an internal identity that should hold
-unconditionally failed (exit code 3 -- a bug in the engine, never a user
-error).  The message says which precondition or identity; no finer type
-is raised.  :func:`require` is the one integer-domain rule that every
-public entry point states its bounds with.
+:class:`InternalCheckError` means a computed answer failed a check
+(exit code 3 -- a bug in the engine, never a user error).  The message
+says which precondition or check; no finer type is raised.
+:func:`require` is the one integer-domain rule that every public entry
+point states its bounds with.
 """
 
 
@@ -15,7 +15,7 @@ class PreconditionError(ValueError):
 
 
 class InternalCheckError(Exception):
-    """An internal consistency identity failed; indicates an engine bug."""
+    """A computed answer failed a check; indicates an engine bug."""
 
 
 def require(least: int, **values: int) -> None:

@@ -63,18 +63,10 @@ def count_grd(g: int, r: int, d: int) -> int:
 
 def chi_pullback_tangent(g: int, r: int, d: int) -> int:
     """Euler characteristic (r+1)d - r(g-1) of the pulled-back tangent
-    bundle of P^r along a degree-d genus-g curve.
-
-    Identically equal to rho(g, r, d) + (r+1)^2 - 1; both forms are
-    evaluated and compared on every call.
-    """
-    chi = (r + 1) * d - r * (g - 1)
-    via_rho = rho(g, r, d) + (r + 1) ** 2 - 1
-    if chi != via_rho:
-        raise InternalCheckError(
-            f"chi formulas disagree at ({g}, {r}, {d}): {chi} vs {via_rho}"
-        )
-    return chi
+    bundle of P^r along a degree-d genus-g curve; as a polynomial it equals
+    rho(g, r, d) + (r+1)^2 - 1."""
+    require(0, g=g, r=r)
+    return (r + 1) * d - r * (g - 1)
 
 
 def hilbert_function(g: int, r: int, d: int, k: int) -> int:
@@ -100,8 +92,7 @@ def smrc_expected_dim(g: int, r: int, d: int, k: int) -> int:
     violated inequality rather than extrapolating.
     """
     require(0, g=g, r=r)
-    if k < 2:
-        raise PreconditionError(f"need k >= 2, got k={k}")
+    require(2, k=k)
     if g - d + r < 0:
         raise PreconditionError(f"need g-d+r >= 0, got {g - d + r}")
     p = rho(g, r, d)

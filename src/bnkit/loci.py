@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InternalCheckError, PreconditionError, require
+from .errors import PreconditionError, require
 from .invariants import rho
 from .lattice import min_degree
 
@@ -63,23 +63,15 @@ def expected_maximal(g: int, r: int, d: int) -> ExpectedMaximalReport:
     three-element exception list of expected-maximal loci that are not
     maximal.
 
-    When the locus is expected maximal, the degree identity
-    d = ceil(rg/(r+1)) + r - 1 and the bound -rho <= r+1 are asserted.
+    An expected-maximal locus has d = ceil(rg/(r+1)) + r - 1, the
+    reported ``d_formula``, and -rho <= r+1: both follow from
+    rho(g, r, d) < 0 <= rho(g, r, d+1) = rho(g, r, d) + r + 1.
     """
     require(3, g=g)
     require(1, r=r)
     p = rho(g, r, d)
     is_em = p < 0 and all(rho(t.g, t.r, t.d) >= 0 for t in trivial_containments(g, r, d))
     d_formula = min_degree(r, g) - 1  # ceil(rg/(r+1)) + r - 1
-    if is_em:
-        if d != d_formula:
-            raise InternalCheckError(
-                f"expected-maximal ({g}, {r}, {d}) violates d = ceil(rg/(r+1))+r-1 = {d_formula}"
-            )
-        if -p > r + 1:
-            raise InternalCheckError(
-                f"expected-maximal ({g}, {r}, {d}) violates -rho <= r+1: rho = {p}"
-            )
     return ExpectedMaximalReport(
         is_expected_maximal=is_em,
         is_maximal_exception=(g, r, d) in MAXIMAL_EXCEPTIONS,

@@ -107,6 +107,9 @@ INTEGER_SEQUENCES = {
     "check_partition": lambda x: tableaux.check_partition((4, x, 1)),
     "check_splitting": lambda x: splitting.check_splitting((-2, x, 1)),
     "chain._check_dist": lambda x: chain.h0_chain(RUNNING, (x, 0, 1)),
+    "chain.chip_fire": lambda x: chain.chip_fire((1, x, 0), 2),
+    "chain.prefix_fire": lambda x: chain.prefix_fire((1, x, 0), 2),
+    "LimitLineBundle": lambda x: chain.LimitLineBundle(4, ((0, 4), (x, 1), (4, 0))),
     "SplitBundle": lambda x: normal_bundle.SplitBundle((2, x, 1)),
 }
 

@@ -70,10 +70,19 @@ class TestCertificates:
 
     def test_every_lattice_point_has_certificate(self):
         for r in range(3, 7):
+            step = {"A": (1, 0), "B": (1, 1), "C": (r, r + 1)}
             for g in range(0, 21):
                 dmin = min_degree(r, g)
                 for d in range(dmin, 2 * g + 2 * r + 1):
                     cert = h1_certificate(r, d, g)
+                    c, b = divmod(g, r + 1)
+                    assert cert.moves == "A" * (d - r - b - c * r) + "B" * b + "C" * c
+                    path = [(r, 0)]
+                    for s in cert.steps:
+                        dd, dg = step[s.move]
+                        path.append((path[-1][0] + dd, path[-1][1] + dg))
+                    assert path[-1] == (d, g)
+                    assert all(rho(pg, r, pd) >= 0 for pd, pg in path)
                     assert all(s.h1 == 0 for s in cert.steps)
                     assert cert.chi == chi_pullback_tangent(g, r, d)
                     for s in cert.steps:

@@ -156,6 +156,12 @@ def test_record_contract(name):
         assert hash(rec) == hash(twin)
 
 
+def test_limit_line_bundle_from_lists_is_the_tuple_record():
+    L = chain.LimitLineBundle(4, [[0, 4], [2, 2], [4, 0]])
+    assert L == chain.parse_aspects("0,4;2,2;0,4")
+    assert hash(L) == hash(RUNNING)
+
+
 REFUSALS = [
     (lambda: normal_bundle.SplitBundle([]),
      PreconditionError, "a split bundle needs at least one summand"),
