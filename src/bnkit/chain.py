@@ -28,7 +28,9 @@ outcomes, the generic one and the exact one, and the table takes the
 worse of the two cell by cell.  The final minimum h0 of any completion is
 at most C[u] + U[c][u] for the prefix's merged state C and every u, so a
 prefix with min_u (C[u] + U[c][u]) < r + 1 has no r-positive completion
-and its subtree is skipped.
+and its subtree is skipped.  The subtree below a prefix depends only on
+its length and merged state, so nodes are shared by merged state: one
+kernel call per distinct (component, state) within a search.
 """
 
 from __future__ import annotations
@@ -559,7 +561,7 @@ def _bound_tables(g: int, d: int, lo: int, hi: int) -> list[list[int]]:
     return tables[::-1]
 
 
-def _search_minima(options, leave, r: int, d: int, lo: int, hi: int, C: list[int], prefix=()):
+def _search_minima(options, leave, r: int, d: int, lo: int, hi: int, C: list[int], memo, prefix=()):
     """Yield (aspects, windowed min h0) for every r-positive aspect tuple
     extending ``prefix``, in lexicographic option order.  ``C`` is the
     prefix's merged DP state, shared by all its extensions; one kernel call
@@ -567,17 +569,29 @@ def _search_minima(options, leave, r: int, d: int, lo: int, hi: int, C: list[int
     component needs only the target S_g = d.  An option is skipped with
     its subtree when min_u (C'[u] + U[u]) < r + 1 for its merged state C'
     and the next table U; ``leave`` holds each ``_leave(U)``, so that the
-    minimum is read off the unmerged state and only survivors merge."""
-    opts = options[len(prefix)]
-    if len(prefix) == len(options) - 1:
-        for a, (m0, m1) in zip(opts, _dp_step(opts, C, lo, d, d)):
-            if (best := min(m0[0], m1[0])) > r:
-                yield prefix + (a,), best
-        return
-    W0, W1 = leave[len(prefix)]
-    for a, (m0, m1) in zip(opts, _dp_step(opts, C, lo, lo, hi)):
-        if min(map(add, m0, W0)) > r and min(map(add, m1, W1)) > r:
-            yield from _search_minima(options, leave, r, d, lo, hi, _merge(m0, m1), prefix + (a,))
+    minimum is read off the unmerged state and only survivors merge.
+
+    The subtree below a node depends only on its depth and ``C``, so nodes
+    are shared by merged state: ``memo`` maps (depth, *C) to the node's
+    survivors, (option, merged next state) inside the chain and
+    (option, min h0) at its end, and the kernel runs once per key."""
+    j = len(prefix)
+    last = j == len(options) - 1
+    if (nodes := memo.get(key := (j, *C))) is None:
+        opts = options[j]
+        if last:
+            steps = zip(opts, _dp_step(opts, C, lo, d, d))
+            nodes = [(a, best) for a, (m0, m1) in steps if (best := min(m0[0], m1[0])) > r]
+        else:
+            (W0, W1), steps = leave[j], zip(opts, _dp_step(opts, C, lo, lo, hi))
+            nodes = [(a, _merge(m0, m1)) for a, (m0, m1) in steps
+                     if min(map(add, m0, W0)) > r and min(map(add, m1, W1)) > r]
+        memo[key] = nodes
+    for a, x in nodes:
+        if last:
+            yield prefix + (a,), x
+        else:
+            yield from _search_minima(options, leave, r, d, lo, hi, x, memo, prefix + (a,))
 
 
 def search_limit_bundles(
@@ -603,7 +617,7 @@ def search_limit_bundles(
     if (size := prod(map(len, options))) > _MAX_TUPLES:
         raise PreconditionError(f"search refused: state space {size} tuples (guard {_MAX_TUPLES})")
     leave = [_leave(U) for U in _bound_tables(g, d, lo, hi)]
-    hits = _search_minima(options, leave, r, d, lo, hi, _start(lo, hi))
+    hits = _search_minima(options, leave, r, d, lo, hi, _start(lo, hi), {})
     witnesses = tuple(SearchWitness(a, best) for a, best in hits)
     generic = sum(None in w.aspects for w in witnesses)
     return SearchResult(len(witnesses) - generic, generic, witnesses)

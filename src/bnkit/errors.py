@@ -9,6 +9,8 @@ says which precondition or check; no finer type is raised.
 point states its bounds with.
 """
 
+from operator import index
+
 
 class PreconditionError(ValueError):
     """A stated precondition of an operation was violated."""
@@ -20,7 +22,13 @@ class InternalCheckError(Exception):
 
 def require(least: int, **values: int) -> None:
     """The integer-domain rule of every public entry point: raise
-    :class:`PreconditionError` for the first of ``values`` below ``least``."""
+    :class:`TypeError` for the first of ``values`` that is not an integer
+    (read through ``operator.index``, as ``range`` does) and
+    :class:`PreconditionError` for the first one below ``least``."""
     for name, value in values.items():
+        try:
+            index(value)
+        except TypeError:
+            raise TypeError(f"need an integer {name}, got {name}={value!r}") from None
         if value < least:
             raise PreconditionError(f"need {name} >= {least}, got {name}={value}")

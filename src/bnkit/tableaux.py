@@ -151,6 +151,7 @@ def _filling_graph(target: Partition, k: int, g: int):
     one, so a sweep forward from () lists ``succ[p]``, the moves out of each
     core on levels 0..g-1, and a pass back from level g, where only
     ``target`` counts, fills ``count[p]``, the paths from p to ``target``."""
+    require(0, g=g)
     target = _require_core(target, k)
     forced = core_length(target, k)
     if g != forced:

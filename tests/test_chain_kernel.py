@@ -11,7 +11,8 @@ min-max recursion over every cell, and the pruned search against the
 oracle that visits every tuple.  The bound itself is checked directly:
 at every prefix of a small search it is at least the min h0 of every
 completion, which catches an unsound table even where it happens not to
-cross r + 1.
+cross r + 1.  A search runs the kernel once per distinct (depth, merged
+state), which a counting wrapper around the kernel pins.
 """
 
 import itertools
@@ -177,6 +178,34 @@ class TestSearchAgainstOracleStep:
                     for r in range(5):
                         want = oracles.oracle_search(g, r, d, window, minima)
                         assert search_limit_bundles(g, r, d, window) == want, (g, r, d, window)
+
+
+class TestSearchSharesNodes:
+    def test_one_kernel_call_per_depth_and_merged_state(self, monkeypatch):
+        """The DP states a search uses: the kernel runs once per distinct
+        (depth, merged state C) of each search, never per prefix.  Depth is
+        the component whose option list the call receives."""
+        real_options, real_step = chain.aspect_options, chain._dp_step
+        options, calls = [], []
+
+        def recorded_options(*args):
+            options.append(real_options(*args))
+            return options[-1]
+
+        def counted_step(aspects, C, *args):
+            depth = next(j for j, opts in enumerate(options[-1]) if opts is aspects)
+            calls.append((depth, *C))
+            return real_step(aspects, C, *args)
+
+        monkeypatch.setattr(chain, "aspect_options", recorded_options)
+        monkeypatch.setattr(chain, "_dp_step", counted_step)
+        hits = 0
+        for g, r, d in GRID + [(5, 1, 3), (5, 1, 4), (5, 2, 6)]:
+            start = len(calls)
+            hits += search_limit_bundles(g, r, d, g + 1).total
+            assert len(set(calls[start:])) == len(calls) - start, (g, r, d)
+        # one kernel call per prefix would make 7,721 here
+        assert (len(calls), hits) == (507, 10_671)
 
 
 class TestSearchBound:

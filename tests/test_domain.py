@@ -84,6 +84,16 @@ def test_out_of_domain_argument_is_a_precondition_error(f, name, bad):
         f(**{**DOMAIN[f], name: bad})
 
 
+FLOAT_CASES = [(f, name) for f, kwargs in DOMAIN.items() for name in "grk" if name in kwargs]
+
+
+@pytest.mark.parametrize("f,name", FLOAT_CASES, ids=[f"{_id(f)}-{n}" for f, n in FLOAT_CASES])
+def test_float_argument_is_a_type_error(f, name):
+    # an in-domain value as a float, e.g. g=8.0, is not an integer either
+    with pytest.raises(TypeError, match=f"need an integer {name}"):
+        f(**{**DOMAIN[f], name: float(DOMAIN[f][name])})
+
+
 def test_every_entry_point_with_g_r_or_k_has_a_row():
     public = set()
     for info in pkgutil.iter_modules(bnkit.__path__):
