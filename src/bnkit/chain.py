@@ -29,8 +29,11 @@ worse of the two cell by cell.  The final minimum h0 of any completion is
 at most C[u] + U[c][u] for the prefix's merged state C and every u, so a
 prefix with min_u (C[u] + U[c][u]) < r + 1 has no r-positive completion
 and its subtree is skipped.  The subtree below a prefix depends only on
-its length and merged state, so nodes are shared by merged state: one
-kernel call per distinct (component, state) within a search.
+its length and merged state, so the search is a graph of nodes shared by
+merged state: one kernel call per distinct (component, state) within a
+search.  Each node counts its all-exact and its generic completions from
+its children's counts, and the witnesses come from a walk that enters
+only nodes with hits.
 """
 
 from __future__ import annotations
@@ -487,6 +490,7 @@ def aspect_options(g: int, d: int, window: int) -> list[list[Aspect]]:
     class), and a generic class everywhere.  Exacts come first, ordered
     by left coefficient; the generic option is last."""
     require(1, g=g)
+    require(None, d=d)
     if g == 1:
         return [[(0, 0), None] if d == 0 else [None]]
     options: list[list[Aspect]] = []
@@ -540,58 +544,20 @@ def _bound_step(W0: list[int], W1: list[int], lo: int, s_lo: int, n: int) -> lis
     ]
 
 
-def _leave(U: list[int]) -> tuple[list[int], list[int]]:
-    """(W0, W1) over the prefix sums [lo, hi] from the table U of the next
-    component, as in :func:`_merge`: a cell left at s with eps 0 continues
-    to key s + 1, and one left with eps 1 continues to key s and adds -1."""
-    return U[1:], [x - 1 for x in U[:-1]]
-
-
 def _bound_tables(g: int, d: int, lo: int, hi: int) -> list[list[int]]:
     """The upper-bound tables U[c] for c = 2..g, at index c - 2, each over
     the merged keys [lo, hi + 1].  The last component meets only S_g = d
-    and nothing comes after it."""
+    and nothing comes after it.  As in :func:`_merge`, a cell left at s
+    with eps 0 continues to key s + 1, and one left with eps 1 continues
+    to key s and adds -1."""
     n = hi - lo + 2
     tables = []
     W0 = W1 = [0]
     s_lo = d
     for _ in range(g - 1):
         tables.append(_bound_step(W0, W1, lo, s_lo, n))
-        (W0, W1), s_lo = _leave(tables[-1]), lo
+        W0, W1, s_lo = tables[-1][1:], [x - 1 for x in tables[-1][:-1]], lo
     return tables[::-1]
-
-
-def _search_minima(options, leave, r: int, d: int, lo: int, hi: int, C: list[int], memo, prefix=()):
-    """Yield (aspects, windowed min h0) for every r-positive aspect tuple
-    extending ``prefix``, in lexicographic option order.  ``C`` is the
-    prefix's merged DP state, shared by all its extensions; one kernel call
-    glues every option of the next component onto it, and the last
-    component needs only the target S_g = d.  An option is skipped with
-    its subtree when min_u (C'[u] + U[u]) < r + 1 for its merged state C'
-    and the next table U; ``leave`` holds each ``_leave(U)``, so that the
-    minimum is read off the unmerged state and only survivors merge.
-
-    The subtree below a node depends only on its depth and ``C``, so nodes
-    are shared by merged state: ``memo`` maps (depth, *C) to the node's
-    survivors, (option, merged next state) inside the chain and
-    (option, min h0) at its end, and the kernel runs once per key."""
-    j = len(prefix)
-    last = j == len(options) - 1
-    if (nodes := memo.get(key := (j, *C))) is None:
-        opts = options[j]
-        if last:
-            steps = zip(opts, _dp_step(opts, C, lo, d, d))
-            nodes = [(a, best) for a, (m0, m1) in steps if (best := min(m0[0], m1[0])) > r]
-        else:
-            (W0, W1), steps = leave[j], zip(opts, _dp_step(opts, C, lo, lo, hi))
-            nodes = [(a, _merge(m0, m1)) for a, (m0, m1) in steps
-                     if min(map(add, m0, W0)) > r and min(map(add, m1, W1)) > r]
-        memo[key] = nodes
-    for a, x in nodes:
-        if last:
-            yield prefix + (a,), x
-        else:
-            yield from _search_minima(options, leave, r, d, lo, hi, x, memo, prefix + (a,))
 
 
 def search_limit_bundles(
@@ -605,10 +571,17 @@ def search_limit_bundles(
     tuples.  ``count_exact`` counts tuples whose aspects are all exact;
     tuples containing a generic aspect are counted separately.
 
-    A prefix is skipped with its subtree when the upper-bound table (see
-    :func:`_bound_tables`) puts the windowed min h0 of all its completions
-    below r + 1.  The table bounds every completion from above, whatever
-    aspects it carries, so a skipped subtree holds no r-positive tuple.
+    The search is a graph: the subtree below a prefix depends only on its
+    length j and merged DP state C, so ``node`` runs the kernel once per
+    key (j, *C) and keeps the options that lead to a hit, each with its
+    child's options (its min h0 at the last component), and the node's
+    two counts.  An option is dropped when its merged state C' has
+    min_u (C'[u] + U[u]) < r + 1 for the next component's upper-bound
+    table U (see :func:`_bound_tables`): the table bounds every completion
+    from above, whatever aspects it carries, so nothing dropped is
+    r-positive.  A generic option moves its child's exact count into the
+    generic count, and the result takes both counts from the root.  The
+    witnesses come from a walk that enters only nodes with hits.
     """
     require(1, g=g)
     require(0, r=r)
@@ -616,11 +589,37 @@ def search_limit_bundles(
     options = aspect_options(g, d, window)
     if (size := prod(map(len, options))) > _MAX_TUPLES:
         raise PreconditionError(f"search refused: state space {size} tuples (guard {_MAX_TUPLES})")
-    leave = [_leave(U) for U in _bound_tables(g, d, lo, hi)]
-    hits = _search_minima(options, leave, r, d, lo, hi, _start(lo, hi), {})
-    witnesses = tuple(SearchWitness(a, best) for a, best in hits)
-    generic = sum(None in w.aspects for w in witnesses)
-    return SearchResult(len(witnesses) - generic, generic, witnesses)
+    tables, memo = _bound_tables(g, d, lo, hi), {}
+
+    def node(j: int, C: list[int]):
+        if (found := memo.get(key := (j, *C))) is None:
+            opts, kids, exact, generic = options[j], [], 0, 0
+            if j == g - 1:
+                kids = [(a, best) for a, (m0, m1) in zip(opts, _dp_step(opts, C, lo, d, d))
+                        if (best := min(m0[0], m1[0])) > r]
+                exact = sum(a is not None for a, _ in kids)
+                generic = len(kids) - exact
+            else:
+                for a, (m0, m1) in zip(opts, _dp_step(opts, C, lo, lo, hi)):
+                    if min(map(add, C2 := _merge(m0, m1), tables[j])) > r:
+                        below, e, n = node(j + 1, C2)
+                        if a is None:  # every completion is generic
+                            e, n = 0, e + n
+                        if e or n:
+                            kids.append((a, below))
+                            exact, generic = exact + e, generic + n
+            memo[key] = found = kids, exact, generic
+        return found
+
+    def walk(j: int, kids, prefix: tuple[Aspect, ...]):
+        for a, x in kids:
+            if j == g - 1:
+                yield SearchWitness(prefix + (a,), x)
+            else:
+                yield from walk(j + 1, x, prefix + (a,))
+
+    kids, exact, generic = node(0, _start(lo, hi))
+    return SearchResult(exact, generic, tuple(walk(0, kids, ())))
 
 
 # --- serialization ---

@@ -20,15 +20,16 @@ class InternalCheckError(Exception):
     """A computed answer failed a check; indicates an engine bug."""
 
 
-def require(least: int, **values: int) -> None:
+def require(least: int | None, **values: int) -> None:
     """The integer-domain rule of every public entry point: raise
     :class:`TypeError` for the first of ``values`` that is not an integer
     (read through ``operator.index``, as ``range`` does) and
-    :class:`PreconditionError` for the first one below ``least``."""
+    :class:`PreconditionError` for the first one below ``least`` (no
+    bound when ``least`` is None)."""
     for name, value in values.items():
         try:
             index(value)
         except TypeError:
             raise TypeError(f"need an integer {name}, got {name}={value!r}") from None
-        if value < least:
+        if least is not None and value < least:
             raise PreconditionError(f"need {name} >= {least}, got {name}={value}")

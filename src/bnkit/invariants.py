@@ -22,6 +22,7 @@ INTERPOLATION_EXCEPTIONS = frozenset({(2, 3, 5), (4, 3, 6), (2, 5, 7), (6, 5, 10
 def rho(g: int, r: int, d: int) -> int:
     """Brill-Noether number rho(g, r, d) = g - (r+1)(g-d+r)."""
     require(0, g=g, r=r)
+    require(None, d=d)
     return g - (r + 1) * (g - d + r)
 
 
@@ -66,6 +67,7 @@ def chi_pullback_tangent(g: int, r: int, d: int) -> int:
     bundle of P^r along a degree-d genus-g curve; as a polynomial it equals
     rho(g, r, d) + (r+1)^2 - 1."""
     require(0, g=g, r=r)
+    require(None, d=d)
     return (r + 1) * d - r * (g - 1)
 
 

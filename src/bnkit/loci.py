@@ -22,6 +22,7 @@ def serre_dual(g: int, r: int, d: int) -> tuple[int, int, int]:
     that preserves rho; raises :class:`PreconditionError` if the dual rank
     would be negative."""
     require(0, g=g, r=r)
+    require(None, d=d)
     if g - d + r - 1 < 0:
         raise PreconditionError(f"dual rank g-d+r-1 = {g - d + r - 1} < 0 for ({g}, {r}, {d})")
     return (g, g - d + r - 1, 2 * g - 2 - d)
@@ -43,6 +44,7 @@ def trivial_containments(g: int, r: int, d: int) -> list[Containment]:
     has rank r - 1, so r >= 1."""
     require(0, g=g)
     require(1, r=r)
+    require(None, d=d)
     return [
         Containment(g, r, d + 1, full_moduli=False),
         Containment(g, r - 1, d - 1, full_moduli=(r - 1 == 0)),
@@ -91,15 +93,13 @@ class ExpectedMaximalRow(NamedTuple):
 def enumerate_expected_maximal(g: int) -> list[ExpectedMaximalRow]:
     """All expected-maximal loci of genus g in the canonical range
     r >= 1, 2 <= d <= g-1, each annotated with rho and the exception
-    flag."""
+    flag.  Only d = ``min_degree(r, g) - 1`` can be expected maximal."""
     require(3, g=g)
     rows = []
     for r in range(1, g + 1):
-        for d in range(2, g):
-            rep = expected_maximal(g, r, d)
-            if rep.is_expected_maximal:
-                rows.append(
-                    ExpectedMaximalRow(g, r, d, rep.rho, rep.is_maximal_exception)
-                )
+        d = min_degree(r, g) - 1
+        rep = expected_maximal(g, r, d)
+        if 2 <= d < g and rep.is_expected_maximal:
+            rows.append(ExpectedMaximalRow(g, r, d, rep.rho, rep.is_maximal_exception))
     return rows
 

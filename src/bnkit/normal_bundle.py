@@ -106,6 +106,7 @@ def pointing_degree(d: int, q_position: str) -> int:
     """Degree of the pointing line subbundle of the normal bundle of a
     degree-d curve, by the position of the center q: d for q off all
     tangent lines, d+2 for q a general point of the curve itself."""
+    require(None, d=d)
     if q_position == "off_tangents":
         return d
     if q_position == "on_curve_general":

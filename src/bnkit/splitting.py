@@ -104,6 +104,7 @@ def maximal_splitting_types(g: int, r: int, d: int, k: int) -> list[SplittingTyp
     """
     require(0, g=g, r=r)
     require(2, k=k)
+    require(None, d=d)
     if g - d + r <= 0:
         raise PreconditionError(
             f"maximal splitting types are stated for g-d+r > 0, got {g - d + r}"

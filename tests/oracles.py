@@ -153,6 +153,23 @@ def sqrt_bound_holds(g: int, r: int, d: int) -> bool:
     return -rho(g, r, d) <= isqrt(g) + 1
 
 
+def expected_maximal_rows(g: int) -> list:
+    """Every expected-maximal locus of genus g, by a scan over every
+    r >= 1 and 2 <= d <= g-1 for rho < 0 while both trivially larger loci,
+    (g, r, d+1) and (g, r-1, d-1), have rho >= 0."""
+    from bnkit.loci import MAXIMAL_EXCEPTIONS, ExpectedMaximalRow
+
+    def rho(r, d):
+        return g - (r + 1) * (g - d + r)
+
+    return [
+        ExpectedMaximalRow(g, r, d, rho(r, d), (g, r, d) in MAXIMAL_EXCEPTIONS)
+        for r in range(1, g + 1)
+        for d in range(2, g)
+        if rho(r, d) < 0 <= min(rho(r, d + 1), rho(r - 1, d - 1))
+    ]
+
+
 # --- the quadratic chain DP, kept as an independent check of the kernel ---
 
 #: a missing DP state

@@ -11,8 +11,9 @@ min-max recursion over every cell, and the pruned search against the
 oracle that visits every tuple.  The bound itself is checked directly:
 at every prefix of a small search it is at least the min h0 of every
 completion, which catches an unsound table even where it happens not to
-cross r + 1.  A search runs the kernel once per distinct (depth, merged
-state), which a counting wrapper around the kernel pins.
+cross r + 1, and a search whose tables never prune must give the same
+result as the pruned one.  A search runs the kernel once per distinct
+(depth, merged state), which a counting wrapper around the kernel pins.
 """
 
 import itertools
@@ -31,6 +32,7 @@ from bnkit.chain import (
     vanishing_tables,
 )
 from bnkit.errors import PreconditionError
+from bnkit.invariants import rho
 
 import oracles
 from oracles import INF
@@ -234,3 +236,16 @@ class TestSearchBound:
                                 for rest in itertools.product(*options[j:])
                             )
                             assert worst <= bound, (g, d, window, prefix)
+
+    def test_bound_free_search_agrees(self, monkeypatch):
+        """Tables that never prune must give the same result: same counts,
+        same witnesses in the same order.  This reaches g = 5 and 6, past
+        the all-tuples oracle (g <= 4) and the prefix check (g <= 3)."""
+        cases = [(5, r, d) for d in range(-2, 9) for r in range(5)]
+        cases += [(6, r, d) for d in range(-2, 11) for r in range(5) if rho(6, r, d) <= 0]
+        want = [search_limit_bundles(*case) for case in cases]
+        monkeypatch.setattr(
+            chain, "_bound_tables", lambda g, d, lo, hi: [[chain._INF] * (hi - lo + 2)] * (g - 1)
+        )
+        for case, result in zip(cases, want):
+            assert search_limit_bundles(*case) == result, case

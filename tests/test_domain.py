@@ -2,9 +2,11 @@
 
 Each row of ``DOMAIN`` is one public function with in-domain keyword
 arguments.  Replacing its genus, rank or gonality by an out-of-domain
-value must raise :class:`PreconditionError`, and every public function of
-a bnkit module that takes a parameter named g, r or k must have a row, so
-a new entry point cannot skip the rule.
+value must raise :class:`PreconditionError`, replacing its genus, rank,
+gonality or degree by the same value as a float must raise
+:class:`TypeError`, and every public function of a bnkit module that
+takes a parameter named g, r or k must have a row, so a new entry point
+cannot skip the rule.
 """
 
 import importlib
@@ -50,6 +52,7 @@ DOMAIN = {
     lattice.min_degree: dict(r=3, g=4),
     lattice.reachable_set: dict(r=3, g_max=2, d_max=5),
     lattice.h1_certificate: dict(r=3, d=5, g=2),
+    normal_bundle.pointing_degree: dict(d=5, q_position="off_tangents"),
     # two stated bounds, checked in the oracles
     oracles.rho_splitting_vs_gonality: dict(g=8, r=2, d=7, k=4),
     oracles.sqrt_bound_holds: dict(g=8, r=1, d=4),
@@ -84,12 +87,12 @@ def test_out_of_domain_argument_is_a_precondition_error(f, name, bad):
         f(**{**DOMAIN[f], name: bad})
 
 
-FLOAT_CASES = [(f, name) for f, kwargs in DOMAIN.items() for name in "grk" if name in kwargs]
+FLOAT_CASES = [(f, name) for f, kwargs in DOMAIN.items() for name in "grkd" if name in kwargs]
 
 
 @pytest.mark.parametrize("f,name", FLOAT_CASES, ids=[f"{_id(f)}-{n}" for f, n in FLOAT_CASES])
 def test_float_argument_is_a_type_error(f, name):
-    # an in-domain value as a float, e.g. g=8.0, is not an integer either
+    # an in-domain value as a float, e.g. g=8.0 or d=7.0, is not an integer either
     with pytest.raises(TypeError, match=f"need an integer {name}"):
         f(**{**DOMAIN[f], name: float(DOMAIN[f][name])})
 

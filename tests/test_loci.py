@@ -10,7 +10,7 @@ from bnkit.loci import (
     trivial_containments,
 )
 
-from oracles import sqrt_bound_holds
+from oracles import expected_maximal_rows, sqrt_bound_holds
 
 
 class TestSerreDual:
@@ -97,6 +97,10 @@ class TestExpectedMaximal:
             if row.is_maximal_exception
         }
         assert flagged == set(MAXIMAL_EXCEPTIONS)
+
+    def test_enumeration_is_the_scan_over_every_rank_and_degree(self):
+        for g in range(3, 121):
+            assert enumerate_expected_maximal(g) == expected_maximal_rows(g), g
 
     def test_sqrt_bound(self):
         for g in range(3, 101):
