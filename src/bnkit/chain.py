@@ -42,7 +42,6 @@ from collections import namedtuple
 from itertools import accumulate
 from math import prod
 from operator import add, index, sub
-from typing import NamedTuple
 
 from .errors import InternalCheckError, PreconditionError, require
 
@@ -101,14 +100,11 @@ def h0_twisted(aspect: Aspect, d: int, u: int, v: int) -> int:
     return 1 if (aspect is not None and aspect[0] == u and aspect[1] == v) else 0
 
 
-class ComponentBundle(NamedTuple):
+class ComponentBundle(namedtuple("ComponentBundle", "base left_twist right_twist aspect_degree")):
     """An aspect twisted down at its two marked points; the restriction
     of a multidegree limit to one component."""
 
-    base: Aspect
-    left_twist: int
-    right_twist: int
-    aspect_degree: int
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -219,6 +215,7 @@ def _window(g: int, d: int, window: int | None) -> tuple[int, int, int]:
     prefix-sum range [lo, hi].  The range keeps the forced boundary sums
     S_0 = 0 and S_g = d inside, and lo + hi = d, so the reflection
     s -> d - s maps it onto itself.  Refuses more than _MAX_CELLS cells."""
+    require(None, d=d)
     if window is None:
         window = default_window(g)
     require(0, window=window)
@@ -295,7 +292,8 @@ def _suffix_pass(L: LimitLineBundle, window: int | None):
     as S'_j = d - S_{g-j}.  The state after j components is the suffix
     X^{>g-j} of L keyed by d - S_{g-j}, with eps the evaluation rank at
     p^{g-j}; the last state is the whole chain at S_0 = 0.  Returns the
-    resolved window, its lo, the reflected aspects and every state."""
+    resolved window, its lo, the reflected aspects, every state and the
+    minimum h0."""
     g, d = L.g, L.d
     window, lo, hi = _window(g, d, window)
     aspects = tuple(None if a is None else (a[1], a[0]) for a in reversed(L.aspects))
@@ -307,9 +305,10 @@ def _suffix_pass(L: LimitLineBundle, window: int | None):
         states.append(state)
         if j < g:
             C = _merge(*state)
-    if _best(states) >= _INF:
+    (n0,), (n1,) = states[-1]
+    if (best := min(n0, n1)) >= _INF:
         raise InternalCheckError("chain DP produced no state at S_0 = 0")
-    return window, lo, aspects, states
+    return window, lo, aspects, states, best
 
 
 def _witness(L: LimitLineBundle, lo: int, aspects, states) -> tuple[int, ...]:
@@ -343,48 +342,40 @@ def _witness(L: LimitLineBundle, lo: int, aspects, states) -> tuple[int, ...]:
     return tuple(map(sub, (*sums, d), (0, *sums)))
 
 
-def _best(states) -> int:
-    (n0,), (n1,) = states[-1]
-    return min(n0, n1)
-
-
 def min_h0(L: LimitLineBundle, window: int | None = None) -> int:
     """Minimum of h0_chain over all windowed degree distributions."""
-    return _best(_suffix_pass(L, window)[3])
+    return _suffix_pass(L, window)[4]
 
 
-class RPositivityReport(NamedTuple):
-    is_r_positive: bool
-    min_h0: int
-    witness: tuple[int, ...]  # a distribution attaining the minimum
+class RPositivityReport(namedtuple("RPositivityReport", "is_r_positive min_h0 witness")):
+    """The windowed minimum h0 of a bundle against r + 1, with
+    ``witness`` a distribution attaining the minimum."""
+
+    __slots__ = ()
 
 
 def is_r_positive(L: LimitLineBundle, r: int, window: int | None = None) -> RPositivityReport:
     """Whether every windowed multidegree limit has at least r+1 sections,
     together with a distribution attaining the minimum."""
     require(0, r=r)
-    _, lo, aspects, states = _suffix_pass(L, window)
-    best = _best(states)
+    _, lo, aspects, states, best = _suffix_pass(L, window)
     return RPositivityReport(best >= r + 1, best, _witness(L, lo, aspects, states))
 
 
 # --- vanishing tables and star conditions ---
 
-class VanishingTable(NamedTuple):
+class VanishingTable(namedtuple("VanishingTable", "r d g a_rows b_rows")):
     """Extremal degree thresholds at the nodes of an r-positive limit.
 
     a(i, n) for 0 <= i <= g-1: the largest windowed prefix sum alpha at
     node i such that every windowed completion with S_i = alpha keeps at
     least r+1-n sections on the suffix; a(0, n) = n by convention.
     b(i, n) = d - a(i, r-n) for 1 <= i <= g-1, and b(g, n) = n.
-    Rows are strictly increasing in n.
+    Rows are strictly increasing in n.  ``a_rows[i]`` is row i of a, and
+    ``b_rows[i - 1]`` row i of b.
     """
 
-    r: int
-    d: int
-    g: int
-    a_rows: tuple[tuple[int, ...], ...]  # index 0..g-1
-    b_rows: tuple[tuple[int, ...], ...]  # index 1..g, stored shifted by 1
+    __slots__ = ()
 
     def a(self, i: int, n: int) -> int:
         if not (0 <= i <= self.g - 1 and 0 <= n <= self.r):
@@ -402,8 +393,7 @@ def vanishing_tables(L: LimitLineBundle, r: int, window: int | None = None) -> V
     bundle.  Raises :class:`PreconditionError` otherwise."""
     require(0, r=r)
     g, d = L.g, L.d
-    window, lo, _, states = _suffix_pass(L, window)
-    best = _best(states)
+    window, lo, _, states, best = _suffix_pass(L, window)
     if best < r + 1:
         raise PreconditionError(f"bundle has windowed min h0 = {best} < r+1 = {r + 1}")
     a_rows: list[tuple[int, ...]] = [tuple(range(r + 1))]
@@ -424,8 +414,6 @@ def vanishing_tables(L: LimitLineBundle, r: int, window: int | None = None) -> V
                     f"a({i}, {n}) is not attained strictly inside window {window}; enlarge it"
                 )
             row.append(alphas[-1])
-        if any(x >= y for x, y in zip(row, row[1:])):
-            raise InternalCheckError(f"a-row at node {i} is not strictly increasing: {row}")
         a_rows.append(tuple(row))
     b_rows = [
         tuple(d - a_rows[i][r - n] for n in range(r + 1)) for i in range(1, g)
@@ -434,16 +422,14 @@ def vanishing_tables(L: LimitLineBundle, r: int, window: int | None = None) -> V
     return VanishingTable(r=r, d=d, g=g, a_rows=tuple(a_rows), b_rows=tuple(b_rows))
 
 
-class StarReport(NamedTuple):
+class StarReport(namedtuple("StarReport", "pairs per_n lower_bound")):
     """Components whose aspect is pinned by an extremal section: the pairs
     (i, n) with a(i-1, n) + b(i, r-n) = d.  At each such pair the aspect
     is checked to be the exact class O(a(i-1, n) p^{i-1} + b(i, r-n) p^i).
     ``per_n`` counts starred components for each n; each count is at
     least g - d + r."""
 
-    pairs: tuple[tuple[int, int], ...]
-    per_n: dict[int, int]
-    lower_bound: int
+    __slots__ = ()
 
 
 def star_components(L: LimitLineBundle, r: int, window: int | None = None) -> StarReport:
@@ -504,15 +490,12 @@ def aspect_options(g: int, d: int, window: int) -> list[list[Aspect]]:
     return options
 
 
-class SearchWitness(NamedTuple):
-    aspects: tuple[Aspect, ...]
-    min_h0: int
+class SearchWitness(namedtuple("SearchWitness", "aspects min_h0")):
+    __slots__ = ()
 
 
-class SearchResult(NamedTuple):
-    count_exact: int
-    count_with_generic: int
-    witnesses: tuple[SearchWitness, ...]
+class SearchResult(namedtuple("SearchResult", "count_exact count_with_generic witnesses")):
+    __slots__ = ()
 
     @property
     def total(self) -> int:

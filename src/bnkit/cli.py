@@ -27,7 +27,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Callable
+from collections import namedtuple
 
 from . import chain, invariants, lattice, loci, normal_bundle, splitting, tableaux
 from .errors import InternalCheckError, PreconditionError, require
@@ -86,51 +86,47 @@ def _table(command: str, inputs: dict, result) -> str:
     return "\n".join(lines)
 
 
-class Flag:
+class _Flag(namedtuple("_Flag", "name spec read show", defaults=(None, None))):
     """One option: its name, its ``add_argument`` keywords and, for serialized
     text, the library function that reads it and the one that writes its echo
     (the text as typed when None).  ``inputs`` echo all but switches."""
 
-    __slots__ = ("name", "spec", "echo", "read", "show", "dest")
+    __slots__ = ()
 
-    def __init__(self, name: str, spec: dict, read=None, show=None):
-        self.name, self.spec, self.read, self.show = name, spec, read, show
-        self.dest = name.lstrip("-").replace("-", "_")
-        self.echo = spec.get("action") != "store_true"
+    @property
+    def dest(self) -> str:
+        return self.name.lstrip("-").replace("-", "_")
 
-
-def _str(name: str, help: str | None = None, read=None, show=None, **spec) -> Flag:
-    """A value flag, required unless it has a default; see :class:`Flag`."""
-    return Flag(name, {"required": "default" not in spec, "help": help, **spec}, read, show)
+    @property
+    def echo(self) -> bool:
+        return self.spec.get("action") != "store_true"
 
 
-def _int(name: str, help: str | None = None, **spec) -> Flag:
+def _str(name: str, help: str | None = None, read=None, show=None, **spec) -> _Flag:
+    """A value flag, required unless it has a default; see :class:`_Flag`."""
+    return _Flag(name, {"required": "default" not in spec, "help": help, **spec}, read, show)
+
+
+def _int(name: str, help: str | None = None, **spec) -> _Flag:
     return _str(name, help, type=int, **spec)
 
 
-def _switch(name: str, help: str) -> Flag:
-    return Flag(name, {"action": "store_true", "help": help})
+def _switch(name: str, help: str) -> _Flag:
+    return _Flag(name, {"action": "store_true", "help": help})
 
 
-class Command:
+class _Command(namedtuple("_Command", "name help flags run")):
     """A leaf command.  ``run`` maps the parsed arguments, every serialized
     value already read, to the result payload."""
 
-    __slots__ = ("name", "help", "flags", "run")
-
-    def __init__(self, name: str, help: str, flags: tuple[Flag, ...],
-                 run: Callable[[argparse.Namespace], object]):
-        self.name = name
-        self.help = help
-        self.flags = flags
-        self.run = run
+    __slots__ = ()
 
 
 def _fields(obj, *names: str) -> dict:
     return {n: getattr(obj, n) for n in names}
 
 
-def _read(cmd: Command, args) -> dict:
+def _read(cmd: _Command, args) -> dict:
     """Replace each serialized text in ``args`` by its value and return their
     echoes; a malformed value is a :class:`PreconditionError` naming its flag."""
     shown = {}
@@ -244,80 +240,80 @@ GROUPS = {
 }
 
 COMMANDS = [
-    Command("rho", "Brill-Noether number", _GRD,
-            lambda a: {"rho": invariants.rho(a.g, a.r, a.d)}),
-    Command("rho-k", "gonality-refined Brill-Noether number", (*_GRD, _GONALITY),
-            lambda a: {"rho_k": invariants.rho_k(a.g, a.r, a.d, a.k)}),
-    Command("count", "number of g^r_d's at rho = 0", _GRD,
-            lambda a: {"count": invariants.count_grd(a.g, a.r, a.d)}),
-    Command("chi", "Euler characteristic of the restricted tangent bundle", _GRD,
-            lambda a: {"chi": invariants.chi_pullback_tangent(a.g, a.r, a.d)}),
-    Command("hilbert", "Hilbert function of a general embedded curve",
-            (*_GRD, _int("-k", "power of the hyperplane class")),
-            lambda a: {"value": invariants.hilbert_function(a.g, a.r, a.d, a.k)}),
-    Command("smrc", "expected dimension of the maximal-rank degeneracy locus",
-            (*_GRD, _int("-k")),
-            lambda a: {"expected_dim": invariants.smrc_expected_dim(a.g, a.r, a.d, a.k)}),
-    Command("interp", "interpolation point count", _GRD, _interp),
-    Command("splitting rd", "(r, d) of a splitting type",
-            (_int("-g"), _TYPE), lambda a: dict(zip("rd", splitting.rd_from_splitting(a.g, a.e)))),
-    Command("splitting rho", "expected dimension of a splitting locus", (_int("-g"), _TYPE),
-            lambda a: {"rho_splitting": splitting.rho_splitting(a.g, a.e)}),
-    Command("splitting maximal", "maximal splitting types for (g, r, d, k)", (*_GRD, _GONALITY),
-            lambda a: {"types": [splitting.splitting_str(t) for t in
-                                 splitting.maximal_splitting_types(a.g, a.r, a.d, a.k)]}),
-    Command("splitting predicates", "basepoint-freeness / very-ampleness flags",
-            (_TYPE,), lambda a: _fields(splitting.hbn_predicates(a.e),
-                                       "basepoint_free", "very_ample_sufficient")),
-    Command("splitting majorizes", "containment order on splitting loci",
-            (_str("--outer", read=splitting.parse_splitting),
-             _str("--inner", read=splitting.parse_splitting)),
-            lambda a: dict(zip(("majorizes", "reason"), splitting.majorizes(a.outer, a.inner)))),
-    Command("loci dual", "Serre-dual locus index", _GRD,
-            lambda a: dict(zip("grd", loci.serre_dual(a.g, a.r, a.d)))),
-    Command("loci maximal", "expected-maximality of one locus", _GRD,
-            lambda a: _fields(loci.expected_maximal(a.g, a.r, a.d),
-                              "is_expected_maximal", "is_maximal_exception", "rho")),
-    Command("loci enumerate", "all expected-maximal loci of a genus", (_int("-g"),),
-            _enumerate_loci),
-    Command("kfill", "count k-fillings of a k-core",
-            (_str("--core", 'target core, e.g. "4,2,1,1"', read=tableaux.parse_partition),
-             _int("-k"), _int("-g", "number of symbols"),
-             _switch("--witnesses", "list the residue words")), _kfill),
-    Command("syt", "standard Young tableaux on a rectangle", (_int("--rows"), _int("--cols")),
-            lambda a: {"count": tableaux.syt_count_rect(a.rows, a.cols)}),
-    Command("chain h0", "h0 of one multidegree limit",
-            (*_BUNDLE, _str("--dist", 'degree distribution, e.g. "3,0,1"',
-                            read=chain.parse_distribution)),
-            _windowed(lambda a: {"h0": chain.h0_chain(a.aspects, a.dist)})),
-    Command("chain min-h0", "windowed minimum of h0 over distributions", _BUNDLE,
-            _windowed(_min_h0)),
-    Command("chain tables", "vanishing tables of an r-positive bundle",
-            (*_BUNDLE, _int("-r")), _windowed(_tables)),
-    Command("chain star", "star components of an r-positive bundle", (*_BUNDLE, _int("-r")),
-            _windowed(_star)),
-    Command("chain search", "branch-and-bound search that finds every r-positive aspect tuple",
-            (*_GRD, _WINDOW, _switch("--witnesses", "list the r-positive tuples")),
-            _windowed(_search, lambda a: a.g)),
-    Command("lattice min-degree", "least degree with rho >= 0", (_int("-r"), _int("-g")),
-            lambda a: {"min_degree": lattice.min_degree(a.r, a.g)}),
-    Command("lattice reachable", "lattice points inside a box",
-            (_int("-r"), _int("--g-max"), _int("--d-max")),
-            lambda a: [{"d": d, "g": g}
-                       for d, g in sorted(lattice.reachable_set(a.r, a.g_max, a.d_max))]),
-    Command("lattice certificate", "h1-vanishing certificate for (d, g)",
-            (_int("-r"), _int("-d"), _int("-g")), _certificate),
-    Command("nb project", "projection-from-a-point ledger sequence", (_int("-d"),), _project),
-    Command("nb odd-cert", "balancedness certificate for odd degree", (_int("-d"),),
-            lambda a: _fields(normal_bundle.odd_degree_certificate(a.d),
-                              "d", "peels", "sub", "quot", "balanced", "total")),
-    Command("nb modify", "elementary modification of a split bundle",
-            (_str("--degrees", 'summand degrees, e.g. "2,1,1"',
-                  read=normal_bundle.parse_split_bundle),
-             _int("--summand", "0-based summand index"),
-             _str("--sign", choices=("+", "-")), _int("--points")),
-            lambda a: {"degrees": list(normal_bundle.modify(a.degrees, a.summand, a.sign,
-                                                            a.points).degrees)}),
+    _Command("rho", "Brill-Noether number", _GRD,
+             lambda a: {"rho": invariants.rho(a.g, a.r, a.d)}),
+    _Command("rho-k", "gonality-refined Brill-Noether number", (*_GRD, _GONALITY),
+             lambda a: {"rho_k": invariants.rho_k(a.g, a.r, a.d, a.k)}),
+    _Command("count", "number of g^r_d's at rho = 0", _GRD,
+             lambda a: {"count": invariants.count_grd(a.g, a.r, a.d)}),
+    _Command("chi", "Euler characteristic of the restricted tangent bundle", _GRD,
+             lambda a: {"chi": invariants.chi_pullback_tangent(a.g, a.r, a.d)}),
+    _Command("hilbert", "Hilbert function of a general embedded curve",
+             (*_GRD, _int("-k", "power of the hyperplane class")),
+             lambda a: {"value": invariants.hilbert_function(a.g, a.r, a.d, a.k)}),
+    _Command("smrc", "expected dimension of the maximal-rank degeneracy locus",
+             (*_GRD, _int("-k")),
+             lambda a: {"expected_dim": invariants.smrc_expected_dim(a.g, a.r, a.d, a.k)}),
+    _Command("interp", "interpolation point count", _GRD, _interp),
+    _Command("splitting rd", "(r, d) of a splitting type",
+             (_int("-g"), _TYPE), lambda a: dict(zip("rd", splitting.rd_from_splitting(a.g, a.e)))),
+    _Command("splitting rho", "expected dimension of a splitting locus", (_int("-g"), _TYPE),
+             lambda a: {"rho_splitting": splitting.rho_splitting(a.g, a.e)}),
+    _Command("splitting maximal", "maximal splitting types for (g, r, d, k)", (*_GRD, _GONALITY),
+             lambda a: {"types": [splitting.splitting_str(t) for t in
+                                  splitting.maximal_splitting_types(a.g, a.r, a.d, a.k)]}),
+    _Command("splitting predicates", "basepoint-freeness / very-ampleness flags",
+             (_TYPE,), lambda a: _fields(splitting.hbn_predicates(a.e),
+                                        "basepoint_free", "very_ample_sufficient")),
+    _Command("splitting majorizes", "containment order on splitting loci",
+             (_str("--outer", read=splitting.parse_splitting),
+              _str("--inner", read=splitting.parse_splitting)),
+             lambda a: dict(zip(("majorizes", "reason"), splitting.majorizes(a.outer, a.inner)))),
+    _Command("loci dual", "Serre-dual locus index", _GRD,
+             lambda a: dict(zip("grd", loci.serre_dual(a.g, a.r, a.d)))),
+    _Command("loci maximal", "expected-maximality of one locus", _GRD,
+             lambda a: _fields(loci.expected_maximal(a.g, a.r, a.d),
+                               "is_expected_maximal", "is_maximal_exception", "rho")),
+    _Command("loci enumerate", "all expected-maximal loci of a genus", (_int("-g"),),
+             _enumerate_loci),
+    _Command("kfill", "count k-fillings of a k-core",
+             (_str("--core", 'target core, e.g. "4,2,1,1"', read=tableaux.parse_partition),
+              _int("-k"), _int("-g", "number of symbols"),
+              _switch("--witnesses", "list the residue words")), _kfill),
+    _Command("syt", "standard Young tableaux on a rectangle", (_int("--rows"), _int("--cols")),
+             lambda a: {"count": tableaux.syt_count_rect(a.rows, a.cols)}),
+    _Command("chain h0", "h0 of one multidegree limit",
+             (*_BUNDLE, _str("--dist", 'degree distribution, e.g. "3,0,1"',
+                             read=chain.parse_distribution)),
+             _windowed(lambda a: {"h0": chain.h0_chain(a.aspects, a.dist)})),
+    _Command("chain min-h0", "windowed minimum of h0 over distributions", _BUNDLE,
+             _windowed(_min_h0)),
+    _Command("chain tables", "vanishing tables of an r-positive bundle",
+             (*_BUNDLE, _int("-r")), _windowed(_tables)),
+    _Command("chain star", "star components of an r-positive bundle", (*_BUNDLE, _int("-r")),
+             _windowed(_star)),
+    _Command("chain search", "branch-and-bound search that finds every r-positive aspect tuple",
+             (*_GRD, _WINDOW, _switch("--witnesses", "list the r-positive tuples")),
+             _windowed(_search, lambda a: a.g)),
+    _Command("lattice min-degree", "least degree with rho >= 0", (_int("-r"), _int("-g")),
+             lambda a: {"min_degree": lattice.min_degree(a.r, a.g)}),
+    _Command("lattice reachable", "lattice points inside a box",
+             (_int("-r"), _int("--g-max"), _int("--d-max")),
+             lambda a: [{"d": d, "g": g}
+                        for d, g in sorted(lattice.reachable_set(a.r, a.g_max, a.d_max))]),
+    _Command("lattice certificate", "h1-vanishing certificate for (d, g)",
+             (_int("-r"), _int("-d"), _int("-g")), _certificate),
+    _Command("nb project", "projection-from-a-point ledger sequence", (_int("-d"),), _project),
+    _Command("nb odd-cert", "balancedness certificate for odd degree", (_int("-d"),),
+             lambda a: _fields(normal_bundle.odd_degree_certificate(a.d),
+                               "d", "peels", "sub", "quot", "balanced", "total")),
+    _Command("nb modify", "elementary modification of a split bundle",
+             (_str("--degrees", 'summand degrees, e.g. "2,1,1"',
+                   read=normal_bundle.parse_split_bundle),
+              _int("--summand", "0-based summand index"),
+              _str("--sign", choices=("+", "-")), _int("--points")),
+             lambda a: {"degrees": list(normal_bundle.modify(a.degrees, a.summand, a.sign,
+                                                             a.points).degrees)}),
 ]
 
 

@@ -9,8 +9,8 @@ No floats anywhere.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import comb, factorial, prod
-from typing import NamedTuple
 
 from .errors import InternalCheckError, PreconditionError, require
 
@@ -105,7 +105,7 @@ def smrc_expected_dim(g: int, r: int, d: int, k: int) -> int:
     return p - 1 - abs(comb(r + k, k) - (d * k + 1 - g))
 
 
-class InterpolationReport(NamedTuple):
+class InterpolationReport(namedtuple("InterpolationReport", "formula_value is_exception count")):
     """Outcome of the interpolation count for Brill-Noether curves.
 
     ``count`` is None for the non-quadric exceptional triples, where the
@@ -113,9 +113,7 @@ class InterpolationReport(NamedTuple):
     here.
     """
 
-    formula_value: int
-    is_exception: bool
-    count: int | None
+    __slots__ = ()
 
 
 def interpolation_points(g: int, r: int, d: int) -> InterpolationReport:

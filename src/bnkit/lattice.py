@@ -18,7 +18,7 @@ the accumulated Euler characteristic.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import PreconditionError, require
 from .invariants import rho
@@ -64,24 +64,16 @@ def _moves(r: int) -> dict[str, tuple[tuple[int, int], SplitBundle]]:
     }
 
 
-class MoveStep(NamedTuple):
-    move: str
-    bundle: SplitBundle
-    h1: int
+class MoveStep(namedtuple("MoveStep", "move bundle h1")):
+    __slots__ = ()
 
 
-class MoveCertificate(NamedTuple):
+class MoveCertificate(namedtuple("MoveCertificate", "r d g moves steps base_bundle chi")):
     """A certified path from the rational normal curve (d, g) = (r, 0) to
     the target point: every attached bundle has h1 = 0, and the Euler
     characteristics accumulate to (r+1)d - r(g-1)."""
 
-    r: int
-    d: int
-    g: int
-    moves: str
-    steps: tuple[MoveStep, ...]
-    base_bundle: SplitBundle
-    chi: int
+    __slots__ = ()
 
 
 def h1_certificate(r: int, d: int, g: int) -> MoveCertificate:

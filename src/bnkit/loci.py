@@ -6,7 +6,7 @@ classification with its three exceptional genera.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import PreconditionError, require
 from .invariants import rho
@@ -28,14 +28,11 @@ def serre_dual(g: int, r: int, d: int) -> tuple[int, int, int]:
     return (g, g - d + r - 1, 2 * g - 2 - d)
 
 
-class Containment(NamedTuple):
+class Containment(namedtuple("Containment", "g r d full_moduli")):
     """A trivially larger locus; ``full_moduli`` marks r = 0 targets,
     which are the whole moduli space rather than proper loci."""
 
-    g: int
-    r: int
-    d: int
-    full_moduli: bool
+    __slots__ = ()
 
 
 def trivial_containments(g: int, r: int, d: int) -> list[Containment]:
@@ -51,12 +48,12 @@ def trivial_containments(g: int, r: int, d: int) -> list[Containment]:
     ]
 
 
-class ExpectedMaximalReport(NamedTuple):
-    is_expected_maximal: bool
-    is_maximal_exception: bool
-    rho: int
-    #: the degree forced by expected-maximality, ceil(rg/(r+1)) + r - 1
-    d_formula: int
+class ExpectedMaximalReport(namedtuple(
+        "ExpectedMaximalReport", "is_expected_maximal is_maximal_exception rho d_formula")):
+    """Expected-maximality of one locus; ``d_formula`` is the degree
+    forced by expected-maximality, ceil(rg/(r+1)) + r - 1."""
+
+    __slots__ = ()
 
 
 def expected_maximal(g: int, r: int, d: int) -> ExpectedMaximalReport:
@@ -82,12 +79,8 @@ def expected_maximal(g: int, r: int, d: int) -> ExpectedMaximalReport:
     )
 
 
-class ExpectedMaximalRow(NamedTuple):
-    g: int
-    r: int
-    d: int
-    rho: int
-    is_maximal_exception: bool
+class ExpectedMaximalRow(namedtuple("ExpectedMaximalRow", "g r d rho is_maximal_exception")):
+    __slots__ = ()
 
 
 def enumerate_expected_maximal(g: int) -> list[ExpectedMaximalRow]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from operator import index
-from typing import NamedTuple
 
 from .errors import InternalCheckError, PreconditionError, require
 
@@ -59,10 +58,6 @@ class SplitBundle(namedtuple("SplitBundle", "degrees")):
     @property
     def chi(self) -> int:
         return self.degree + self.rank
-
-    def is_balanced(self) -> bool:
-        """Degrees differ by at most one; "perfectly balanced" when equal."""
-        return max(self.degrees) - min(self.degrees) <= 1
 
     def twist(self, n: int) -> "SplitBundle":
         """Tensor by a degree-n line bundle: every summand shifts by n."""
@@ -157,7 +152,8 @@ def hh_restriction(bundle: SplitBundle, node_targets) -> SplitBundle:
     return out
 
 
-class OddDegreeCertificate(NamedTuple):
+class OddDegreeCertificate(namedtuple(
+        "OddDegreeCertificate", "d peels reduced_degree sub quot balanced conclusion total")):
     """Balancedness certificate for the normal bundle of a general
     rational curve of odd degree d in 3-space.
 
@@ -169,14 +165,7 @@ class OddDegreeCertificate(NamedTuple):
     degree ``total`` = 4d-2.
     """
 
-    d: int
-    peels: int
-    reduced_degree: int
-    sub: int
-    quot: int
-    balanced: bool
-    conclusion: tuple[int, int]
-    total: int
+    __slots__ = ()
 
 
 def odd_degree_certificate(d: int) -> OddDegreeCertificate:

@@ -16,8 +16,8 @@ form is used.)
 
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import index
-from typing import NamedTuple
 
 from .errors import InternalCheckError, PreconditionError, require
 from .normal_bundle import SplitBundle
@@ -51,11 +51,10 @@ def rho_splitting(g: int, parts) -> int:
     return g - SplitBundle(a - b for a in e for b in e).h1
 
 
-class MajorizationResult(NamedTuple):
+class MajorizationResult(namedtuple("MajorizationResult", "holds reason", defaults=("",))):
     """Truthy wrapper so callers can ask both *whether* and *why not*."""
 
-    holds: bool
-    reason: str = ""
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.holds
@@ -128,12 +127,11 @@ def maximal_splitting_types(g: int, r: int, d: int, k: int) -> list[SplittingTyp
     return out
 
 
-class HbnPredicates(NamedTuple):
+class HbnPredicates(namedtuple("HbnPredicates", "basepoint_free very_ample_sufficient")):
     """Geometric predicates read off a splitting type.  The very-ample
     flag is a sufficient criterion only, never a characterization."""
 
-    basepoint_free: bool
-    very_ample_sufficient: bool
+    __slots__ = ()
 
 
 def hbn_predicates(parts) -> HbnPredicates:

@@ -16,9 +16,9 @@ k, and witnesses are checked against this rule on replay.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import factorial, prod
 from operator import index
-from typing import NamedTuple
 
 from .errors import InternalCheckError, PreconditionError, require
 
@@ -185,11 +185,10 @@ def count_k_fillings(target: Partition, k: int, g: int) -> int:
     return count[()]
 
 
-class FillingWitness(NamedTuple):
+class FillingWitness(namedtuple("FillingWitness", "residues k")):
     """A k-filling witness: the residue sequence in application order."""
 
-    residues: tuple[int, ...]
-    k: int
+    __slots__ = ()
 
     def replay(self) -> tuple[Partition, list[list[tuple[int, int]]]]:
         """Apply the strict-add sequence to (); returns the final core and,

@@ -134,7 +134,7 @@ class TestWindowedMinima:
                 assert min_h0(L, window) == best
                 rep = is_r_positive(L, 0, window)
                 assert (rep.min_h0, rep.witness) == (best, witness)
-                _, lo, _, states = chain._suffix_pass(L, window)
+                _, lo, _, states, _ = chain._suffix_pass(L, window)
                 for i in range(1, L.g):
                     n0, n1 = states[L.g - i - 1]
                     assert _norm(min(a, b) for a, b in zip(n0, n1))[::-1] == tables[i]
@@ -146,7 +146,9 @@ class TestWindowedMinima:
                     with pytest.raises(PreconditionError, match="not attained strictly inside window"):
                         vanishing_tables(L, r, window)
                 else:
-                    assert vanishing_tables(L, r, window).a_rows == rows
+                    a_rows = vanishing_tables(L, r, window).a_rows
+                    assert a_rows == rows
+                    assert all(x < y for row in a_rows for x, y in zip(row, row[1:]))
 
     def test_ties_in_witnesses_on_every_small_bundle(self):
         # exhaustive over a box: many distributions tie for the minimum

@@ -87,14 +87,18 @@ def test_out_of_domain_argument_is_a_precondition_error(f, name, bad):
         f(**{**DOMAIN[f], name: bad})
 
 
-FLOAT_CASES = [(f, name) for f, kwargs in DOMAIN.items() for name in "grkd" if name in kwargs]
+# an in-domain value as a float, e.g. g=8.0 or d=7.0, is not an integer either,
+# nor is a float degree too large for the window guard
+FLOAT_CASES = [
+    pytest.param(f, name, float(kwargs[name]), id=f"{_id(f)}-{name}")
+    for f, kwargs in DOMAIN.items() for name in "grkd" if name in kwargs
+] + [pytest.param(chain.search_limit_bundles, "d", 1e7, id="search_limit_bundles-d-oversized")]
 
 
-@pytest.mark.parametrize("f,name", FLOAT_CASES, ids=[f"{_id(f)}-{n}" for f, n in FLOAT_CASES])
-def test_float_argument_is_a_type_error(f, name):
-    # an in-domain value as a float, e.g. g=8.0 or d=7.0, is not an integer either
+@pytest.mark.parametrize("f,name,value", FLOAT_CASES)
+def test_float_argument_is_a_type_error(f, name, value):
     with pytest.raises(TypeError, match=f"need an integer {name}"):
-        f(**{**DOMAIN[f], name: float(DOMAIN[f][name])})
+        f(**{**DOMAIN[f], name: value})
 
 
 def test_every_entry_point_with_g_r_or_k_has_a_row():

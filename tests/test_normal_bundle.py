@@ -25,10 +25,6 @@ class TestSplitBundle:
             b = SplitBundle(degs)
             assert b.h0 - b.h1 == b.degree + b.rank
 
-    def test_balancedness(self):
-        assert SplitBundle((2, 2, 3)).is_balanced()
-        assert not SplitBundle((1, 3)).is_balanced()
-
     def test_sorted_serialization(self):
         assert str(SplitBundle((2, -1, 0))) == "-1,0,2"
 

@@ -3,7 +3,9 @@
 A public module-level function or class of a bnkit module must appear
 somewhere outside its own definition: elsewhere in the package (its
 ``__init__`` re-exports do not count), in ``demos/`` or in ``perfbench/``.
-Code that only the tests call belongs in ``tests/``.
+A public method or property of a public class must be accessed as
+``.name`` somewhere in those same files.  Code that only the tests call
+belongs in ``tests/``.
 """
 
 import importlib
@@ -60,3 +62,16 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         else:
             uncalled.add(f"{module.__name__}.{name}")
     assert sorted(uncalled) == sorted(UNCALLED)
+
+
+def test_every_public_method_and_property_is_accessed_outside_the_tests():
+    text = "\n".join(_sources().values())
+    unaccessed = [
+        f"{module.__name__}.{name}.{member}"
+        for module, name, cls in _public_names() if inspect.isclass(cls)
+        for member, value in vars(cls).items()
+        if not member.startswith("_")
+        and (inspect.isfunction(value) or isinstance(value, property))
+        and not re.search(rf"\.{member}\b", text)
+    ]
+    assert unaccessed == []

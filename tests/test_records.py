@@ -4,7 +4,8 @@ Every public record is an immutable named tuple.  Its ``repr``, its
 refusal to be assigned to, its hash and the exceptions its validating
 constructor raises are pinned here; the ``repr`` strings are the ones the
 earlier frozen-dataclass records printed.  Importing ``bnkit.cli`` must not
-load ``dataclasses`` or ``inspect``, which nothing on the CLI path needs.
+load ``dataclasses``, ``inspect`` or ``typing``, which nothing on the CLI
+path needs.
 """
 
 import importlib
@@ -131,7 +132,8 @@ def test_no_dataclasses():
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     src = Path(bnkit.__file__).resolve().parents[1]
-    code = "import sys, bnkit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    modules = {"dataclasses", "inspect", "typing"}
+    code = f"import sys, bnkit.cli; print(sorted({modules!r} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-S", "-c", code], env={"PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
