@@ -51,6 +51,7 @@ from .chain import (
     prefix_fire,
     restrict,
     search_limit_bundles,
+    search_witnesses,
     star_components,
     vanishing_tables,
 )

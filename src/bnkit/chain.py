@@ -32,12 +32,14 @@ and its subtree is skipped.  The subtree below a prefix depends only on
 its length and merged state, so the search is a graph of nodes shared by
 merged state: one kernel call per distinct (component, state) within a
 search.  Each node counts its all-exact and its generic completions from
-its children's counts, and the witnesses come from a walk that enters
-only nodes with hits.
+its children's counts, so the hits are counted without being listed; the
+witnesses, when asked for, come from a walk that enters only nodes with
+hits.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from itertools import accumulate
 from math import prod
@@ -313,31 +315,31 @@ def _suffix_pass(L: LimitLineBundle, window: int | None):
 
 def _witness(L: LimitLineBundle, lo: int, aspects, states) -> tuple[int, ...]:
     """A distribution attaining the minimum, by walking back over the
-    stored states.  Ties go to the smallest S_i, then eps 0 before eps 1,
-    and at S_0 to eps 0 when n0 <= n1."""
-    g, d = L.g, L.d
+    merged arrays C of the stored states.  At key u the component has
+    degree k = s - u and adds (h0, eps) as in :func:`_dp_step`; each state
+    is a minimum, so a key whose eps matches and C[u] + h0 equals the state
+    has a predecessor attaining C[u].  Ties go to the smallest S_i, then
+    eps 0 before eps 1, and at S_0 to eps 0 when n0 <= n1."""
+    d = L.d
     (n0,), (n1,) = states[-1]
     eps, val = (0, n0) if n0 <= n1 else (1, n1)
     s = d
     sums = []
     for j in range(len(aspects) - 1, 0, -1):
-        a = aspects[j]
-        v = d - s
-        prev0, prev1 = states[j - 1]
-        # the largest reflected sum first is the smallest S_{g-j}
-        candidates = (
-            (lo + idx, e, n)
-            for idx in range(len(prev0) - 1, -1, -1)
-            for e, n in ((0, prev0[idx]), (1, prev1[idx]))
-        )
-        for s_prev, e, n in candidates:
-            u = s_prev + 1 - e
-            w = h0_twisted(a, d, u, v)
-            if n < _INF and w + n - e == val and (h0_twisted(a, d, u, v + 1) < w) == eps:
+        a, (prev0, prev1) = aspects[j], states[j - 1]
+        C = _merge(prev0, prev1)
+        # the largest key first is the smallest S_{g-j}
+        for i in range(len(C) - 1, -1, -1):
+            k, exact = s - lo - i, a is not None and a[0] == lo + i
+            # (h0, eps) of the cell at k >= 2, k < 0, k = 1 and k = 0
+            w, e = (k, 1) if k > 1 else (0, 0) if k < 0 else (1, not exact) if k else (exact, exact)
+            if e == eps and C[i] + w == val:
                 break
         else:
-            raise InternalCheckError(f"chain DP state at node {g - j} has no predecessor")
-        s, eps, val = s_prev, e, n
+            raise InternalCheckError(f"chain DP state at node {L.g - j} has no predecessor")
+        # at one key the eps-1 state at S = u comes before the eps-0 one at u - 1
+        eps = int(i < len(prev1) and prev1[i] - 1 == C[i])
+        s, val = lo + i - 1 + eps, C[i] + eps
         sums.append(d - s)
     return tuple(map(sub, (*sums, d), (0, *sums)))
 
@@ -400,20 +402,20 @@ def vanishing_tables(L: LimitLineBundle, r: int, window: int | None = None) -> V
     for i in range(1, g):
         # node i is reflected node g - i, keyed by d - S_i
         n0, n1 = states[g - i - 1]
-        minsuf = [min(a, b) for a, b in zip(n0, n1)][::-1]
-        # sanity: min-suffix-h0 must step down by at most 1 per unit of s
+        minsuf = [min(a, b) for a, b in zip(n0, n1)]
+        # sanity: min-suffix-h0 must rise by at most 1 per unit of the key d - s
         for x, y in zip(minsuf, minsuf[1:]):
-            if not (y <= x <= y + 1):
+            if not (x <= y <= x + 1):
                 raise InternalCheckError(f"min-suffix-h0 at node {i} is not 1-Lipschitz monotone")
         row = []
         for n in range(r + 1):
-            need = r + 1 - n
-            alphas = [lo + idx for idx, m in enumerate(minsuf) if m >= need]
-            if not alphas or alphas[-1] == lo + len(minsuf) - 1:
+            # the keys keeping r + 1 - n sections are those from t on, and alpha = d - (lo + t)
+            t = bisect_left(minsuf, r + 1 - n)
+            if not 0 < t < len(minsuf):
                 raise PreconditionError(
                     f"a({i}, {n}) is not attained strictly inside window {window}; enlarge it"
                 )
-            row.append(alphas[-1])
+            row.append(d - lo - t)
         a_rows.append(tuple(row))
     b_rows = [
         tuple(d - a_rows[i][r - n] for n in range(r + 1)) for i in range(1, g)
@@ -494,7 +496,7 @@ class SearchWitness(namedtuple("SearchWitness", "aspects min_h0")):
     __slots__ = ()
 
 
-class SearchResult(namedtuple("SearchResult", "count_exact count_with_generic witnesses")):
+class SearchResult(namedtuple("SearchResult", "count_exact count_with_generic")):
     __slots__ = ()
 
     @property
@@ -543,19 +545,9 @@ def _bound_tables(g: int, d: int, lo: int, hi: int) -> list[list[int]]:
     return tables[::-1]
 
 
-def search_limit_bundles(
-    g: int,
-    r: int,
-    d: int,
-    window: int | None = None,
-) -> SearchResult:
-    """Find every canonical symbolic aspect tuple that is r-positive, in
-    lexicographic option order, by a branch-and-bound search over the
-    tuples.  ``count_exact`` counts tuples whose aspects are all exact;
-    tuples containing a generic aspect are counted separately.
-
-    The search is a graph: the subtree below a prefix depends only on its
-    length j and merged DP state C, so ``node`` runs the kernel once per
+def _search_graph(g: int, r: int, d: int, window: int | None):
+    """The search as a graph: the subtree below a prefix depends only on
+    its length j and merged DP state C, so ``node`` runs the kernel once per
     key (j, *C) and keeps the options that lead to a hit, each with its
     child's options (its min h0 at the last component), and the node's
     two counts.  An option is dropped when its merged state C' has
@@ -563,9 +555,7 @@ def search_limit_bundles(
     table U (see :func:`_bound_tables`): the table bounds every completion
     from above, whatever aspects it carries, so nothing dropped is
     r-positive.  A generic option moves its child's exact count into the
-    generic count, and the result takes both counts from the root.  The
-    witnesses come from a walk that enters only nodes with hits.
-    """
+    generic count.  Returns the root's options and both counts."""
     require(1, g=g)
     require(0, r=r)
     window, lo, hi = _window(g, d, window)
@@ -594,6 +584,24 @@ def search_limit_bundles(
             memo[key] = found = kids, exact, generic
         return found
 
+    return node(0, _start(lo, hi))
+
+
+def search_limit_bundles(g: int, r: int, d: int, window: int | None = None) -> SearchResult:
+    """Count the canonical symbolic aspect tuples that are r-positive by a
+    branch-and-bound search over the graph of :func:`_search_graph`,
+    without listing them.  ``count_exact`` counts tuples whose aspects are
+    all exact; tuples containing a generic aspect are counted separately."""
+    return SearchResult(*_search_graph(g, r, d, window)[1:])
+
+
+def search_witnesses(
+    g: int, r: int, d: int, window: int | None = None
+) -> tuple[SearchWitness, ...]:
+    """Every r-positive canonical aspect tuple with its min h0, in
+    lexicographic option order, from a walk over the graph of
+    :func:`_search_graph` that enters only nodes with hits."""
+
     def walk(j: int, kids, prefix: tuple[Aspect, ...]):
         for a, x in kids:
             if j == g - 1:
@@ -601,8 +609,7 @@ def search_limit_bundles(
             else:
                 yield from walk(j + 1, x, prefix + (a,))
 
-    kids, exact, generic = node(0, _start(lo, hi))
-    return SearchResult(exact, generic, tuple(walk(0, kids, ())))
+    return tuple(walk(0, _search_graph(g, r, d, window)[0], ()))
 
 
 # --- serialization ---

@@ -206,15 +206,14 @@ def _certificate(a) -> dict:
 
 
 def _search(a) -> dict:
-    res = chain.search_limit_bundles(a.g, a.r, a.d, window=a.window)
-    payload = _fields(res, "count_exact", "count_with_generic")
-    if a.witnesses:
-        payload["witnesses"] = [
-            {"aspects": chain.aspects_str(chain.LimitLineBundle(a.d, w.aspects)),
-             "min_h0": w.min_h0}
-            for w in res.witnesses
-        ]
-    return payload
+    if not a.witnesses:
+        res = chain.search_limit_bundles(a.g, a.r, a.d, window=a.window)
+        return _fields(res, "count_exact", "count_with_generic")
+    hits = chain.search_witnesses(a.g, a.r, a.d, window=a.window)
+    exact = sum(None not in w.aspects for w in hits)
+    rows = [{"aspects": chain.aspects_str(chain.LimitLineBundle(a.d, w.aspects)),
+             "min_h0": w.min_h0} for w in hits]
+    return {"count_exact": exact, "count_with_generic": len(hits) - exact, "witnesses": rows}
 
 
 def _project(a) -> dict:

@@ -380,15 +380,16 @@ def oracle_minima(g: int, d: int, window: int | None = None):
 
 
 def oracle_search(g: int, r: int, d: int, window: int | None = None, minima=None):
-    """``bnkit.chain.search_limit_bundles`` rebuilt by visiting every tuple
-    of :func:`oracle_minima`, or of ``minima`` when given."""
+    """``bnkit.chain.search_limit_bundles`` and ``search_witnesses``
+    rebuilt by visiting every tuple of :func:`oracle_minima`, or of
+    ``minima`` when given: the counts and the hits, in that order."""
     from bnkit.chain import SearchResult, SearchWitness
 
     if minima is None:
         minima = oracle_minima(g, d, window)
     hits = [SearchWitness(aspects, best) for aspects, best in minima if best >= r + 1]
     exact = sum(all(a is not None for a in w.aspects) for w in hits)
-    return SearchResult(exact, len(hits) - exact, tuple(hits))
+    return SearchResult(exact, len(hits) - exact), tuple(hits)
 
 
 def bound_tables(g: int, d: int, lo: int, hi: int):

@@ -20,6 +20,7 @@ from bnkit.chain import (
     min_h0,
     parse_aspects,
     search_limit_bundles,
+    search_witnesses,
     star_components,
     vanishing_tables,
 )
@@ -215,7 +216,7 @@ def test_criterion_12_property_suites():
     for g, r, d in GRID:
         if rho(g, r, d) < 0 or g == 1:
             continue
-        for w in search_limit_bundles(g, r, d).witnesses:
+        for w in search_witnesses(g, r, d):
             L = LimitLineBundle(d, w.aspects)
             t = vanishing_tables(L, r)
             for i in range(1, g + 1):

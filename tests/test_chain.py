@@ -19,6 +19,7 @@ from bnkit.chain import (
     prefix_fire,
     restrict,
     search_limit_bundles,
+    search_witnesses,
     star_components,
     vanishing_tables,
 )
@@ -299,13 +300,13 @@ class TestSearch:
     def test_running_example_is_the_unique_exact_solution(self):
         res = search_limit_bundles(3, 2, 4)
         assert res.count_exact == 1
-        exact = [w for w in res.witnesses if all(a is not None for a in w.aspects)]
+        exact = [w for w in search_witnesses(3, 2, 4) if all(a is not None for a in w.aspects)]
         assert exact[0].aspects == RUNNING.aspects
 
     def test_trivial_bundle_on_one_component(self):
         res = search_limit_bundles(1, 0, 0)
         assert res.count_exact == 1
-        assert res.witnesses[0].aspects == ((0, 0),)
+        assert search_witnesses(1, 0, 0)[0].aspects == ((0, 0),)
 
     def test_rho_zero_counts_match_intersection_numbers(self):
         for g, r, d in [(2, 1, 2), (3, 2, 4), (4, 1, 3)]:
@@ -330,11 +331,11 @@ class TestSearch:
         cases += [(5, r, d) for r in range(1, 4) for d in range(1, 11) if rho(5, r, d) <= 2]
         assert len(cases) == 77
         for g, r, d in cases:
-            res = search_limit_bundles(g, r, d)
+            hits = search_witnesses(g, r, d)
             if rho(g, r, d) < 0:
-                assert res.total == 0, (g, r, d)
+                assert hits == (), (g, r, d)
             else:
-                most = max(w.aspects.count(None) for w in res.witnesses)
+                most = max(w.aspects.count(None) for w in hits)
                 assert most == min(rho(g, r, d), g), (g, r, d)
 
     def test_genus_six_rho_zero_counts(self):
@@ -342,6 +343,12 @@ class TestSearch:
             res = search_limit_bundles(g, r, d)
             assert res.count_exact == count_grd(g, r, d) == 5
             assert res.count_with_generic == 0
+
+    def test_counts_without_listing_the_hits(self):
+        # every one of the 1,827,904 tuples at (6, 3, 10) is r-positive, since
+        # h0 >= d - g + 1 = 5 at d = 2g - 2; the count lists none of them
+        assert search_limit_bundles(6, 3, 10) == (390_625, 1_437_279)
+        assert search_limit_bundles(6, 1, 6) == (194_481, 122_056)
 
     def test_budget_guard(self):
         with pytest.raises(PreconditionError, match="state space 16336404 tuples"):
@@ -383,8 +390,7 @@ class TestSearch:
             min_h0(RUNNING, -1)
 
     def test_minima_match_single_bundle_engine(self):
-        res = search_limit_bundles(3, 1, 3)
-        for w in res.witnesses:
+        for w in search_witnesses(3, 1, 3):
             assert min_h0(LimitLineBundle(3, w.aspects), 4) == w.min_h0
 
 

@@ -29,6 +29,7 @@ from bnkit.chain import (
     is_r_positive,
     min_h0,
     search_limit_bundles,
+    search_witnesses,
     vanishing_tables,
 )
 from bnkit.errors import PreconditionError
@@ -152,10 +153,11 @@ class TestWindowedMinima:
 
     def test_ties_in_witnesses_on_every_small_bundle(self):
         # exhaustive over a box: many distributions tie for the minimum
-        for g, d in [(2, 2), (3, 1), (3, 3)]:
+        for g, d, windows in [(2, 2, (0, 1, 3)), (3, 1, (0, 1, 3)), (3, 3, (0, 1, 3)),
+                              (4, 2, (0, 1, 2)), (4, 4, (0, 1, 2))]:
             for aspects in itertools.product(*aspect_options(g, d, 2)):
                 L = LimitLineBundle(d, aspects)
-                for window in (0, 1, 3):
+                for window in windows:
                     best, witness, _ = oracles.suffix_dp(L, window)
                     rep = is_r_positive(L, 0, window)
                     assert (rep.min_h0, rep.witness) == (best, witness)
@@ -166,13 +168,19 @@ class TestWindowedMinima:
             assert min_h0(L, 1) == oracles.suffix_dp(L, 1)[0]
 
 
+def _search(*args):
+    """The counts and the witnesses of one search, as ``oracle_search``
+    gives them."""
+    return search_limit_bundles(*args), search_witnesses(*args)
+
+
 class TestSearchAgainstOracleStep:
     def test_criterion_seven_grid(self):
         for g, r, d in GRID:
-            assert search_limit_bundles(g, r, d) == oracles.oracle_search(g, r, d), (g, r, d)
+            assert _search(g, r, d) == oracles.oracle_search(g, r, d), (g, r, d)
 
     def test_genus_five(self):
-        assert search_limit_bundles(5, 1, 4) == oracles.oracle_search(5, 1, 4)
+        assert _search(5, 1, 4) == oracles.oracle_search(5, 1, 4)
 
     def test_every_window_rank_and_degree_on_small_chains(self):
         for g in range(1, 5):
@@ -181,14 +189,15 @@ class TestSearchAgainstOracleStep:
                     minima = oracles.oracle_minima(g, d, window)
                     for r in range(5):
                         want = oracles.oracle_search(g, r, d, window, minima)
-                        assert search_limit_bundles(g, r, d, window) == want, (g, r, d, window)
+                        assert _search(g, r, d, window) == want, (g, r, d, window)
 
 
 class TestSearchSharesNodes:
     def test_one_kernel_call_per_depth_and_merged_state(self, monkeypatch):
         """The DP states a search uses: the kernel runs once per distinct
         (depth, merged state C) of each search, never per prefix.  Depth is
-        the component whose option list the call receives."""
+        the component whose option list the call receives.  Counting
+        builds no witness."""
         real_options, real_step = chain.aspect_options, chain._dp_step
         options, calls = [], []
 
@@ -201,8 +210,12 @@ class TestSearchSharesNodes:
             calls.append((depth, *C))
             return real_step(aspects, C, *args)
 
+        def no_witness(*args):
+            raise AssertionError("search_limit_bundles built a SearchWitness")
+
         monkeypatch.setattr(chain, "aspect_options", recorded_options)
         monkeypatch.setattr(chain, "_dp_step", counted_step)
+        monkeypatch.setattr(chain, "SearchWitness", no_witness)
         hits = 0
         for g, r, d in GRID + [(5, 1, 3), (5, 1, 4), (5, 2, 6)]:
             start = len(calls)
@@ -245,9 +258,9 @@ class TestSearchBound:
         the all-tuples oracle (g <= 4) and the prefix check (g <= 3)."""
         cases = [(5, r, d) for d in range(-2, 9) for r in range(5)]
         cases += [(6, r, d) for d in range(-2, 11) for r in range(5) if rho(6, r, d) <= 0]
-        want = [search_limit_bundles(*case) for case in cases]
+        want = [_search(*case) for case in cases]
         monkeypatch.setattr(
             chain, "_bound_tables", lambda g, d, lo, hi: [[chain._INF] * (hi - lo + 2)] * (g - 1)
         )
         for case, result in zip(cases, want):
-            assert search_limit_bundles(*case) == result, case
+            assert _search(*case) == result, case

@@ -49,6 +49,7 @@ DOMAIN = {
     chain.vanishing_tables: dict(L=RUNNING, r=2),
     chain.star_components: dict(L=RUNNING, r=2),
     chain.search_limit_bundles: dict(g=3, r=2, d=4),
+    chain.search_witnesses: dict(g=3, r=2, d=4),
     lattice.min_degree: dict(r=3, g=4),
     lattice.reachable_set: dict(r=3, g_max=2, d_max=5),
     lattice.h1_certificate: dict(r=3, d=5, g=2),

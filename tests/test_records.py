@@ -46,13 +46,12 @@ RECORDS = {
         "StarReport(pairs=((2, 0), (3, 1)), per_n={0: 1, 1: 1}, lower_bound=0)",
     ),
     "SearchWitness": (
-        lambda: chain.search_limit_bundles(2, 1, 2).witnesses[0],
+        lambda: chain.search_witnesses(2, 1, 2)[0],
         "SearchWitness(aspects=((0, 2), (2, 0)), min_h0=2)",
     ),
     "SearchResult": (
         lambda: chain.search_limit_bundles(2, 1, 2, window=1),
-        "SearchResult(count_exact=1, count_with_generic=0, "
-        "witnesses=(SearchWitness(aspects=((0, 2), (2, 0)), min_h0=2),))",
+        "SearchResult(count_exact=1, count_with_generic=0)",
     ),
     "FillingWitness": (
         lambda: tableaux.k_filling_witnesses((4, 2, 1, 1), 3, 5)[0],
