@@ -58,6 +58,8 @@ _INF = 1 << 30
 #: every default-window search with g <= 6, 0 <= d <= 2g - 2 and no g = 7 one
 _MAX_CELLS = 10**6
 _MAX_TUPLES = 2_000_000
+#: hit guard, read off the search's counts before any witness is built
+_MAX_HITS = 100_000
 
 
 class LimitLineBundle(namedtuple("LimitLineBundle", "d aspects")):
@@ -600,7 +602,8 @@ def search_witnesses(
 ) -> tuple[SearchWitness, ...]:
     """Every r-positive canonical aspect tuple with its min h0, in
     lexicographic option order, from a walk over the graph of
-    :func:`_search_graph` that enters only nodes with hits."""
+    :func:`_search_graph` that enters only nodes with hits.  Refuses more
+    than ``_MAX_HITS`` hits before listing any."""
 
     def walk(j: int, kids, prefix: tuple[Aspect, ...]):
         for a, x in kids:
@@ -609,7 +612,10 @@ def search_witnesses(
             else:
                 yield from walk(j + 1, x, prefix + (a,))
 
-    return tuple(walk(0, _search_graph(g, r, d, window)[0], ()))
+    kids, exact, generic = _search_graph(g, r, d, window)
+    if exact + generic > _MAX_HITS:
+        raise PreconditionError(f"listing refused: {exact + generic} hits (guard {_MAX_HITS})")
+    return tuple(walk(0, kids, ()))
 
 
 # --- serialization ---

@@ -82,7 +82,13 @@ def hilbert_function(g: int, r: int, d: int, k: int) -> int:
     require(0, rho=rho(g, r, d))
     if k == 1:
         return r + 1
-    return min(comb(k + r, r), k * d + 1 - g)
+    # C(k+r, r) by its increasing partial products C(max(r,k)+i, i), stopping at kd+1-g
+    cap, n = k * d + 1 - g, 1
+    for i in range(1, min(r, k) + 1):
+        if n >= cap:
+            break
+        n = n * (max(r, k) + i) // i
+    return min(n, cap)
 
 
 def smrc_expected_dim(g: int, r: int, d: int, k: int) -> int:

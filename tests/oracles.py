@@ -116,6 +116,23 @@ def brute_k_fillings(core: tuple[int, ...], k: int, g: int) -> list[tuple[int, .
     return out
 
 
+def replay_by_box_diff(residues, k: int):
+    """``FillingWitness.replay`` rebuilt by listing every box of the core
+    before and after each step and taking the set difference: the final
+    core and, per step, the sorted boxes it added."""
+    from bnkit.tableaux import core_apply_residue
+
+    def boxes(p):
+        return {(i + 1, j + 1) for i in range(len(p)) for j in range(p[i])}
+
+    p, steps = (), []
+    for res in residues:
+        q = core_apply_residue(p, res, k)
+        steps.append(sorted(boxes(q) - boxes(p)))
+        p = q
+    return p, steps
+
+
 # --- splitting types and loci: hand-written sums and stated bounds ---
 
 def splitting_rank(parts) -> int:

@@ -350,6 +350,14 @@ class TestSearch:
         assert search_limit_bundles(6, 3, 10) == (390_625, 1_437_279)
         assert search_limit_bundles(6, 1, 6) == (194_481, 122_056)
 
+    def test_hit_guard_refuses_before_any_witness(self, monkeypatch):
+        def no_witness(*args):
+            raise AssertionError("a refused listing built a SearchWitness")
+
+        monkeypatch.setattr(chain, "SearchWitness", no_witness)
+        with pytest.raises(PreconditionError, match=r"listing refused: 1827904 hits \(guard \d+\)"):
+            search_witnesses(6, 3, 10)
+
     def test_budget_guard(self):
         with pytest.raises(PreconditionError, match="state space 16336404 tuples"):
             search_limit_bundles(7, 1, 3)

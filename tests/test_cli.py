@@ -278,6 +278,13 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and named in err
 
+    def test_listing_past_the_hit_guard_is_refused(self, capsys):
+        code, out, err = run(capsys, "chain", "search", "-g", "6", "-r", "3", "-d", "10",
+                             "--witnesses")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: listing refused: 1827904 hits (guard {chain._MAX_HITS})\n"
+
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
     @pytest.mark.parametrize("argv", ["syt --rows 60 --cols 60", "count -g 14400 -r 1 -d 7201"])
     def test_answer_past_the_digit_limit_is_refused(self, capsys, argv, fmt):

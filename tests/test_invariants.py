@@ -1,3 +1,6 @@
+import time
+from math import comb
+
 import pytest
 
 from bnkit.errors import PreconditionError
@@ -137,6 +140,24 @@ class TestHilbert:
     def test_rejects_k_zero(self):
         with pytest.raises(PreconditionError):
             hilbert_function(2, 3, 5, 0)
+
+    def test_matches_the_full_binomial_on_a_grid(self):
+        cases = 0
+        for g in range(0, 13):
+            for r in range(0, 9):
+                for d in range(0, 2 * g + r + 3):
+                    if rho(g, r, d) < 0:
+                        continue
+                    for k in range(2, 12):
+                        assert hilbert_function(g, r, d, k) == min(comb(k + r, r), k * d + 1 - g)
+                        cases += 1
+        assert cases > 5000
+
+    def test_large_r_and_k_stop_at_the_cap(self):
+        # C(6,000,000, 3,000,000) has about 1.8 million digits; the answer is kd + 1 - g
+        start = time.perf_counter()
+        assert hilbert_function(2, 3_000_000, 3_000_002, 3_000_000) == 3_000_000 * 3_000_002 - 1
+        assert time.perf_counter() - start < 0.1
 
 
 class TestSmrc:
