@@ -45,7 +45,7 @@ from itertools import accumulate
 from math import prod
 from operator import add, index, sub
 
-from .errors import InternalCheckError, PreconditionError, require
+from .errors import _MAX_HITS, InternalCheckError, PreconditionError, require
 
 #: an aspect: None for a generic class, else (coeff at p^{i-1}, coeff at p^i)
 Aspect = tuple[int, int] | None
@@ -58,8 +58,6 @@ _INF = 1 << 30
 #: every default-window search with g <= 6, 0 <= d <= 2g - 2 and no g = 7 one
 _MAX_CELLS = 10**6
 _MAX_TUPLES = 2_000_000
-#: hit guard, read off the search's counts before any witness is built
-_MAX_HITS = 100_000
 
 
 class LimitLineBundle(namedtuple("LimitLineBundle", "d aspects")):

@@ -84,6 +84,7 @@ def balanced_type(length: int, total: int) -> SplittingType:
     """The balanced degree tuple of the given length and sum: parts differ
     by at most one, listed ascending."""
     require(1, length=length)
+    require(None, total=total)
     q, rem = divmod(total, length)
     return (q,) * (length - rem) + (q + 1,) * rem
 

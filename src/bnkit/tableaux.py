@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import factorial, prod
-from operator import index
+from operator import index, le
 
-from .errors import InternalCheckError, PreconditionError, require
+from .errors import _MAX_HITS, InternalCheckError, PreconditionError, require
 
 Partition = tuple[int, ...]
 
@@ -40,7 +40,8 @@ def check_partition(rows) -> Partition:
 
 # Public functions validate their partitions with check_partition and k
 # with require; the underscore helpers below trust both.  Partitions the
-# engine builds are checked where they are made, in _resize_rows.
+# engine builds need no check: _resize_rows keeps rows weakly decreasing,
+# and the residue action maps k-cores to k-cores (see _apply_residue).
 
 def hook_lengths(p: Partition) -> list[int]:
     """All hook lengths of the diagram, row by row."""
@@ -96,37 +97,32 @@ def core_apply_residue(p: Partition, residue: int, k: int) -> Partition:
     """Action of the residue-``residue`` generator of the affine symmetric
     group on a k-core: add every addable box of that residue if any exist,
     otherwise remove every removable box of that residue, otherwise leave
-    the core unchanged.  Involutive, and maps k-cores to k-cores.
-    """
+    the core unchanged.  Involutive, and maps k-cores to k-cores."""
+    require(None, residue=residue)
     return _apply_residue(_require_core(p, k), residue, k)[0]
 
 
 def _apply_residue(p: Partition, residue: int, k: int):
-    """The new core and the boxes added: the addable corners, or none."""
+    """The new core and the boxes added: the addable corners, or none.  On
+    the k-abacus the addable and removable boxes of one residue sit on two
+    adjacent runners, and every runner of a k-core is flush, so at most one
+    kind exists and the move swaps the two runners' bead counts: the
+    result is a k-core (Lapointe-Morse 2005)."""
     add, rem = _residue_moves(p, residue, k)
-    if add and rem:
-        # impossible on a core; both nonempty would make the action ill-defined
-        raise InternalCheckError(
-            f"core {p} has both addable and removable boxes of residue {residue} mod {k}"
-        )
     if add:
-        q = _resize_rows(p, add, 1)
-    elif rem:
-        q = _resize_rows(p, rem, -1)
-    else:
-        return p, add
-    if not _is_core(q, k):
-        raise InternalCheckError(f"residue action left the {k}-core world: {p} -> {q}")
-    return q, add
+        return _resize_rows(p, add, 1), add
+    return (_resize_rows(p, rem, -1) if rem else p), add
 
 
 def _resize_rows(p: Partition, cells, step: int) -> Partition:
     """Lengthen (step 1) or shorten (step -1) the rows of the given corner
-    boxes; the result is checked."""
+    boxes.  An addable corner lengthens only a row shorter than the one
+    above and a removable corner shortens only a row longer than the one
+    below, so the rows stay weakly decreasing."""
     rows = list(p) + [0]
     for (i, _j) in cells:
         rows[i - 1] += step
-    return check_partition([r for r in rows if r > 0])
+    return tuple(r for r in rows if r > 0)
 
 
 def core_length(p: Partition, k: int) -> int:
@@ -135,24 +131,12 @@ def core_length(p: Partition, k: int) -> int:
     return sum(1 for h in hook_lengths(_require_core(p, k)) if h < k)
 
 
-def _successors(p: Partition, k: int, target: Partition) -> list[tuple[int, Partition]]:
-    """Strict-add moves (residue, q) from the core p that stay inside
-    ``target``, by increasing residue."""
-    out = []
-    for res in range(k):
-        add, rem = _residue_moves(p, res, k)
-        if add and not rem:
-            q = _resize_rows(p, add, 1)
-            if len(q) <= len(target) and all(a <= b for a, b in zip(q, target)):
-                out.append((res, q))
-    return out
-
-
 def _filling_graph(target: Partition, k: int, g: int):
     """Validate the arguments and build the strict-add graph below the
     k-core ``target`` by levels.  Each strict-add step raises core_length by
     one, so a sweep forward from () lists ``succ[p]``, the moves out of each
-    core on levels 0..g-1, and a pass back from level g, where only
+    core on levels 0..g-1 that add boxes and stay inside ``target``, by
+    increasing residue, and a pass back from level g, where only
     ``target`` counts, fills ``count[p]``, the paths from p to ``target``."""
     require(0, g=g)
     target = _require_core(target, k)
@@ -165,7 +149,8 @@ def _filling_graph(target: Partition, k: int, g: int):
     levels: list[list[Partition]] = [[()]]
     for _ in range(g):
         for p in levels[-1]:
-            succ[p] = _successors(p, k, target)
+            succ[p] = [(res, q) for res in range(k) for q, add in (_apply_residue(p, res, k),)
+                       if add and len(q) <= len(target) and all(map(le, q, target))]
         levels.append(list(dict.fromkeys(q for p in levels[-1] for _, q in succ[p])))
     count = {p: int(p == target) for p in levels[-1]}
     for level in reversed(levels[:-1]):
@@ -177,13 +162,10 @@ def _filling_graph(target: Partition, k: int, g: int):
 def count_k_fillings(target: Partition, k: int, g: int) -> int:
     """Number of k-fillings of the k-core ``target`` with symbols
     {1, .., g}: length-g residue sequences whose strict-add application
-    to () reaches ``target``.
-
-    The number of steps is forced (every strict-add path from () to the
-    core has :func:`core_length` steps); a different g raises
-    :class:`PreconditionError` since every sequence of that length
-    would contribute zero.
-    """
+    to () reaches ``target``.  The number of steps is forced (every
+    strict-add path from () to the core has :func:`core_length` steps); a
+    different g raises :class:`PreconditionError` since every sequence of
+    that length would contribute zero."""
     _, _, count = _filling_graph(target, k, g)
     return count[()]
 
@@ -196,8 +178,7 @@ class FillingWitness(namedtuple("FillingWitness", "residues k")):
     def replay(self) -> tuple[Partition, list[list[tuple[int, int]]]]:
         """Apply the strict-add sequence to (); returns the final core and,
         per step, the list of boxes added at that step."""
-        p: Partition = ()
-        steps: list[list[tuple[int, int]]] = []
+        p, steps = (), []
         for res in self.residues:
             p, boxes = _replay_step(p, res, self.k, self.residues)
             steps.append(boxes)
@@ -205,62 +186,49 @@ class FillingWitness(namedtuple("FillingWitness", "residues k")):
 
     def validate(self, target: Partition) -> None:
         """Check that the witness replays to ``target`` by strict adds."""
-        _validate_words([self.residues], self.k, check_partition(target))
+        target = check_partition(target)
+        if (p := self.replay()[0]) != target:
+            raise InternalCheckError(f"witness {self.residues} replays to {p}, not {target}")
 
     def __str__(self) -> str:
         return ",".join(str(r) for r in self.residues)
 
 
-def _replay_step(p: Partition, res: int, k: int,
-                 word: tuple[int, ...]) -> tuple[Partition, list[tuple[int, int]]]:
+def _replay_step(p: Partition, res: int, k: int, word: tuple[int, ...]):
     """One checked strict-add step of the residue word ``word``: the new
     core and the boxes it added, the addable corners of residue ``res``."""
+    require(None, residue=res)
     if not 0 <= res < k:
         raise InternalCheckError(f"witness {word}: residue {res} is not in 0..{k - 1}")
     q, boxes = _apply_residue(p, res, k)
     if not boxes:
-        raise InternalCheckError(
-            f"witness {word}: residue {res} mod {k} does not strictly add boxes to {p or '()'}"
-        )
+        raise InternalCheckError(f"witness {word}: residue {res} mod {k} does not strictly add "
+                                 f"boxes to {p or '()'}")
     return q, boxes
-
-
-def _validate_words(words, k: int, target: Partition) -> None:
-    """Replay each residue word from () and check that it ends at
-    ``target``.  A step's check depends only on its move (core, residue), so
-    :func:`_replay_step` checks each distinct move once per call and
-    ``moves`` keeps the cores of the moves that passed."""
-    moves: dict[tuple[Partition, int], Partition] = {}
-    for word in words:
-        p: Partition = ()
-        for res in word:
-            q = moves.get((p, res))
-            if q is None:
-                q = moves[p, res] = _replay_step(p, res, k, word)[0]
-            p = q
-        if p != target:
-            raise InternalCheckError(f"witness {word} replays to {p}, not {target}")
 
 
 def k_filling_witnesses(target: Partition, k: int, g: int) -> list[FillingWitness]:
     """All k-fillings of ``target`` as residue-sequence witnesses, in
-    lexicographic order of the sequences.  Each witness is replayed by
-    checked strict-add steps before being returned."""
+    lexicographic order of the sequences.  Each is a path of the strict-add
+    graph, made by :func:`_apply_residue` as :meth:`FillingWitness.replay`
+    makes its steps, so it is not replayed again.  Refuses more than
+    ``_MAX_HITS`` fillings before listing any."""
     target, succ, count = _filling_graph(target, k, g)
-    words: list[tuple[int, ...]] = []
+    if count[()] > _MAX_HITS:
+        raise PreconditionError(f"listing refused: {count[()]} fillings (guard {_MAX_HITS})")
+    witnesses: list[FillingWitness] = []
     # depth first; pushing in reverse pops residues in increasing order, and
     # only children with a path to target are entered
     stack = [((), ())] if count[()] else []
     while stack:
         p, word = stack.pop()
         if p == target:
-            words.append(word)
+            witnesses.append(FillingWitness(word, k))
             continue
         for res, q in reversed(succ[p]):
             if count[q]:
                 stack.append((q, word + (res,)))
-    _validate_words(words, k, target)
-    return [FillingWitness(w, k) for w in words]
+    return witnesses
 
 
 def syt_count(shape: Partition) -> int:

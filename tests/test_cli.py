@@ -285,6 +285,14 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: listing refused: 1827904 hits (guard {chain._MAX_HITS})\n"
 
+    def test_kfill_listing_past_the_hit_guard_is_refused(self, capsys):
+        argv = ["kfill", "--core", "5,5,5,5", "-k", "20", "-g", "20"]
+        assert run(capsys, *argv) == (0, "kfill  core=5,5,5,5 k=20 g=20\n  count = 1662804", "")
+        code, out, err = run(capsys, *argv, "--witnesses")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: listing refused: 1662804 fillings (guard {chain._MAX_HITS})\n"
+
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
     @pytest.mark.parametrize("argv", ["syt --rows 60 --cols 60", "count -g 14400 -r 1 -d 7201"])
     def test_answer_past_the_digit_limit_is_refused(self, capsys, argv, fmt):

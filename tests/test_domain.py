@@ -102,6 +102,24 @@ def test_float_argument_is_a_type_error(f, name, value):
         f(**{**DOMAIN[f], name: value})
 
 
+# other integer scalars are read the same way: a float residue or total
+# raises TypeError naming it, instead of acting as its floor or its value
+SCALAR_CASES = {
+    "core_apply_residue-residue-1.5": (lambda: tableaux.core_apply_residue((), 1.5, 3), "residue"),
+    "core_apply_residue-residue-0.0": (lambda: tableaux.core_apply_residue((), 0.0, 3), "residue"),
+    "FillingWitness.replay-residue": (lambda: tableaux.FillingWitness((0, 1.0), 3).replay(),
+                                      "residue"),
+    "balanced_type-total": (lambda: splitting.balanced_type(3, 4.5), "total"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCALAR_CASES))
+def test_float_scalar_is_a_type_error(case):
+    call, name = SCALAR_CASES[case]
+    with pytest.raises(TypeError, match=f"need an integer {name}, got {name}="):
+        call()
+
+
 def test_every_entry_point_with_g_r_or_k_has_a_row():
     public = set()
     for info in pkgutil.iter_modules(bnkit.__path__):

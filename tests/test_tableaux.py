@@ -4,7 +4,6 @@ from bnkit import tableaux
 from bnkit.errors import InternalCheckError, PreconditionError
 from bnkit.tableaux import (
     FillingWitness,
-    _validate_words,
     core_apply_residue,
     core_length,
     count_k_fillings,
@@ -153,9 +152,8 @@ class TestFillings:
 
 
 class TestWitnessTampering:
-    """Validation shares work between witnesses with a common move; every
-    altered or truncated witness must still be caught, wherever it sits in
-    the list, and a single witness's validate must catch it too."""
+    """Every listed witness validates, and every altered or truncated copy
+    of a witness, wherever it sits in the list, fails validate."""
 
     CASES = [((6, 4, 2, 2, 1, 1), 3), ((4, 3, 2, 1), 4)]
 
@@ -163,7 +161,8 @@ class TestWitnessTampering:
     def test_untouched_list_passes(self, target, k):
         words = [w.residues for w in k_filling_witnesses(target, k, core_length(target, k))]
         assert len(words) >= 6
-        _validate_words(words, k, target)
+        for word in words:
+            FillingWitness(word, k).validate(target)
 
     @pytest.mark.parametrize("target,k", CASES)
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -179,8 +178,6 @@ class TestWitnessTampering:
                     tampered.append(bad)
         for bad in tampered:
             with pytest.raises(InternalCheckError):
-                _validate_words(words[:idx] + [bad] + words[idx + 1:], k, target)
-            with pytest.raises(InternalCheckError):
                 FillingWitness(bad, k).validate(target)
 
 
@@ -192,7 +189,7 @@ class TestReplayDiagnostics:
             FillingWitness((0, 0), 3).replay()
         word = (0, 0, 2, 1, 0)
         with pytest.raises(InternalCheckError, match=r"witness \(0, 0, 2, 1, 0\): .* strictly add"):
-            _validate_words([(0, 1, 2, 1, 0), word], 3, (4, 2, 1, 1))
+            FillingWitness(word, 3).validate((4, 2, 1, 1))
         with pytest.raises(InternalCheckError, match=r"witness \(0, 3\): residue 3 is not in 0..2"):
             FillingWitness((0, 3), 3).validate((2,))
 
@@ -200,34 +197,56 @@ class TestReplayDiagnostics:
         target, k = (6, 4, 2, 2, 1, 1), 3
         words = [w.residues for w in k_filling_witnesses(target, k, core_length(target, k))]
         assert words[1][:5] == words[2][:5] == (0, 1, 2, 1, 0)
-        # every move of the shared prefix passed already; residue 0 twice in
-        # a row adds nothing
+        # the prefix replays as in listed witnesses; residue 0 twice in a row
+        # adds nothing
         bad = (0, 1, 2, 1, 0, 0, 2, 1)
         with pytest.raises(InternalCheckError,
                            match=r"witness \(0, 1, 2, 1, 0, 0, 2, 1\): .* strictly add"):
-            _validate_words([words[0], words[1], bad, words[2]], k, target)
+            FillingWitness(bad, k).validate(target)
+        with pytest.raises(InternalCheckError, match=r"witness \(0, 1, 2, 1, 0\) replays to"):
+            FillingWitness(words[1][:5], k).validate(target)
 
 
 class TestReplayOncePerMove:
     @pytest.mark.parametrize("target,k", TestWitnessTampering.CASES)
     def test_each_distinct_move_is_checked_exactly_once(self, target, k, monkeypatch):
-        calls = []
-        replay_step = tableaux._replay_step
-
-        def counting(p, res, k, word):
-            calls.append((p, res))
-            return replay_step(p, res, k, word)
-
-        monkeypatch.setattr(tableaux, "_replay_step", counting)
+        # a listed word is a path of the strict-add graph: the graph makes
+        # each of its moves once, and listing makes no checked replay step
         words = [w.residues for w in k_filling_witnesses(target, k, core_length(target, k))]
+        calls = []
+        apply_residue = tableaux._apply_residue
+
+        def counting(p, res, k):
+            calls.append((p, res))
+            return apply_residue(p, res, k)
+
+        def no_replay(*args):
+            raise AssertionError("k_filling_witnesses replayed a word")
+
+        monkeypatch.setattr(tableaux, "_apply_residue", counting)
+        monkeypatch.setattr(tableaux, "_replay_step", no_replay)
+        listed = k_filling_witnesses(target, k, core_length(target, k))
+        assert [w.residues for w in listed] == words and len(words) >= 6
         moves = set()
         for word in words:
             p = ()
             for res in word:
                 moves.add((p, res))
-                p = core_apply_residue(p, res, k)
+                p = apply_residue(p, res, k)[0]
         assert len(moves) < sum(map(len, words))  # the witnesses share moves
-        assert sorted(calls) == sorted(moves)
+        assert len(calls) == len(set(calls)) and moves <= set(calls)
+
+
+class TestHitGuard:
+    def test_refuses_before_any_witness(self, monkeypatch):
+        def no_witness(*args):
+            raise AssertionError("a refused listing built a FillingWitness")
+
+        monkeypatch.setattr(tableaux, "FillingWitness", no_witness)
+        assert count_k_fillings((5, 5, 5, 5), 20, 20) == 1_662_804
+        with pytest.raises(PreconditionError,
+                           match=r"listing refused: 1662804 fillings \(guard 100000\)"):
+            k_filling_witnesses((5, 5, 5, 5), 20, 20)
 
 
 class TestSerialization:
