@@ -6,8 +6,9 @@ an operation's stated domain (the CLI maps it to exit code 2), while
 (exit code 3 -- a bug in the engine, never a user error).  The message
 says which precondition or check; no finer type is raised.
 :func:`require` is the one integer-domain rule that every public entry
-point states its bounds with, and ``_MAX_HITS`` the one hit guard that
-both listings refuse by.
+point states its bounds with, ``_MAX_HITS`` the one hit guard that
+both listings refuse by, and ``_MAX_NODES`` the size guard of the
+k-filling graph.
 """
 
 from operator import index
@@ -16,6 +17,10 @@ from operator import index
 #: chain.search_witnesses and tableaux.k_filling_witnesses read their
 #: counts before building any witness and refuse to list more than this
 _MAX_HITS = 100_000
+
+#: tableaux._filling_graph refuses a strict-add graph of more cores than
+#: this, checked as each level is built
+_MAX_NODES = 100_000
 
 
 class PreconditionError(ValueError):

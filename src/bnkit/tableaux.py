@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import factorial, prod
-from operator import index, le
+from operator import index
 
-from .errors import _MAX_HITS, InternalCheckError, PreconditionError, require
+from .errors import _MAX_HITS, _MAX_NODES, InternalCheckError, PreconditionError, require
 
 Partition = tuple[int, ...]
 
@@ -82,15 +82,17 @@ def _require_core(p: Partition, k: int) -> Partition:
     return p
 
 
-def _residue_moves(p: Partition, residue: int, k: int):
-    """The addable and the removable corner boxes (row, col), 1-indexed, of
-    p whose content j - i is ``residue`` mod k."""
-    r, rows = residue % k, p + (0,)
-    add = [(i + 1, rows[i] + 1) for i in range(len(rows))
-           if (i == 0 or rows[i - 1] > rows[i]) and (rows[i] - i) % k == r]
-    rem = [(i + 1, rows[i]) for i in range(len(p))
-           if rows[i] > rows[i + 1] and (rows[i] - i - 1) % k == r]
-    return add, rem
+def _addable_corners(p: Partition, k: int) -> dict[int, list[tuple[int, int]]]:
+    """The addable corner boxes (row, col), 1-indexed, of p keyed by their
+    residue (col - row) mod k, each list by increasing row: a row has one
+    iff it is shorter than the row above, as rows weakly decrease."""
+    groups: dict[int, list[tuple[int, int]]] = {}
+    above = -1
+    for i, row in enumerate(p + (0,)):
+        if row != above:
+            groups.setdefault((row - i) % k, []).append((i + 1, row + 1))
+        above = row
+    return groups
 
 
 def core_apply_residue(p: Partition, residue: int, k: int) -> Partition:
@@ -108,10 +110,13 @@ def _apply_residue(p: Partition, residue: int, k: int):
     adjacent runners, and every runner of a k-core is flush, so at most one
     kind exists and the move swaps the two runners' bead counts: the
     result is a k-core (Lapointe-Morse 2005)."""
-    add, rem = _residue_moves(p, residue, k)
-    if add:
+    r = residue % k
+    if add := _addable_corners(p, k).get(r):
         return _resize_rows(p, add, 1), add
-    return (_resize_rows(p, rem, -1) if rem else p), add
+    rows = p + (0,)
+    rem = [(i + 1, rows[i]) for i in range(len(p))
+           if rows[i] > rows[i + 1] and (rows[i] - i - 1) % k == r]
+    return (_resize_rows(p, rem, -1) if rem else p), []
 
 
 def _resize_rows(p: Partition, cells, step: int) -> Partition:
@@ -122,7 +127,7 @@ def _resize_rows(p: Partition, cells, step: int) -> Partition:
     rows = list(p) + [0]
     for (i, _j) in cells:
         rows[i - 1] += step
-    return tuple(r for r in rows if r > 0)
+    return tuple(filter(None, rows))
 
 
 def core_length(p: Partition, k: int) -> int:
@@ -136,8 +141,10 @@ def _filling_graph(target: Partition, k: int, g: int):
     k-core ``target`` by levels.  Each strict-add step raises core_length by
     one, so a sweep forward from () lists ``succ[p]``, the moves out of each
     core on levels 0..g-1 that add boxes and stay inside ``target``, by
-    increasing residue, and a pass back from level g, where only
-    ``target`` counts, fills ``count[p]``, the paths from p to ``target``."""
+    increasing residue, from one :func:`_addable_corners` scan of the core;
+    a pass back from level g, where only ``target`` counts, fills
+    ``count[p]``, the paths from p to ``target``.  Refuses the graph once
+    its levels hold more than ``_MAX_NODES`` cores."""
     require(0, g=g)
     target = _require_core(target, k)
     forced = core_length(target, k)
@@ -147,11 +154,19 @@ def _filling_graph(target: Partition, k: int, g: int):
         )
     succ: dict[Partition, list[tuple[int, Partition]]] = {}
     levels: list[list[Partition]] = [[()]]
-    for _ in range(g):
+    # p is inside target, so an addable corner of p lies outside it iff it
+    # is the box just past a row of target, the empty row below included
+    fence, nodes = {(i + 1, row + 1) for i, row in enumerate(target + (0,))}, 1
+    for step in range(g):
         for p in levels[-1]:
-            succ[p] = [(res, q) for res in range(k) for q, add in (_apply_residue(p, res, k),)
-                       if add and len(q) <= len(target) and all(map(le, q, target))]
+            succ[p] = [(res, _resize_rows(p, add, 1))
+                       for res, add in sorted(_addable_corners(p, k).items())
+                       if fence.isdisjoint(add)]
         levels.append(list(dict.fromkeys(q for p in levels[-1] for _, q in succ[p])))
+        nodes += len(levels[-1])
+        if nodes > _MAX_NODES:
+            raise PreconditionError(f"k-filling graph refused: {nodes} cores after "
+                                    f"{step + 1} of {g} steps (guard {_MAX_NODES})")
     count = {p: int(p == target) for p in levels[-1]}
     for level in reversed(levels[:-1]):
         for p in level:
@@ -175,6 +190,18 @@ class FillingWitness(namedtuple("FillingWitness", "residues k")):
 
     __slots__ = ()
 
+    def __new__(cls, residues, k: int) -> FillingWitness:
+        require(2, k=k)
+        try:
+            return super().__new__(cls, tuple(map(index, residues)), k)
+        except TypeError:
+            for res in residues:
+                require(None, residue=res)
+            raise
+
+    #: ``_replace`` builds through ``_make``, so it validates too
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
     def replay(self) -> tuple[Partition, list[list[tuple[int, int]]]]:
         """Apply the strict-add sequence to (); returns the final core and,
         per step, the list of boxes added at that step."""
@@ -197,7 +224,6 @@ class FillingWitness(namedtuple("FillingWitness", "residues k")):
 def _replay_step(p: Partition, res: int, k: int, word: tuple[int, ...]):
     """One checked strict-add step of the residue word ``word``: the new
     core and the boxes it added, the addable corners of residue ``res``."""
-    require(None, residue=res)
     if not 0 <= res < k:
         raise InternalCheckError(f"witness {word}: residue {res} is not in 0..{k - 1}")
     q, boxes = _apply_residue(p, res, k)
@@ -210,8 +236,8 @@ def _replay_step(p: Partition, res: int, k: int, word: tuple[int, ...]):
 def k_filling_witnesses(target: Partition, k: int, g: int) -> list[FillingWitness]:
     """All k-fillings of ``target`` as residue-sequence witnesses, in
     lexicographic order of the sequences.  Each is a path of the strict-add
-    graph, made by :func:`_apply_residue` as :meth:`FillingWitness.replay`
-    makes its steps, so it is not replayed again.  Refuses more than
+    graph, whose moves are the :func:`_addable_corners` groups that
+    :meth:`FillingWitness.replay` adds, so it is not replayed again.  Refuses more than
     ``_MAX_HITS`` fillings before listing any."""
     target, succ, count = _filling_graph(target, k, g)
     if count[()] > _MAX_HITS:

@@ -116,6 +116,32 @@ def brute_k_fillings(core: tuple[int, ...], k: int, g: int) -> list[tuple[int, .
     return out
 
 
+def residue_graph(target: tuple[int, ...], k: int, g: int):
+    """The strict-add graph below ``target`` rebuilt from the public
+    ``core_apply_residue`` by trying all k residues at every core: the moves
+    that add boxes and stay inside ``target``, by increasing residue, and
+    per core the number of paths to ``target``, by recursion on the moves."""
+    from functools import cache
+
+    from bnkit.tableaux import core_apply_residue
+
+    def inside(q):
+        return len(q) <= len(target) and all(a <= b for a, b in zip(q, target))
+
+    succ, frontier = {}, [()]
+    for _ in range(g):
+        for p in frontier:
+            moves = [(res, core_apply_residue(p, res, k)) for res in range(k)]
+            succ[p] = [(res, q) for res, q in moves if sum(q) > sum(p) and inside(q)]
+        frontier = list(dict.fromkeys(q for p in frontier for _, q in succ[p]))
+
+    @cache
+    def paths(p):
+        return int(p == target) if p not in succ else sum(paths(q) for _, q in succ[p])
+
+    return succ, {p: paths(p) for p in [*succ, *frontier]}
+
+
 def replay_by_box_diff(residues, k: int):
     """``FillingWitness.replay`` rebuilt by listing every box of the core
     before and after each step and taking the set difference: the final

@@ -109,6 +109,8 @@ SCALAR_CASES = {
     "core_apply_residue-residue-0.0": (lambda: tableaux.core_apply_residue((), 0.0, 3), "residue"),
     "FillingWitness.replay-residue": (lambda: tableaux.FillingWitness((0, 1.0), 3).replay(),
                                       "residue"),
+    "FillingWitness-k": (lambda: tableaux.FillingWitness((0,), 3.0), "k"),
+    "FillingWitness-residue": (lambda: tableaux.FillingWitness((0, 1.0), 3), "residue"),
     "balanced_type-total": (lambda: splitting.balanced_type(3, 4.5), "total"),
 }
 

@@ -185,6 +185,10 @@ REFUSALS = [
      PreconditionError, "aspect 2 = (2, 1) does not have total degree 4"),
     (lambda: normal_bundle.projection_ledger(3)._replace(total_degree=9),
      InternalCheckError, "ledger sequence degree additivity failed"),
+    (lambda: tableaux.FillingWitness((0, 1), 1),
+     PreconditionError, "need k >= 2, got k=1"),
+    (lambda: tableaux.FillingWitness((0, 1), 3)._replace(residues=(0, "1")),
+     TypeError, "need an integer residue, got residue='1'"),
 ]
 
 

@@ -9,12 +9,11 @@ from bnkit.tableaux import core_apply_residue, core_length, hook_lengths, k_fill
 from oracles import replay_by_box_diff, small_k_cores
 
 
-def _moves():
-    """Every (core, residue, k) with k = 2..6 and the core up to 20 boxes."""
+def _cores():
+    """Every (core, k) with k = 2..6 and the core up to 20 boxes."""
     for k in (2, 3, 4, 5, 6):
         for p in small_k_cores(k, 20):
-            for res in range(k):
-                yield p, res, k
+            yield p, k
 
 
 class TestReplayBoxes:
@@ -29,15 +28,21 @@ class TestReplayBoxes:
 
     def test_addable_corners_share_a_residue_and_sit_k_apart(self):
         # the filling model's rule for the boxes of one symbol: one residue,
-        # pairwise lattice distance a multiple of k
+        # pairwise lattice distance a multiple of k; the groups hold every
+        # addable corner once
         moves = 0
-        for p, res, k in _moves():
-            add, _ = tableaux._residue_moves(p, res, k)
-            for i1, j1 in add:
-                assert (j1 - i1) % k == res, (p, res, k)
-                for i2, j2 in add:
-                    assert (abs(i1 - i2) + abs(j1 - j2)) % k == 0, (p, res, k)
-            moves += bool(add)
+        for p, k in _cores():
+            groups = tableaux._addable_corners(p, k)
+            corners = sorted(box for add in groups.values() for box in add)
+            assert corners == [(i + 1, row + 1) for i, row in enumerate(p + (0,))
+                               if i == 0 or p[i - 1] > row], (p, k)
+            for res, add in groups.items():
+                assert add == sorted(add), (p, res, k)
+                for i1, j1 in add:
+                    assert (j1 - i1) % k == res, (p, res, k)
+                    for i2, j2 in add:
+                        assert (abs(i1 - i2) + abs(j1 - j2)) % k == 0, (p, res, k)
+            moves += len(groups)
         assert moves > 500
 
     def test_a_move_is_one_kind_and_lands_on_a_k_core(self):
@@ -45,11 +50,15 @@ class TestReplayBoxes:
         # residue is both addable and removable, and the result is a
         # partition and a k-core by its hook lengths, not by the abacus
         moves = 0
-        for p, res, k in _moves():
-            add, rem = tableaux._residue_moves(p, res, k)
-            assert not (add and rem), (p, res, k)
-            q = core_apply_residue(p, res, k)
-            assert all(a >= b >= 1 for a, b in zip(q, q[1:] + (1,))), (p, res, k)
-            assert all(h % k for h in hook_lengths(q)), (p, res, k)
-            moves += 1
+        for p, k in _cores():
+            addable = tableaux._addable_corners(p, k)
+            for res in range(k):
+                # the removable corners of residue res, by their definition
+                rem = [i for i, (row, below) in enumerate(zip(p, p[1:] + (0,)))
+                       if row > below and (row - 1 - i) % k == res]
+                assert not (res in addable and rem), (p, res, k)
+                q = core_apply_residue(p, res, k)
+                assert all(a >= b >= 1 for a, b in zip(q, q[1:] + (1,))), (p, res, k)
+                assert all(h % k for h in hook_lengths(q)), (p, res, k)
+                moves += 1
         assert moves > 1000

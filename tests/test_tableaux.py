@@ -19,6 +19,7 @@ from oracles import (
     brute_syt_count,
     hook_is_core,
     peel_length,
+    residue_graph,
     small_k_cores,
 )
 
@@ -210,31 +211,72 @@ class TestReplayDiagnostics:
 class TestReplayOncePerMove:
     @pytest.mark.parametrize("target,k", TestWitnessTampering.CASES)
     def test_each_distinct_move_is_checked_exactly_once(self, target, k, monkeypatch):
-        # a listed word is a path of the strict-add graph: the graph makes
-        # each of its moves once, and listing makes no checked replay step
+        # a listed word is a path of the strict-add graph: the graph scans the
+        # addable corners of each core once, and those scans make every move
+        # of the listed words; listing neither replays a word nor applies a
+        # residue one at a time
         words = [w.residues for w in k_filling_witnesses(target, k, core_length(target, k))]
-        calls = []
-        apply_residue = tableaux._apply_residue
-
-        def counting(p, res, k):
-            calls.append((p, res))
-            return apply_residue(p, res, k)
-
-        def no_replay(*args):
-            raise AssertionError("k_filling_witnesses replayed a word")
-
-        monkeypatch.setattr(tableaux, "_apply_residue", counting)
-        monkeypatch.setattr(tableaux, "_replay_step", no_replay)
-        listed = k_filling_witnesses(target, k, core_length(target, k))
-        assert [w.residues for w in listed] == words and len(words) >= 6
-        moves = set()
+        moves = {}  # (core, residue) -> boxes added, for every step of every word
         for word in words:
             p = ()
             for res in word:
-                moves.add((p, res))
-                p = apply_residue(p, res, k)[0]
+                q, moves[p, res] = tableaux._apply_residue(p, res, k)
+                p = q
         assert len(moves) < sum(map(len, words))  # the witnesses share moves
-        assert len(calls) == len(set(calls)) and moves <= set(calls)
+        scans = {}
+        addable_corners = tableaux._addable_corners
+
+        def counting(p, k):
+            assert p not in scans, f"{p} scanned twice"
+            scans[p] = addable_corners(p, k)
+            return scans[p]
+
+        def no_call(*args):
+            raise AssertionError("k_filling_witnesses replayed a word or applied a residue")
+
+        monkeypatch.setattr(tableaux, "_addable_corners", counting)
+        monkeypatch.setattr(tableaux, "_replay_step", no_call)
+        monkeypatch.setattr(tableaux, "_apply_residue", no_call)
+        listed = k_filling_witnesses(target, k, core_length(target, k))
+        assert [w.residues for w in listed] == words and len(words) >= 6
+        for (p, res), boxes in moves.items():
+            assert scans[p][res] == boxes
+
+
+class TestFillingGraph:
+    def test_same_graph_as_every_residue_of_the_public_action(self):
+        # one addable-corner scan per core gives the graph that trying all k
+        # residues with core_apply_residue gives: the same moves in the same
+        # order, and the same path counts
+        for k in range(2, 7):
+            for p in small_k_cores(k, 16):
+                g = core_length(p, k)
+                _, succ, count = tableaux._filling_graph(p, k, g)
+                assert (succ, count) == residue_graph(p, k, g), (p, k)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 1), (4, 4, 2), (5, 3, 3, 1), (6, 6, 6, 6), (7,) * 7])
+    def test_k_above_every_hook_counts_standard_tableaux(self, shape):
+        # every partition inside the shape is then a k-core, and every step
+        # adds one box
+        assert count_k_fillings(shape, 1000, sum(shape)) == syt_count(shape)
+
+
+class TestNodeGuard:
+    def test_refused_as_the_levels_pass_the_guard(self, monkeypatch):
+        # (5,5,5,5) at k = 20: the 126 partitions inside the 4 x 5 box, by
+        # levels 1, 1, 2, 3, 5, 6, 8, 9, 11, 11, 12, ...
+        monkeypatch.setattr(tableaux, "_MAX_NODES", 126)
+        assert count_k_fillings((5, 5, 5, 5), 20, 20) == 1_662_804
+        monkeypatch.setattr(tableaux, "_MAX_NODES", 125)
+        with pytest.raises(PreconditionError,
+                           match=r"^k-filling graph refused: 126 cores after 20 of 20 steps "
+                                 r"\(guard 125\)$"):
+            count_k_fillings((5, 5, 5, 5), 20, 20)
+        monkeypatch.setattr(tableaux, "_MAX_NODES", 20)
+        with pytest.raises(PreconditionError,
+                           match=r"^k-filling graph refused: 26 cores after 6 of 20 steps "
+                                 r"\(guard 20\)$"):
+            k_filling_witnesses((5, 5, 5, 5), 20, 20)
 
 
 class TestHitGuard:
