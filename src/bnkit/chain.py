@@ -18,7 +18,13 @@ O(a*p^{i-1} + b*p^i) with a + b = d.
 
 Degree distributions quantify over an infinite set; the engine works on
 the prefix-sum window [-theta, d+theta] (default theta = g+1) and every
-consumer is expected to re-check stability at 2*theta.
+consumer is expected to re-check stability at 2*theta.  So one bundle
+meets two windows, and the kernel pass is a memoized function of the
+bundle and the window's range that keeps the last two passes: the tables
+and the star condition at theta read the pass that r-positivity ran
+there, and the witness reads the merged arrays that pass built.  Each
+pass is under _MAX_CELLS cells; one of 994,800 cells (g = 100) holds
+about 38 MiB, so the memo holds at most about 76 MiB.
 
 The search over aspect tuples finds every r-positive tuple and skips
 most of the others.  An upper-bound table U[c][u] bounds what the
@@ -41,6 +47,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
+from functools import lru_cache
 from itertools import accumulate
 from math import prod
 from operator import add, index, sub
@@ -289,31 +296,41 @@ def _dp_step(aspects, C: list[int], lo: int, s_lo: int, s_hi: int):
 # --- windowed minimum h0, tables and witnesses from one kernel pass ---
 
 def _suffix_pass(L: LimitLineBundle, window: int | None):
+    """Validate the window (see :func:`_window`) and read the kernel pass of
+    L over its range.  Returns the resolved window, its lo, and the
+    reflected aspects, states, merged arrays and minimum h0 of
+    :func:`_kernel_pass`."""
+    window, lo, hi = _window(L.g, L.d, window)
+    return (window, lo, *_kernel_pass(L, lo, hi))
+
+
+@lru_cache(maxsize=2)
+def _kernel_pass(L: LimitLineBundle, lo: int, hi: int):
     """Run the kernel over the reflected chain E^g, .., E^1: aspects
     reversed and each pair's coordinates swapped, so that prefix sums map
     as S'_j = d - S_{g-j}.  The state after j components is the suffix
     X^{>g-j} of L keyed by d - S_{g-j}, with eps the evaluation rank at
     p^{g-j}; the last state is the whole chain at S_0 = 0.  Returns the
-    resolved window, its lo, the reflected aspects, every state and the
-    minimum h0."""
+    reflected aspects, every state, the merged array C of each state but
+    the last, and the minimum h0, all to be read and not changed: the last
+    two passes are kept (see the module docstring)."""
     g, d = L.g, L.d
-    window, lo, hi = _window(g, d, window)
     aspects = tuple(None if a is None else (a[1], a[0]) for a in reversed(L.aspects))
     C = _start(lo, hi)
-    states = []
+    states, merged = [], []
     for j, a in enumerate(aspects, 1):
         span = (d, d) if j == g else (lo, hi)
         (state,) = _dp_step((a,), C, lo, *span)
         states.append(state)
         if j < g:
-            C = _merge(*state)
+            merged.append(C := _merge(*state))
     (n0,), (n1,) = states[-1]
     if (best := min(n0, n1)) >= _INF:
         raise InternalCheckError("chain DP produced no state at S_0 = 0")
-    return window, lo, aspects, states, best
+    return aspects, tuple(states), tuple(merged), best
 
 
-def _witness(L: LimitLineBundle, lo: int, aspects, states) -> tuple[int, ...]:
+def _witness(L: LimitLineBundle, lo: int, aspects, states, merged) -> tuple[int, ...]:
     """A distribution attaining the minimum, by walking back over the
     merged arrays C of the stored states.  At key u the component has
     degree k = s - u and adds (h0, eps) as in :func:`_dp_step`; each state
@@ -326,8 +343,7 @@ def _witness(L: LimitLineBundle, lo: int, aspects, states) -> tuple[int, ...]:
     s = d
     sums = []
     for j in range(len(aspects) - 1, 0, -1):
-        a, (prev0, prev1) = aspects[j], states[j - 1]
-        C = _merge(prev0, prev1)
+        a, prev1, C = aspects[j], states[j - 1][1], merged[j - 1]
         # the largest key first is the smallest S_{g-j}
         for i in range(len(C) - 1, -1, -1):
             k, exact = s - lo - i, a is not None and a[0] == lo + i
@@ -346,7 +362,7 @@ def _witness(L: LimitLineBundle, lo: int, aspects, states) -> tuple[int, ...]:
 
 def min_h0(L: LimitLineBundle, window: int | None = None) -> int:
     """Minimum of h0_chain over all windowed degree distributions."""
-    return _suffix_pass(L, window)[4]
+    return _suffix_pass(L, window)[5]
 
 
 class RPositivityReport(namedtuple("RPositivityReport", "is_r_positive min_h0 witness")):
@@ -360,8 +376,8 @@ def is_r_positive(L: LimitLineBundle, r: int, window: int | None = None) -> RPos
     """Whether every windowed multidegree limit has at least r+1 sections,
     together with a distribution attaining the minimum."""
     require(0, r=r)
-    _, lo, aspects, states, best = _suffix_pass(L, window)
-    return RPositivityReport(best >= r + 1, best, _witness(L, lo, aspects, states))
+    _, lo, aspects, states, merged, best = _suffix_pass(L, window)
+    return RPositivityReport(best >= r + 1, best, _witness(L, lo, aspects, states, merged))
 
 
 # --- vanishing tables and star conditions ---
@@ -395,7 +411,7 @@ def vanishing_tables(L: LimitLineBundle, r: int, window: int | None = None) -> V
     bundle.  Raises :class:`PreconditionError` otherwise."""
     require(0, r=r)
     g, d = L.g, L.d
-    window, lo, _, states, best = _suffix_pass(L, window)
+    window, lo, _, states, _, best = _suffix_pass(L, window)
     if best < r + 1:
         raise PreconditionError(f"bundle has windowed min h0 = {best} < r+1 = {r + 1}")
     a_rows: list[tuple[int, ...]] = [tuple(range(r + 1))]

@@ -18,6 +18,7 @@ difference, a multiple of k as they share a residue.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from math import factorial, prod
 from operator import index
@@ -133,7 +134,19 @@ def _resize_rows(p: Partition, cells, step: int) -> Partition:
 def core_length(p: Partition, k: int) -> int:
     """Number of strict-add steps in any residue sequence from () to p:
     the number of boxes of p with hook length < k."""
-    return sum(1 for h in hook_lengths(_require_core(p, k)) if h < k)
+    return _core_length(_require_core(p, k), k)
+
+
+def _core_length(p: Partition, k: int) -> int:
+    # Hook lengths strictly decrease along a row, so the boxes of row i
+    # with hook < k are a suffix of it, found by one binary search over its
+    # columns j (0-indexed).  The leg of box (i, j) is #{i' : p[i'] > j} - i - 1,
+    # a bisect over the negated rows.  O(rows * log cols * log rows).
+    neg = [-row for row in p]
+    return sum(
+        row - bisect_left(range(row), True, key=lambda j: row - j + bisect_left(neg, -j) - i - 1 < k)
+        for i, row in enumerate(p)
+    )
 
 
 def _filling_graph(target: Partition, k: int, g: int):
@@ -147,7 +160,7 @@ def _filling_graph(target: Partition, k: int, g: int):
     its levels hold more than ``_MAX_NODES`` cores."""
     require(0, g=g)
     target = _require_core(target, k)
-    forced = core_length(target, k)
+    forced = _core_length(target, k)
     if g != forced:
         raise PreconditionError(
             f"{k}-fillings of {target or '()'} use exactly {forced} symbols, got g={g}"

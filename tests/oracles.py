@@ -94,6 +94,17 @@ def hook_is_core(p: tuple[int, ...], k: int) -> bool:
     return True
 
 
+def hook_core_length(p: tuple[int, ...], k: int) -> int:
+    """The forced filling length by listing every hook: the number of
+    boxes of p whose hook length (arm + leg + 1) is below k."""
+    return sum(
+        1
+        for i, row in enumerate(p)
+        for j in range(row)
+        if row - j - 1 + sum(1 for r in p[i + 1:] if r > j) + 1 < k
+    )
+
+
 def brute_k_fillings(core: tuple[int, ...], k: int, g: int) -> list[tuple[int, ...]]:
     """Every residue word of length g, in lexicographic order, that takes
     () to ``core`` by strict adds: all k**g words are enumerated and each is

@@ -373,6 +373,7 @@ class TestSearch:
         def start(lo, hi):
             raise AssertionError("a refused computation reached the chain DP")
 
+        chain._kernel_pass.cache_clear()  # a pass held from before would not reach _start
         monkeypatch.setattr(chain, "_start", start)
         guarded = [
             lambda: min_h0(RUNNING, 10**6),

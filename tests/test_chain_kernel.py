@@ -14,6 +14,8 @@ completion, which catches an unsound table even where it happens not to
 cross r + 1, and a search whose tables never prune must give the same
 result as the pruned one.  A search runs the kernel once per distinct
 (depth, merged state), which a counting wrapper around the kernel pins.
+The windowed pass is memoized for the last two (bundle, window range)
+pairs; ``cache_info`` pins its hits, misses and evictions.
 """
 
 import itertools
@@ -30,6 +32,7 @@ from bnkit.chain import (
     min_h0,
     search_limit_bundles,
     search_witnesses,
+    star_components,
     vanishing_tables,
 )
 from bnkit.errors import PreconditionError
@@ -135,7 +138,8 @@ class TestWindowedMinima:
                 assert min_h0(L, window) == best
                 rep = is_r_positive(L, 0, window)
                 assert (rep.min_h0, rep.witness) == (best, witness)
-                _, lo, _, states, _ = chain._suffix_pass(L, window)
+                _, lo, _, states, merged, _ = chain._suffix_pass(L, window)
+                assert merged == tuple(chain._merge(*state) for state in states[:-1])
                 for i in range(1, L.g):
                     n0, n1 = states[L.g - i - 1]
                     assert _norm(min(a, b) for a, b in zip(n0, n1))[::-1] == tables[i]
@@ -166,6 +170,62 @@ class TestWindowedMinima:
         for L in (LimitLineBundle(0, ((0, 0),)), LimitLineBundle(2, (None,))):
             assert is_r_positive(L, 0, 1).witness == (L.d,)
             assert min_h0(L, 1) == oracles.suffix_dp(L, 1)[0]
+
+
+class TestKernelPassMemo:
+    """``_kernel_pass`` keeps the last two passes, keyed by (bundle, lo, hi)
+    after the window is validated, so the certify sequence at w and 2w runs
+    the kernel once per window."""
+
+    L = LimitLineBundle(4, ((0, 4), (2, 2), None, (4, 0)))
+
+    def test_window_is_validated_before_the_memo(self):
+        chain._kernel_pass.cache_clear()
+        best = min_h0(self.L, 1)
+        with pytest.raises(TypeError, match="need an integer window"):
+            min_h0(self.L, 1.0)
+        assert min_h0(self.L, True) == best
+        info = chain._kernel_pass.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_certify_sequence_runs_one_pass_per_window(self):
+        L, w = self.L, self.L.g + 1
+        chain._kernel_pass.cache_clear()
+        rep = is_r_positive(L, 0, w)
+        rep2 = is_r_positive(L, 0, 2 * w)
+        r = rep.min_h0 - 1
+        assert r >= 0
+        vanishing_tables(L, r, w)
+        star_components(L, r, w)
+        info = chain._kernel_pass.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+        # a read from the memo gives the quadratic DP's answer at each window
+        for window, first in ((w, rep), (2 * w, rep2)):
+            best, witness, _ = oracles.suffix_dp(L, window)
+            again = is_r_positive(L, 0, window)
+            assert (again.min_h0, again.witness) == (first.min_h0, first.witness) == (best, witness)
+        assert chain._kernel_pass.cache_info().misses == 2
+
+    def test_a_third_window_or_bundle_evicts_the_oldest(self):
+        L, other = self.L, LimitLineBundle(3, ((0, 3), None, (3, 0)))
+        for third in (lambda: min_h0(L, 3), lambda: min_h0(other, 1)):
+            chain._kernel_pass.cache_clear()
+            min_h0(L, 1)
+            min_h0(L, 2)
+            third()
+            min_h0(L, 2)  # still held
+            assert chain._kernel_pass.cache_info().misses == 3
+            min_h0(L, 1)  # evicted by the third
+            assert chain._kernel_pass.cache_info().misses == 4
+
+    def test_windows_with_one_range_share_a_pass(self):
+        # for d <= -window the range is [d, 0] whatever the window
+        L = LimitLineBundle(-5, ((0, -5), None, (-5, 0)))
+        chain._kernel_pass.cache_clear()
+        assert chain._window(L.g, L.d, 2)[1:] == chain._window(L.g, L.d, 3)[1:]
+        assert min_h0(L, 2) == min_h0(L, 3) == oracles.suffix_dp(L, 3)[0]
+        info = chain._kernel_pass.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 def _search(*args):

@@ -17,6 +17,7 @@ from bnkit.tableaux import (
 from oracles import (
     brute_k_fillings,
     brute_syt_count,
+    hook_core_length,
     hook_is_core,
     peel_length,
     residue_graph,
@@ -89,6 +90,27 @@ class TestCoreLength:
 
     def test_worked_example(self):
         assert core_length((4, 2, 1, 1), 3) == 5
+
+    def test_against_listed_hooks(self):
+        for k in range(2, 8):
+            for p in small_k_cores(k, 30):
+                assert core_length(p, k) == hook_core_length(p, k), (p, k)
+
+    def test_long_cores_without_listing_hooks(self):
+        # 10**8 boxes in one row: every hook is below k, so all of them count
+        assert core_length((10**8,), 2 * 10**8) == 10**8
+        # the staircase (n, n-1, .., 1) is a 2-core whose hooks are all odd;
+        # only the n boxes of hook 1 are below k = 2
+        n = 2000
+        assert core_length(tuple(range(n, 0, -1)), 2) == n
+        assert core_length(tuple(range(n, 0, -1)), 2 * n + 1) == n * (n + 1) // 2
+
+    def test_filling_graph_checks_the_target_once(self, monkeypatch):
+        calls = []
+        real = tableaux._is_core
+        monkeypatch.setattr(tableaux, "_is_core", lambda p, k: calls.append(p) or real(p, k))
+        assert count_k_fillings((4, 2, 1, 1), 3, 5) == 2
+        assert calls == [(4, 2, 1, 1)]
 
     def test_every_strict_add_raises_length_by_one(self):
         # the k-filling graph is graded by core_length and keys its counts
