@@ -13,7 +13,9 @@ to the core.  The boxes added at one step all carry that step's symbol;
 they share a residue and sit at pairwise lattice distance a multiple of
 k.  This holds for every strict-add step: two addable corners in rows
 i1 < i2 have columns j1 > j2, so their lattice distance is their content
-difference, a multiple of k as they share a residue.
+difference, a multiple of k as they share a residue.  As the residue
+action is an involution, fillings are counted and listed on the graph swept
+down from the core by strict removes, whose every core lies on a path from ().
 """
 
 from __future__ import annotations
@@ -47,18 +49,8 @@ def check_partition(rows) -> Partition:
 def hook_lengths(p: Partition) -> list[int]:
     """All hook lengths of the diagram, row by row."""
     p = check_partition(p)
-    cols = _conjugate(p)
-    return [
-        (p[i] - j - 1) + (cols[j] - i - 1) + 1
-        for i in range(len(p))
-        for j in range(p[i])
-    ]
-
-
-def _conjugate(p: Partition) -> Partition:
-    if not p:
-        return ()
-    return tuple(sum(1 for r in p if r > j) for j in range(p[0]))
+    cols = [sum(row > j for row in p) for j in range(p[0] if p else 0)]
+    return [row - j + cols[j] - i - 1 for i, row in enumerate(p) for j in range(row)]
 
 
 def is_core(p: Partition, k: int) -> bool:
@@ -96,6 +88,18 @@ def _addable_corners(p: Partition, k: int) -> dict[int, list[tuple[int, int]]]:
     return groups
 
 
+def _removable_corners(p: Partition, k: int) -> dict[int, list[tuple[int, int]]]:
+    """The removable corner boxes of p, as :func:`_addable_corners` lists
+    the addable ones: a row has one iff it is longer than the row below."""
+    groups: dict[int, list[tuple[int, int]]] = {}
+    above = 0
+    for i, row in enumerate(p + (0,)):
+        if above > row:
+            groups.setdefault((above - i) % k, []).append((i, above))
+        above = row
+    return groups
+
+
 def core_apply_residue(p: Partition, residue: int, k: int) -> Partition:
     """Action of the residue-``residue`` generator of the affine symmetric
     group on a k-core: add every addable box of that residue if any exist,
@@ -114,9 +118,7 @@ def _apply_residue(p: Partition, residue: int, k: int):
     r = residue % k
     if add := _addable_corners(p, k).get(r):
         return _resize_rows(p, add, 1), add
-    rows = p + (0,)
-    rem = [(i + 1, rows[i]) for i in range(len(p))
-           if rows[i] > rows[i + 1] and (rows[i] - i - 1) % k == r]
+    rem = _removable_corners(p, k).get(r)
     return (_resize_rows(p, rem, -1) if rem else p), []
 
 
@@ -151,13 +153,13 @@ def _core_length(p: Partition, k: int) -> int:
 
 def _filling_graph(target: Partition, k: int, g: int):
     """Validate the arguments and build the strict-add graph below the
-    k-core ``target`` by levels.  Each strict-add step raises core_length by
-    one, so a sweep forward from () lists ``succ[p]``, the moves out of each
-    core on levels 0..g-1 that add boxes and stay inside ``target``, by
-    increasing residue, from one :func:`_addable_corners` scan of the core;
-    a pass back from level g, where only ``target`` counts, fills
-    ``count[p]``, the paths from p to ``target``.  Refuses the graph once
-    its levels hold more than ``_MAX_NODES`` cores."""
+    k-core ``target`` by levels down from it: each core's strict removes
+    (:func:`_removable_corners`) are strict adds read backwards, as
+    :func:`_apply_residue` is an involution.  Every nonempty k-core has a
+    removable corner and each strict remove lowers core_length by one, so
+    the g levels end at () and hold exactly the cores on a path to ``target``.
+    Returns the target, ``up[q]`` (the strict adds (residue, core) out of
+    each core q below it) and the path count; refuses past ``_MAX_NODES`` cores."""
     require(0, g=g)
     target = _require_core(target, k)
     forced = _core_length(target, k)
@@ -165,26 +167,21 @@ def _filling_graph(target: Partition, k: int, g: int):
         raise PreconditionError(
             f"{k}-fillings of {target or '()'} use exactly {forced} symbols, got g={g}"
         )
-    succ: dict[Partition, list[tuple[int, Partition]]] = {}
-    levels: list[list[Partition]] = [[()]]
-    # p is inside target, so an addable corner of p lies outside it iff it
-    # is the box just past a row of target, the empty row below included
-    fence, nodes = {(i + 1, row + 1) for i, row in enumerate(target + (0,))}, 1
+    up: dict[Partition, list[tuple[int, Partition]]] = {}
+    level, nodes = {target: 1}, 1
     for step in range(g):
-        for p in levels[-1]:
-            succ[p] = [(res, _resize_rows(p, add, 1))
-                       for res, add in sorted(_addable_corners(p, k).items())
-                       if fence.isdisjoint(add)]
-        levels.append(list(dict.fromkeys(q for p in levels[-1] for _, q in succ[p])))
-        nodes += len(levels[-1])
+        below: dict[Partition, int] = {}
+        for p, paths in level.items():
+            for res, rem in _removable_corners(p, k).items():
+                q = _resize_rows(p, rem, -1)
+                below[q] = below.get(q, 0) + paths
+                up.setdefault(q, []).append((res, p))
+        level = below
+        nodes += len(level)
         if nodes > _MAX_NODES:
             raise PreconditionError(f"k-filling graph refused: {nodes} cores after "
                                     f"{step + 1} of {g} steps (guard {_MAX_NODES})")
-    count = {p: int(p == target) for p in levels[-1]}
-    for level in reversed(levels[:-1]):
-        for p in level:
-            count[p] = sum(count[q] for _, q in succ[p])
-    return target, succ, count
+    return target, up, level[()]
 
 
 def count_k_fillings(target: Partition, k: int, g: int) -> int:
@@ -194,8 +191,7 @@ def count_k_fillings(target: Partition, k: int, g: int) -> int:
     strict-add path from () to the core has :func:`core_length` steps); a
     different g raises :class:`PreconditionError` since every sequence of
     that length would contribute zero."""
-    _, _, count = _filling_graph(target, k, g)
-    return count[()]
+    return _filling_graph(target, k, g)[2]
 
 
 class FillingWitness(namedtuple("FillingWitness", "residues k")):
@@ -249,24 +245,25 @@ def _replay_step(p: Partition, res: int, k: int, word: tuple[int, ...]):
 def k_filling_witnesses(target: Partition, k: int, g: int) -> list[FillingWitness]:
     """All k-fillings of ``target`` as residue-sequence witnesses, in
     lexicographic order of the sequences.  Each is a path of the strict-add
-    graph, whose moves are the :func:`_addable_corners` groups that
-    :meth:`FillingWitness.replay` adds, so it is not replayed again.  Refuses more than
-    ``_MAX_HITS`` fillings before listing any."""
-    target, succ, count = _filling_graph(target, k, g)
-    if count[()] > _MAX_HITS:
-        raise PreconditionError(f"listing refused: {count[()]} fillings (guard {_MAX_HITS})")
+    graph, whose moves are the addable corner groups that
+    :meth:`FillingWitness.replay` adds, so it is not replayed again.  Refuses
+    more than ``_MAX_HITS`` fillings before listing any."""
+    target, up, total = _filling_graph(target, k, g)
+    if total > _MAX_HITS:
+        raise PreconditionError(f"listing refused: {total} fillings (guard {_MAX_HITS})")
     witnesses: list[FillingWitness] = []
-    # depth first; pushing in reverse pops residues in increasing order, and
-    # only children with a path to target are entered
-    stack = [((), ())] if count[()] else []
+    # depth first; sorted by residue and pushed in reverse, the moves pop in
+    # increasing order, and every core of the graph lies on a path to target
+    for moves in up.values():
+        moves.sort()
+    stack = [((), ())]
     while stack:
         p, word = stack.pop()
         if p == target:
             witnesses.append(FillingWitness(word, k))
             continue
-        for res, q in reversed(succ[p]):
-            if count[q]:
-                stack.append((q, word + (res,)))
+        for res, q in reversed(up[p]):
+            stack.append((q, word + (res,)))
     return witnesses
 
 
@@ -274,7 +271,10 @@ def syt_count(shape: Partition) -> int:
     """Number of standard Young tableaux of the given shape, by the hook
     length formula n! / prod(hooks)."""
     shape = check_partition(shape)
-    count, rem = divmod(factorial(sum(shape)), prod(hook_lengths(shape)))
+    hooks = hook_lengths(shape)
+    while len(hooks) > 1:  # pairwise, so that big factors meet at similar sizes
+        hooks = [a * b for a, b in zip(hooks[::2], hooks[1::2])] + hooks[len(hooks) & ~1:]
+    count, rem = divmod(factorial(sum(shape)), prod(hooks))
     if rem:
         raise InternalCheckError(f"hook length formula non-integral on {shape}")
     return count

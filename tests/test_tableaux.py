@@ -2,6 +2,7 @@ import pytest
 
 from bnkit import tableaux
 from bnkit.errors import InternalCheckError, PreconditionError
+from bnkit.invariants import count_grd
 from bnkit.tableaux import (
     FillingWitness,
     core_apply_residue,
@@ -48,6 +49,20 @@ class TestSytCounts:
         for n in range(0, 9):
             for shape in partitions_of(n):
                 assert syt_count(shape) == brute_syt_count(shape)
+
+    def test_shapes_with_an_odd_number_of_boxes(self):
+        # the hook product folds pairwise; an odd count leaves one factor
+        # over at some fold (11 hooks: 6, 3, 2, 1)
+        for n in (9, 11):
+            for shape in partitions_of(n):
+                assert syt_count(shape) == brute_syt_count(shape), shape
+
+    @pytest.mark.parametrize("rows,cols", [(7, 9), (45, 45), (80, 80), (5, 400)])
+    def test_large_rectangles_against_count_grd(self, rows, cols):
+        # the rows x cols rectangle is the rho = 0 triple g = rows * cols,
+        # r = rows - 1, d = g - cols + r
+        g = rows * cols
+        assert syt_count_rect(rows, cols) == count_grd(g, rows - 1, g - cols + rows - 1)
 
 
 class TestCoreBasics:
@@ -234,47 +249,53 @@ class TestReplayOncePerMove:
     @pytest.mark.parametrize("target,k", TestWitnessTampering.CASES)
     def test_each_distinct_move_is_checked_exactly_once(self, target, k, monkeypatch):
         # a listed word is a path of the strict-add graph: the graph scans the
-        # addable corners of each core once, and those scans make every move
-        # of the listed words; listing neither replays a word nor applies a
-        # residue one at a time
+        # removable corners of each core once, and those scans, read as strict
+        # adds, make every move of the listed words; listing neither replays a
+        # word nor applies a residue one at a time
         words = [w.residues for w in k_filling_witnesses(target, k, core_length(target, k))]
-        moves = {}  # (core, residue) -> boxes added, for every step of every word
+        moves = {}  # (core, residue) -> (new core, boxes added), for every step of every word
         for word in words:
             p = ()
             for res in word:
-                q, moves[p, res] = tableaux._apply_residue(p, res, k)
-                p = q
+                moves[p, res] = tableaux._apply_residue(p, res, k)
+                p = moves[p, res][0]
         assert len(moves) < sum(map(len, words))  # the witnesses share moves
         scans = {}
-        addable_corners = tableaux._addable_corners
+        removable_corners = tableaux._removable_corners
 
         def counting(p, k):
             assert p not in scans, f"{p} scanned twice"
-            scans[p] = addable_corners(p, k)
+            scans[p] = removable_corners(p, k)
             return scans[p]
 
         def no_call(*args):
             raise AssertionError("k_filling_witnesses replayed a word or applied a residue")
 
-        monkeypatch.setattr(tableaux, "_addable_corners", counting)
+        monkeypatch.setattr(tableaux, "_removable_corners", counting)
         monkeypatch.setattr(tableaux, "_replay_step", no_call)
         monkeypatch.setattr(tableaux, "_apply_residue", no_call)
         listed = k_filling_witnesses(target, k, core_length(target, k))
         assert [w.residues for w in listed] == words and len(words) >= 6
-        for (p, res), boxes in moves.items():
-            assert scans[p][res] == boxes
+        for (p, res), (q, boxes) in moves.items():
+            assert scans[q][res] == boxes
 
 
 class TestFillingGraph:
     def test_same_graph_as_every_residue_of_the_public_action(self):
-        # one addable-corner scan per core gives the graph that trying all k
-        # residues with core_apply_residue gives: the same moves in the same
-        # order, and the same path counts
+        # sweeping down from the target by strict removes gives the live part
+        # of the graph that trying all k residues with core_apply_residue
+        # gives from (): exactly the cores with a path to the target, the
+        # moves between them read backwards, and the same number of paths
         for k in range(2, 7):
             for p in small_k_cores(k, 16):
                 g = core_length(p, k)
-                _, succ, count = tableaux._filling_graph(p, k, g)
-                assert (succ, count) == residue_graph(p, k, g), (p, k)
+                _, up, total = tableaux._filling_graph(p, k, g)
+                succ, count = residue_graph(p, k, g)
+                assert set(up) | {p} == {q for q, paths in count.items() if paths}, (p, k)
+                live = {q: [(res, r) for res, r in moves if count[r]]
+                        for q, moves in succ.items() if count[q]}
+                assert {q: sorted(moves) for q, moves in up.items()} == live, (p, k)
+                assert total == count[()], (p, k)
 
     @pytest.mark.parametrize("shape", [(3, 2, 1), (4, 4, 2), (5, 3, 3, 1), (6, 6, 6, 6), (7,) * 7])
     def test_k_above_every_hook_counts_standard_tableaux(self, shape):
@@ -286,7 +307,8 @@ class TestFillingGraph:
 class TestNodeGuard:
     def test_refused_as_the_levels_pass_the_guard(self, monkeypatch):
         # (5,5,5,5) at k = 20: the 126 partitions inside the 4 x 5 box, by
-        # levels 1, 1, 2, 3, 5, 6, 8, 9, 11, 11, 12, ...
+        # levels 1, 1, 2, 3, 5, 6, 8, 9, 11, 11, 12, .. from either end, as
+        # the box is its own complement
         monkeypatch.setattr(tableaux, "_MAX_NODES", 126)
         assert count_k_fillings((5, 5, 5, 5), 20, 20) == 1_662_804
         monkeypatch.setattr(tableaux, "_MAX_NODES", 125)
@@ -299,6 +321,18 @@ class TestNodeGuard:
                            match=r"^k-filling graph refused: 26 cores after 6 of 20 steps "
                                  r"\(guard 20\)$"):
             k_filling_witnesses((5, 5, 5, 5), 20, 20)
+
+    def test_levels_are_counted_down_from_the_target(self, monkeypatch):
+        # (6, 3, 2) at k = 100: the 46 partitions inside it, by levels
+        # 1, 3, 5, 7, 7, .. down from the target but 1, 1, 2, 3, 4, .. up
+        # from (), where a guard of 10 would refuse after 4 steps
+        monkeypatch.setattr(tableaux, "_MAX_NODES", 46)
+        assert count_k_fillings((6, 3, 2), 100, 11) == syt_count((6, 3, 2)) == 990
+        monkeypatch.setattr(tableaux, "_MAX_NODES", 10)
+        with pytest.raises(PreconditionError,
+                           match=r"^k-filling graph refused: 16 cores after 3 of 11 steps "
+                                 r"\(guard 10\)$"):
+            k_filling_witnesses((6, 3, 2), 100, 11)
 
 
 class TestHitGuard:
