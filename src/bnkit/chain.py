@@ -22,9 +22,9 @@ consumer is expected to re-check stability at 2*theta.  So one bundle
 meets two windows, and the kernel pass is a memoized function of the
 bundle and the window's range that keeps the last two passes: the tables
 and the star condition at theta read the pass that r-positivity ran
-there, and the witness reads the merged arrays that pass built.  Each
-pass is under _MAX_CELLS cells; one of 994,800 cells (g = 100) holds
-about 38 MiB, so the memo holds at most about 76 MiB.
+there.  A pass keeps only its states, minimum h0 and witness: one of
+994,800 cells (g = 100), near the _MAX_CELLS guard, keeps about 30 MiB by
+tracemalloc, so the memo holds at most about 60 MiB.
 
 The search over aspect tuples finds every r-positive tuple and skips
 most of the others.  An upper-bound table U[c][u] bounds what the
@@ -130,6 +130,7 @@ def chip_fire(dist, i: int) -> tuple[int, ...]:
     fires vertex i of the dual chain.  Interior: (.., d^{i-1}+1, d^i - 2,
     d^{i+1}+1, ..); the endpoints lose only 1 since they have a single
     node, and a lone component has none.  Total degree is conserved."""
+    require(None, i=i)
     dist = tuple(map(index, dist))
     g = len(dist)
     if not 1 <= i <= g:
@@ -145,6 +146,7 @@ def chip_fire(dist, i: int) -> tuple[int, ...]:
 def prefix_fire(dist, i: int) -> tuple[int, ...]:
     """Twist by E^1 + .. + E^i: moves one unit of degree from component i
     to component i+1 across the node p^i."""
+    require(None, i=i)
     dist = tuple(map(index, dist))
     g = len(dist)
     if not 1 <= i <= g - 1:
@@ -297,9 +299,8 @@ def _dp_step(aspects, C: list[int], lo: int, s_lo: int, s_hi: int):
 
 def _suffix_pass(L: LimitLineBundle, window: int | None):
     """Validate the window (see :func:`_window`) and read the kernel pass of
-    L over its range.  Returns the resolved window, its lo, and the
-    reflected aspects, states, merged arrays and minimum h0 of
-    :func:`_kernel_pass`."""
+    L over its range.  Returns the resolved window, its lo, and the states,
+    minimum h0 and witness of :func:`_kernel_pass`."""
     window, lo, hi = _window(L.g, L.d, window)
     return (window, lo, *_kernel_pass(L, lo, hi))
 
@@ -310,10 +311,9 @@ def _kernel_pass(L: LimitLineBundle, lo: int, hi: int):
     reversed and each pair's coordinates swapped, so that prefix sums map
     as S'_j = d - S_{g-j}.  The state after j components is the suffix
     X^{>g-j} of L keyed by d - S_{g-j}, with eps the evaluation rank at
-    p^{g-j}; the last state is the whole chain at S_0 = 0.  Returns the
-    reflected aspects, every state, the merged array C of each state but
-    the last, and the minimum h0, all to be read and not changed: the last
-    two passes are kept (see the module docstring)."""
+    p^{g-j}; the last state is the whole chain at S_0 = 0.  Returns every
+    state, the minimum h0 and its :func:`_witness`, walked while the merged
+    arrays are at hand, to be read and not changed (see the module docstring)."""
     g, d = L.g, L.d
     aspects = tuple(None if a is None else (a[1], a[0]) for a in reversed(L.aspects))
     C = _start(lo, hi)
@@ -327,22 +327,19 @@ def _kernel_pass(L: LimitLineBundle, lo: int, hi: int):
     (n0,), (n1,) = states[-1]
     if (best := min(n0, n1)) >= _INF:
         raise InternalCheckError("chain DP produced no state at S_0 = 0")
-    return aspects, tuple(states), tuple(merged), best
+    # ties at S_0 go to eps 0
+    return tuple(states), best, _witness(d, lo, aspects, states, merged, int(n1 < n0), best)
 
 
-def _witness(L: LimitLineBundle, lo: int, aspects, states, merged) -> tuple[int, ...]:
-    """A distribution attaining the minimum, by walking back over the
-    merged arrays C of the stored states.  At key u the component has
-    degree k = s - u and adds (h0, eps) as in :func:`_dp_step`; each state
-    is a minimum, so a key whose eps matches and C[u] + h0 equals the state
-    has a predecessor attaining C[u].  Ties go to the smallest S_i, then
-    eps 0 before eps 1, and at S_0 to eps 0 when n0 <= n1."""
-    d = L.d
-    (n0,), (n1,) = states[-1]
-    eps, val = (0, n0) if n0 <= n1 else (1, n1)
-    s = d
-    sums = []
-    for j in range(len(aspects) - 1, 0, -1):
+def _witness(d: int, lo: int, aspects, states, merged, eps: int, val: int) -> tuple[int, ...]:
+    """A distribution attaining the minimum ``val``, reached at S_0 with
+    rank ``eps``, by walking back over the merged arrays C of the states.
+    At key u the component has degree k = s - u and adds (h0, eps) as in
+    :func:`_dp_step`; each state is a minimum, so a key whose eps matches
+    and C[u] + h0 equals the state has a predecessor attaining C[u].  Ties
+    go to the smallest S_i, then eps 0 before eps 1."""
+    g, s, sums = len(aspects), d, []
+    for j in range(g - 1, 0, -1):
         a, prev1, C = aspects[j], states[j - 1][1], merged[j - 1]
         # the largest key first is the smallest S_{g-j}
         for i in range(len(C) - 1, -1, -1):
@@ -352,7 +349,7 @@ def _witness(L: LimitLineBundle, lo: int, aspects, states, merged) -> tuple[int,
             if e == eps and C[i] + w == val:
                 break
         else:
-            raise InternalCheckError(f"chain DP state at node {L.g - j} has no predecessor")
+            raise InternalCheckError(f"chain DP state at node {g - j} has no predecessor")
         # at one key the eps-1 state at S = u comes before the eps-0 one at u - 1
         eps = int(i < len(prev1) and prev1[i] - 1 == C[i])
         s, val = lo + i - 1 + eps, C[i] + eps
@@ -362,7 +359,7 @@ def _witness(L: LimitLineBundle, lo: int, aspects, states, merged) -> tuple[int,
 
 def min_h0(L: LimitLineBundle, window: int | None = None) -> int:
     """Minimum of h0_chain over all windowed degree distributions."""
-    return _suffix_pass(L, window)[5]
+    return _suffix_pass(L, window)[3]
 
 
 class RPositivityReport(namedtuple("RPositivityReport", "is_r_positive min_h0 witness")):
@@ -376,8 +373,8 @@ def is_r_positive(L: LimitLineBundle, r: int, window: int | None = None) -> RPos
     """Whether every windowed multidegree limit has at least r+1 sections,
     together with a distribution attaining the minimum."""
     require(0, r=r)
-    _, lo, aspects, states, merged, best = _suffix_pass(L, window)
-    return RPositivityReport(best >= r + 1, best, _witness(L, lo, aspects, states, merged))
+    *_, best, witness = _suffix_pass(L, window)
+    return RPositivityReport(best >= r + 1, best, witness)
 
 
 # --- vanishing tables and star conditions ---
@@ -411,7 +408,7 @@ def vanishing_tables(L: LimitLineBundle, r: int, window: int | None = None) -> V
     bundle.  Raises :class:`PreconditionError` otherwise."""
     require(0, r=r)
     g, d = L.g, L.d
-    window, lo, _, states, _, best = _suffix_pass(L, window)
+    window, lo, states, best, _ = _suffix_pass(L, window)
     if best < r + 1:
         raise PreconditionError(f"bundle has windowed min h0 = {best} < r+1 = {r + 1}")
     a_rows: list[tuple[int, ...]] = [tuple(range(r + 1))]

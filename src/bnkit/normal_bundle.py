@@ -82,6 +82,7 @@ def modify(bundle: SplitBundle, summand_index: int, sign: str, points: int) -> S
     ``points`` while the chosen one is unchanged.  Rank never changes.
     Only modifications toward a summand are defined on this ledger.
     """
+    require(None, summand_index=summand_index)
     if not 0 <= summand_index < bundle.rank:
         raise PreconditionError(
             f"summand index {summand_index} out of range for rank {bundle.rank}"

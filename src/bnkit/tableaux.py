@@ -60,10 +60,15 @@ def is_core(p: Partition, k: int) -> bool:
     return _is_core(check_partition(p), k)
 
 
+def _beads(p: Partition) -> list[int]:
+    """The abacus beads of p, ascending: its first-column hook lengths."""
+    return [row + i for i, row in enumerate(reversed(p))]
+
+
 def _is_core(p: Partition, k: int) -> bool:
-    # Abacus test, O(rows): the beads are the first-column hook lengths,
-    # and a rim k-hook is removable iff some bead b >= k has no bead at b - k.
-    beads = {r + len(p) - 1 - i for i, r in enumerate(p)}
+    # Abacus test, O(rows): a rim k-hook is removable iff some bead b >= k
+    # has no bead at b - k.
+    beads = set(_beads(p))
     return all(b - k in beads for b in beads if b >= k)
 
 
@@ -140,15 +145,11 @@ def core_length(p: Partition, k: int) -> int:
 
 
 def _core_length(p: Partition, k: int) -> int:
-    # Hook lengths strictly decrease along a row, so the boxes of row i
-    # with hook < k are a suffix of it, found by one binary search over its
-    # columns j (0-indexed).  The leg of box (i, j) is #{i' : p[i'] > j} - i - 1,
-    # a bisect over the negated rows.  O(rows * log cols * log rows).
-    neg = [-row for row in p]
-    return sum(
-        row - bisect_left(range(row), True, key=lambda j: row - j + bisect_left(neg, -j) - i - 1 < k)
-        for i, row in enumerate(p)
-    )
+    # The row of bead b (the i-th from the bottom) has hooks b - c for each
+    # gap c < b, so its boxes with hook < k are the gaps within k - 1 below b:
+    # the min(k - 1, b) places there less the beads among them.  O(rows log rows).
+    beads = _beads(p)
+    return sum(min(k - 1, b) - i + bisect_left(beads, b - k + 1) for i, b in enumerate(beads))
 
 
 def _filling_graph(target: Partition, k: int, g: int):

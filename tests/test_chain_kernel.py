@@ -138,8 +138,8 @@ class TestWindowedMinima:
                 assert min_h0(L, window) == best
                 rep = is_r_positive(L, 0, window)
                 assert (rep.min_h0, rep.witness) == (best, witness)
-                _, lo, _, states, merged, _ = chain._suffix_pass(L, window)
-                assert merged == tuple(chain._merge(*state) for state in states[:-1])
+                _, lo, states, pass_best, pass_witness = chain._suffix_pass(L, window)
+                assert (pass_best, pass_witness) == (best, witness)
                 for i in range(1, L.g):
                     n0, n1 = states[L.g - i - 1]
                     assert _norm(min(a, b) for a, b in zip(n0, n1))[::-1] == tables[i]
@@ -217,6 +217,26 @@ class TestKernelPassMemo:
             assert chain._kernel_pass.cache_info().misses == 3
             min_h0(L, 1)  # evicted by the third
             assert chain._kernel_pass.cache_info().misses == 4
+
+    def test_one_witness_walk_per_pass_kept_with_the_states_and_min(self, monkeypatch):
+        L, w = self.L, self.L.g + 1
+        walks, walk = [], chain._witness
+        monkeypatch.setattr(chain, "_witness", lambda *args: walks.append(args) or walk(*args))
+        chain._kernel_pass.cache_clear()
+        rep = is_r_positive(L, 0, w)
+        is_r_positive(L, 0, 2 * w)
+        vanishing_tables(L, rep.min_h0 - 1, w)
+        star_components(L, rep.min_h0 - 1, w)
+        is_r_positive(L, 0, w)
+        assert len(walks) == chain._kernel_pass.cache_info().misses == 2
+        for window in (w, 2 * w):
+            best, witness, _ = oracles.suffix_dp(L, window)
+            _, lo, hi = chain._window(L.g, L.d, window)
+            states, *rest = entry = chain._kernel_pass(L, lo, hi)  # a hit: no walk
+            assert len(entry) == 3 and rest == [best, witness]
+            assert len(states) == L.g and all(len(state) == 2 for state in states)
+        assert len(walks) == chain._kernel_pass.cache_info().misses == 2
+        chain._kernel_pass.cache_clear()
 
     def test_windows_with_one_range_share_a_pass(self):
         # for d <= -window the range is [d, 0] whatever the window

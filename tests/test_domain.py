@@ -102,8 +102,9 @@ def test_float_argument_is_a_type_error(f, name, value):
         f(**{**DOMAIN[f], name: value})
 
 
-# other integer scalars are read the same way: a float residue or total
-# raises TypeError naming it, instead of acting as its floor or its value
+# other integer scalars are read the same way: a float residue, total or
+# index raises TypeError naming it, instead of acting as its floor or its value
+SPLIT = normal_bundle.SplitBundle((2, 1, 1))
 SCALAR_CASES = {
     "core_apply_residue-residue-1.5": (lambda: tableaux.core_apply_residue((), 1.5, 3), "residue"),
     "core_apply_residue-residue-0.0": (lambda: tableaux.core_apply_residue((), 0.0, 3), "residue"),
@@ -112,6 +113,11 @@ SCALAR_CASES = {
     "FillingWitness-k": (lambda: tableaux.FillingWitness((0,), 3.0), "k"),
     "FillingWitness-residue": (lambda: tableaux.FillingWitness((0, 1.0), 3), "residue"),
     "balanced_type-total": (lambda: splitting.balanced_type(3, 4.5), "total"),
+    "chain.chip_fire-i": (lambda: chain.chip_fire((1, 2, 0), 2.0), "i"),
+    "chain.prefix_fire-i": (lambda: chain.prefix_fire((1, 2, 0), 1.0), "i"),
+    "modify-summand_index": (lambda: normal_bundle.modify(SPLIT, 1.0, "+", 1), "summand_index"),
+    "hh_restriction-summand_index": (lambda: normal_bundle.hh_restriction(SPLIT, [0, 1.0]),
+                                     "summand_index"),
 }
 
 
