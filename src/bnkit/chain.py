@@ -24,7 +24,7 @@ bundle and the window's range that keeps the last two passes: the tables
 and the star condition at theta read the pass that r-positivity ran
 there.  A pass keeps only its states, minimum h0 and witness: one of
 994,800 cells (g = 100), near the _MAX_CELLS guard, keeps about 30 MiB by
-tracemalloc, so the memo holds at most about 60 MiB.
+tracemalloc, so the memo holds at most about 61 MiB.
 
 The search over aspect tuples finds every r-positive tuple and skips
 most of the others.  An upper-bound table U[c][u] bounds what the
@@ -253,10 +253,10 @@ def _merge(n0: list[int], n1: list[int]) -> list[int]:
     return [a if b >= _INF or a < b else b - 1 for a, b in zip([_INF, *n0], [*n1, _INF])]
 
 
-def _dp_step(aspects, C: list[int], lo: int, s_lo: int, s_hi: int):
+def _dp_step(aspects, C: list[int], lo: int):
     """Glue one more component onto the merged array ``C`` (see
     :func:`_merge`), once for each aspect in ``aspects``.  Returns one
-    state (m0, m1) over the prefix sums [s_lo, s_hi] per aspect.
+    state (m0, m1) per aspect, over the window's sums s at index s - lo.
 
     At left twist u and new prefix sum s the component has degree
     k = s - u.  For k >= 2 it adds k sections and leaves eps = 1; for
@@ -266,31 +266,28 @@ def _dp_step(aspects, C: list[int], lo: int, s_lo: int, s_hi: int):
     at eps = 0 for k = 1 and 1 at eps = 1 for k = 0.  So the generic
     result is a prefix minimum, m1[s] = s + min_{u < s} (C[u] - u), and a
     suffix minimum, m0[s] = min_{u >= s} C[u]; an exact aspect moves the
-    cell u = aspect[0] between them at s = u and s = u + 1.  Linear in
-    the window.
+    cell u = aspect[0] between them at s = u and s = u + 1, the indices
+    aspect[0] - lo and aspect[0] - lo + 1.  Linear in the window.
     """
-    o = s_lo - lo
+    n = len(C) - 1
+    sums = range(lo, lo + n)
     # an empty prefix starts at _INF - lo, so that s + pre stays missing
-    pre = list(accumulate(map(sub, C[:s_hi - lo], range(lo, s_hi)), min, initial=_INF - lo))
-    suf = list(accumulate(reversed(C[o:]), min, initial=_INF))[::-1]
-    g0 = suf[:s_hi - s_lo + 1]
-    g1 = [s + p for s, p in zip(range(s_lo, s_hi + 1), pre[o:])]
+    pre = list(accumulate(map(sub, C, sums), min, initial=_INF - lo))
+    suf = list(accumulate(reversed(C), min))[::-1]
+    g0, g1 = suf[:n], list(map(add, sums, pre))
     out = []
     for a in aspects:
         k = -1 if a is None else a[0] - lo
-        if not 0 <= k < len(C):
+        if not 0 <= k < n:
             out.append((g0, g1))
             continue
         m0, m1 = g0[:], g1[:]
         hit = C[k] + 1
-        t = a[0] - s_lo
-        if 0 <= t < len(m0):  # s = u: the degree-0 cell has a section
-            m0[t] = suf[t + 1]
-            m1[t] = min(m1[t], hit)
-        t += 1
-        if 0 <= t < len(m0):  # s = u + 1: the degree-1 cell keeps eps = 0
-            m0[t] = min(m0[t], hit)
-            m1[t] = a[0] + 1 + pre[k]
+        m0[k] = suf[k + 1]  # s = u: the degree-0 cell has a section
+        m1[k] = min(m1[k], hit)
+        if k + 1 < n:  # s = u + 1: the degree-1 cell keeps eps = 0
+            m0[k + 1] = min(m0[k + 1], hit)
+            m1[k + 1] = a[0] + 1 + pre[k]
         out.append((m0, m1))
     return out
 
@@ -311,20 +308,19 @@ def _kernel_pass(L: LimitLineBundle, lo: int, hi: int):
     reversed and each pair's coordinates swapped, so that prefix sums map
     as S'_j = d - S_{g-j}.  The state after j components is the suffix
     X^{>g-j} of L keyed by d - S_{g-j}, with eps the evaluation rank at
-    p^{g-j}; the last state is the whole chain at S_0 = 0.  Returns every
-    state, the minimum h0 and its :func:`_witness`, walked while the merged
-    arrays are at hand, to be read and not changed (see the module docstring)."""
+    p^{g-j}; the last state is the whole chain at key d (S_0 = 0).  Returns
+    every state, the minimum h0 and its :func:`_witness`, walked while the
+    merged arrays are at hand, to be read and not changed (module docstring)."""
     g, d = L.g, L.d
     aspects = tuple(None if a is None else (a[1], a[0]) for a in reversed(L.aspects))
     C = _start(lo, hi)
     states, merged = [], []
     for j, a in enumerate(aspects, 1):
-        span = (d, d) if j == g else (lo, hi)
-        (state,) = _dp_step((a,), C, lo, *span)
+        (state,) = _dp_step((a,), C, lo)
         states.append(state)
         if j < g:
             merged.append(C := _merge(*state))
-    (n0,), (n1,) = states[-1]
+    n0, n1 = (m[d - lo] for m in states[-1])
     if (best := min(n0, n1)) >= _INF:
         raise InternalCheckError("chain DP produced no state at S_0 = 0")
     # ties at S_0 go to eps 0
@@ -517,11 +513,11 @@ class SearchResult(namedtuple("SearchResult", "count_exact count_with_generic"))
         return self.count_exact + self.count_with_generic
 
 
-def _bound_step(W0: list[int], W1: list[int], lo: int, s_lo: int, n: int) -> list[int]:
-    """One backward step of the upper-bound table: U[u] for the n keys
-    u = lo, lo + 1, .. of a component whose new prefix sum s ranges over
-    [s_lo, s_lo + len(W0) - 1].  W0[s] and W1[s] bound what the rest of
-    the chain adds after leaving the cell at s with eps 0 resp. 1.
+def _bound_step(W0: list[int], W1: list[int], lo: int) -> list[int]:
+    """One backward step of the upper-bound table: U[u] for the keys
+    u = lo, lo + 1, .. of a component, one more than its new prefix sums s
+    in the window.  W0[s] and W1[s] bound what the rest of the chain adds
+    after leaving the cell at s with eps 0 resp. 1.
 
     Each cell (u, s), k = s - u, takes the worse outcome over every
     aspect: k >= 2 adds k at eps 1 and k < 0 adds 0 at eps 0 whatever the
@@ -530,31 +526,29 @@ def _bound_step(W0: list[int], W1: list[int], lo: int, s_lo: int, n: int) -> lis
     best such cell: a suffix minimum of s + W1[s] over s >= u + 2, a
     prefix minimum of W0[s] over s < u, and the two diagonal cells.
     Linear in the window."""
-    # keys and sums share the index i = value - lo; sums outside the range are missing
-    w0, w1 = [_INF] * (n + 2), [_INF] * (n + 2)
-    t = s_lo - lo
-    w0[t:t + len(W0)], w1[t:t + len(W1)] = W0, W1
+    # keys and sums share the index i = value - lo; sums past the window are missing
+    w0, w1 = W0 + [_INF] * 3, W1 + [_INF] * 3
     far = list(accumulate(reversed([s + x for s, x in enumerate(w1, lo)]), min))[::-1]
     near = list(accumulate(w0, min, initial=_INF))
     return [
         min(far[i + 2] - u, near[i], max(w0[i], w1[i] + 1), max(w0[i + 1], w1[i + 1]) + 1)
-        for i, u in enumerate(range(lo, lo + n))
+        for i, u in enumerate(range(lo, lo + len(W0) + 1))
     ]
 
 
 def _bound_tables(g: int, d: int, lo: int, hi: int) -> list[list[int]]:
     """The upper-bound tables U[c] for c = 2..g, at index c - 2, each over
     the merged keys [lo, hi + 1].  The last component meets only S_g = d
-    and nothing comes after it.  As in :func:`_merge`, a cell left at s
-    with eps 0 continues to key s + 1, and one left with eps 1 continues
-    to key s and adds -1."""
-    n = hi - lo + 2
+    and nothing comes after it: its W0 and W1 are 0 at d and missing
+    elsewhere.  As in :func:`_merge`, a cell left at s with eps 0
+    continues to key s + 1, and one left with eps 1 continues to key s
+    and adds -1."""
     tables = []
-    W0 = W1 = [0]
-    s_lo = d
+    W0 = W1 = [_INF] * (hi - lo + 1)
+    W0[d - lo] = 0  # one list: W1[d - lo] too
     for _ in range(g - 1):
-        tables.append(_bound_step(W0, W1, lo, s_lo, n))
-        W0, W1, s_lo = tables[-1][1:], [x - 1 for x in tables[-1][:-1]], lo
+        tables.append(_bound_step(W0, W1, lo))
+        W0, W1 = tables[-1][1:], [x - 1 for x in tables[-1][:-1]]
     return tables[::-1]
 
 
@@ -580,20 +574,19 @@ def _search_graph(g: int, r: int, d: int, window: int | None):
     def node(j: int, C: list[int]):
         if (found := memo.get(key := (j, *C))) is None:
             opts, kids, exact, generic = options[j], [], 0, 0
-            if j == g - 1:
-                kids = [(a, best) for a, (m0, m1) in zip(opts, _dp_step(opts, C, lo, d, d))
-                        if (best := min(m0[0], m1[0])) > r]
-                exact = sum(a is not None for a, _ in kids)
-                generic = len(kids) - exact
-            else:
-                for a, (m0, m1) in zip(opts, _dp_step(opts, C, lo, lo, hi)):
-                    if min(map(add, C2 := _merge(m0, m1), tables[j])) > r:
-                        below, e, n = node(j + 1, C2)
-                        if a is None:  # every completion is generic
-                            e, n = 0, e + n
-                        if e or n:
-                            kids.append((a, below))
-                            exact, generic = exact + e, generic + n
+            for a, (m0, m1) in zip(opts, _dp_step(opts, C, lo)):
+                if j == g - 1:  # the last component ends at S_g = d
+                    below = min(m0[d - lo], m1[d - lo])
+                    e, n = int(below > r), 0
+                elif min(map(add, C2 := _merge(m0, m1), tables[j])) > r:
+                    below, e, n = node(j + 1, C2)
+                else:
+                    continue
+                if a is None:  # every completion is generic
+                    e, n = 0, e + n
+                if e or n:
+                    kids.append((a, below))
+                    exact, generic = exact + e, generic + n
             memo[key] = found = kids, exact, generic
         return found
 

@@ -28,20 +28,25 @@ def rho(g: int, r: int, d: int) -> int:
 
 def rho_k(g: int, r: int, d: int, k: int) -> int:
     """Gonality-refined rho: max of rho(g, r-ell, d) - ell*k over
-    0 <= ell <= min(r, g-d+r-1).
+    0 <= ell <= min(r, g-d+r-1).  With s = g-d+r the maximand is
+    -ell^2 + (r+1+s-k)*ell + g - (r+1)*s, a parabola with its top at
+    (r+1+s-k)/2, so (r+1+s-k) // 2 clamped into the range attains it.
 
     Governs dim W^r_d on a general k-gonal curve.  Raises
     :class:`PreconditionError` when g-d+r-1 < 0, i.e. outside the special range
     where the refinement says anything.
     """
     require(0, g=g, r=r)
+    require(None, d=d)
     require(2, k=k)
-    ell_max = min(r, g - d + r - 1)
+    s = g - d + r
+    ell_max = min(r, s - 1)
     if ell_max < 0:
         raise PreconditionError(
             f"empty ell-range for (g, r, d) = ({g}, {r}, {d}): min(r, g-d+r-1) = {ell_max} < 0"
         )
-    return max(rho(g, r - ell, d) - ell * k for ell in range(ell_max + 1))
+    ell = min(max((r + 1 + s - k) // 2, 0), ell_max)
+    return rho(g, r - ell, d) - ell * k
 
 
 def count_grd(g: int, r: int, d: int) -> int:

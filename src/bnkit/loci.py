@@ -86,13 +86,14 @@ class ExpectedMaximalRow(namedtuple("ExpectedMaximalRow", "g r d rho is_maximal_
 def enumerate_expected_maximal(g: int) -> list[ExpectedMaximalRow]:
     """All expected-maximal loci of genus g in the canonical range
     r >= 1, 2 <= d <= g-1, each annotated with rho and the exception
-    flag.  Only d = ``min_degree(r, g) - 1`` can be expected maximal."""
+    flag.  Only d = ``min_degree(r, g) - 1`` can be expected maximal; it is
+    at least 2 and rises strictly with r, so the scan stops at d >= g."""
     require(3, g=g)
     rows = []
     for r in range(1, g + 1):
-        d = min_degree(r, g) - 1
-        rep = expected_maximal(g, r, d)
-        if 2 <= d < g and rep.is_expected_maximal:
+        if (d := min_degree(r, g) - 1) >= g:
+            break
+        if (rep := expected_maximal(g, r, d)).is_expected_maximal:
             rows.append(ExpectedMaximalRow(g, r, d, rep.rho, rep.is_maximal_exception))
     return rows
 

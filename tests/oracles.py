@@ -196,6 +196,15 @@ def rho_splitting_vs_gonality(g: int, r: int, d: int, k: int) -> int:
     return max(rho_splitting(g, w) for w in types)
 
 
+def rho_k_scan(g: int, r: int, d: int, k: int) -> int | None:
+    """max of rho(g, r-ell, d) - ell*k by a scan over every
+    0 <= ell <= min(r, g-d+r-1); None when that range is empty."""
+    from bnkit.invariants import rho
+
+    ells = range(min(r, g - d + r - 1) + 1)
+    return max((rho(g, r - ell, d) - ell * k for ell in ells), default=None)
+
+
 def sqrt_bound_holds(g: int, r: int, d: int) -> bool:
     """The integer form of the codimension bound for expected-maximal
     loci: -rho <= isqrt(g) + 1 (weaker than the real bound -rho <= sqrt(g),

@@ -74,7 +74,7 @@ class TestStep:
             state = _random_state(rng, hi - lo + 1)
             aspect = _random_aspect(rng, d, lo, hi)
             want = oracles.forward_dp_step(aspect, d, lo, hi, state)
-            (got,) = chain._dp_step((aspect,), chain._merge(*state), lo, lo, hi)
+            (got,) = chain._dp_step((aspect,), chain._merge(*state), lo)
             assert tuple(map(_norm, got)) == want, (d, lo, hi, aspect, state)
             if aspect is not None and lo <= aspect[0] <= hi:
                 diagonal_hits += 1
@@ -89,8 +89,9 @@ class TestStep:
             if min(min(state[0]), min(state[1])) >= INF:
                 continue
             aspect = rng.choice([None, (d, 0), _random_aspect(rng, d, lo, hi)])
-            (got,) = chain._dp_step((aspect,), chain._merge(*state), lo, d, d)
-            assert min(got[0][0], got[1][0]) == oracles.forward_dp_finish(aspect, d, lo, state)
+            (got,) = chain._dp_step((aspect,), chain._merge(*state), lo)
+            want = oracles.forward_dp_finish(aspect, d, lo, state)
+            assert min(got[0][d - lo], got[1][d - lo]) == want
 
     def test_shared_call_equals_one_call_per_aspect(self):
         rng = random.Random(5)
@@ -99,8 +100,8 @@ class TestStep:
             _, lo, hi = chain._window(1, d, rng.randint(0, 4))
             C = chain._merge(*_random_state(rng, hi - lo + 1))
             aspects = [_random_aspect(rng, d, lo, hi) for _ in range(6)]
-            together = chain._dp_step(aspects, C, lo, lo, hi)
-            alone = [chain._dp_step((a,), C, lo, lo, hi)[0] for a in aspects]
+            together = chain._dp_step(aspects, C, lo)
+            alone = [chain._dp_step((a,), C, lo)[0] for a in aspects]
             assert together == alone
 
 
@@ -324,7 +325,7 @@ class TestSearchBound:
                         for prefix in itertools.product(*options[:j]):
                             C = chain._start(lo, hi)
                             for a in prefix:
-                                C = chain._merge(*chain._dp_step((a,), C, lo, lo, hi)[0])
+                                C = chain._merge(*chain._dp_step((a,), C, lo)[0])
                             bound = min(map(add, C, tables[j - 1]))
                             worst = max(
                                 min_h0(LimitLineBundle(d, prefix + rest), window)

@@ -16,7 +16,7 @@ from bnkit.invariants import (
 )
 from bnkit.tableaux import syt_count_rect
 
-from oracles import brute_syt_count, rho_zero_triples
+from oracles import brute_syt_count, rho_k_scan, rho_zero_triples
 
 
 class TestRho:
@@ -52,6 +52,27 @@ class TestRhoK:
         # direct scan oracle over the full ell range
         scan = max(rho(8, 2 - ell, 7) - ell * 100 for ell in range(3))
         assert rho_k(8, 2, 7, 100) == scan == -1
+
+    def test_closed_form_matches_scan(self):
+        cases = 0
+        for g in range(25):
+            for r in range(12):
+                for d in range(-3, 2 * g + 4):
+                    for k in range(2, 9):
+                        want = rho_k_scan(g, r, d, k)
+                        if want is None:
+                            with pytest.raises(PreconditionError, match="empty ell-range"):
+                                rho_k(g, r, d, k)
+                        else:
+                            assert rho_k(g, r, d, k) == want, (g, r, d, k)
+                        cases += 1
+        assert cases == 65_100
+
+    def test_huge_inputs_answer_at_once(self):
+        # g = r = d = n, k = 2: the maximand is -ell^2 + (2n-1)*ell - n^2, at ell = n-1 it is -n
+        start = time.perf_counter()
+        assert rho_k(30_000_000, 30_000_000, 30_000_000, 2) == -30_000_000
+        assert time.perf_counter() - start < 0.1
 
     def test_empty_range(self):
         with pytest.raises(PreconditionError, match=r"empty ell-range .* = -2 < 0"):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from bnkit.errors import PreconditionError
@@ -101,6 +103,11 @@ class TestExpectedMaximal:
     def test_enumeration_is_the_scan_over_every_rank_and_degree(self):
         for g in range(3, 121):
             assert enumerate_expected_maximal(g) == expected_maximal_rows(g), g
+
+    def test_huge_genus_stops_at_the_first_degree_reaching_g(self):
+        start = time.perf_counter()
+        assert len(enumerate_expected_maximal(3_000_000)) == 1731
+        assert time.perf_counter() - start < 1.0
 
     def test_sqrt_bound(self):
         for g in range(3, 101):
