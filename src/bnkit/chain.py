@@ -27,20 +27,18 @@ there.  A pass keeps only its states, minimum h0 and witness: one of
 tracemalloc, so the memo holds at most about 61 MiB.
 
 The search over aspect tuples finds every r-positive tuple and skips
-most of the others.  An upper-bound table U[c][u] bounds what the
-components c..g can add to any prefix entering E^c at merged key u,
-whatever aspects they carry: each DP cell adds one of at most two
-outcomes, the generic one and the exact one, and the table takes the
-worse of the two cell by cell.  The final minimum h0 of any completion is
-at most C[u] + U[c][u] for the prefix's merged state C and every u, so a
-prefix with min_u (C[u] + U[c][u]) < r + 1 has no r-positive completion
-and its subtree is skipped.  The subtree below a prefix depends only on
-its length and merged state, so the search is a graph of nodes shared by
-merged state: one kernel call per distinct (component, state) within a
-search.  Each node counts its all-exact and its generic completions from
-its children's counts, so the hits are counted without being listed; the
-witnesses, when asked for, come from a walk that enters only nodes with
-hits.
+most of the others.  Closed-form tables, proven by induction on the
+component, bound what E^c..E^g add to a prefix entering E^c at merged
+key u, whatever aspects they carry: at least Lb[c][u] and at most
+U[c][u].  A prefix with merged state C and min_u (C[u] + U[c][u]) < r + 1
+has no r-positive completion and its subtree is skipped; when counting,
+the cells with C[u] + Lb[c][u] > r are set missing, so more prefixes
+share a node.  The subtree below a prefix depends only on its length and
+merged state, so the search is a graph: one kernel call per distinct
+(component, state).  Each node counts its all-exact and its generic
+completions from its children's counts, so the hits are counted without
+being listed; the witnesses, when asked for, come from a walk that
+enters only nodes with hits.
 """
 
 from __future__ import annotations
@@ -513,63 +511,61 @@ class SearchResult(namedtuple("SearchResult", "count_exact count_with_generic"))
         return self.count_exact + self.count_with_generic
 
 
-def _bound_step(W0: list[int], W1: list[int], lo: int) -> list[int]:
-    """One backward step of the upper-bound table: U[u] for the keys
-    u = lo, lo + 1, .. of a component, one more than its new prefix sums s
-    in the window.  W0[s] and W1[s] bound what the rest of the chain adds
-    after leaving the cell at s with eps 0 resp. 1.
+def _search_bounds(g: int, d: int, lo: int, hi: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The search's tables for c = 2..g, at index c - 2, over the merged
+    keys u in [lo, hi + 1]: with x = d - u and n = g - c,
+    U[c][u] = f_n(x) = max(x - n, x // 2 + 1), or 0 for x < 0, and
+    Lb[c][u] = l_n(x) = max(0, x - n).  Whatever aspects E^c..E^g carry,
+    what they add to a prefix entering E^c at key u is in [Lb, U]: both
+    are the recursion over the cells (u, s) of :func:`_dp_step`, s in the
+    window (s = d alone for c = g), that takes the best cell and in each
+    cell the worse (U) or the better (Lb) of its generic and exact
+    outcomes.  At t = s - u a cell adds (h0, eps) = (t, 1) for t >= 2,
+    (0, 0) for t < 0, (0, 0) or (1, 1) for t = 0, (1, 1) or (1, 0) for
+    t = 1, then goes on to key s + 1 - eps and adds -eps (:func:`_merge`).
 
-    Each cell (u, s), k = s - u, takes the worse outcome over every
-    aspect: k >= 2 adds k at eps 1 and k < 0 adds 0 at eps 0 whatever the
-    aspect, while k = 0 is (0, eps 0) generic or (1, eps 1) exact at u,
-    and k = 1 is (1, eps 1) generic or (1, eps 0) exact at u.  U[u] is the
-    best such cell: a suffix minimum of s + W1[s] over s >= u + 2, a
-    prefix minimum of W0[s] over s < u, and the two diagonal cells.
-    Linear in the window."""
-    # keys and sums share the index i = value - lo; sums past the window are missing
-    w0, w1 = W0 + [_INF] * 3, W1 + [_INF] * 3
-    far = list(accumulate(reversed([s + x for s, x in enumerate(w1, lo)]), min))[::-1]
-    near = list(accumulate(w0, min, initial=_INF))
-    return [
-        min(far[i + 2] - u, near[i], max(w0[i], w1[i] + 1), max(w0[i + 1], w1[i + 1]) + 1)
-        for i, u in enumerate(range(lo, lo + len(W0) + 1))
-    ]
-
-
-def _bound_tables(g: int, d: int, lo: int, hi: int) -> list[list[int]]:
-    """The upper-bound tables U[c] for c = 2..g, at index c - 2, each over
-    the merged keys [lo, hi + 1].  The last component meets only S_g = d
-    and nothing comes after it: its W0 and W1 are 0 at d and missing
-    elsewhere.  As in :func:`_merge`, a cell left at s with eps 0
-    continues to key s + 1, and one left with eps 1 continues to key s
-    and adds -1."""
-    tables = []
-    W0 = W1 = [_INF] * (hi - lo + 1)
-    W0[d - lo] = 0  # one list: W1[d - lo] too
-    for _ in range(g - 1):
-        tables.append(_bound_step(W0, W1, lo))
-        W0, W1 = tables[-1][1:], [x - 1 for x in tables[-1][:-1]]
-    return tables[::-1]
+    Proof by induction on c, down from g.  For c = g the one cell has
+    t = x: x for x >= 1, 0 for x < 0, and 1 (U) or 0 (Lb) at x = 0.  For
+    c < g, with f = f_{n-1} at c + 1, the cell s = u + t costs f(x - t - 1)
+    for t < 0, f(x - 1) or f(x) for t = 0, f(x - 1) or 1 + f(x - 2) for
+    t = 1, and t - 1 + f(x - t) for t >= 2; likewise with l = l_{n-1}.
+    f_n is nondecreasing in x, nonincreasing in n and at least
+    max(y - n, y // 2 + 1) at every y.  So the cells s <= u give at least
+    f(x) >= f_n(x), the far cells at least max(x - n, (x + t) // 2, 0)
+    >= f_n(x); for x >= 1 the diagonal s = u + 1 attains
+    max(f(x - 1), 1 + f(x - 2)) = f_n(x), at x = 0 the cell s = d attains
+    f(0) = 1, and at x < 0 the cell s = u - 1 >= d attains f(x) = 0.  l is
+    nondecreasing and 1-Lipschitz, so every cell gives at least
+    l(x - 1) = l_n(x), and s = u attains it (s = u - 1 at u = hi + 1 > d).
+    Remark: on a subchain of genus n + 1, f_n is Clifford's bound joined
+    with the non-special value, and l_n is Riemann-Roch."""
+    keys, ns = range(lo, hi + 2), range(g - 2, -1, -1)
+    upper = [[max(d - u - n, (d - u) // 2 + 1) if u <= d else 0 for u in keys] for n in ns]
+    return upper, [[max(0, d - u - n) for u in keys] for n in ns]
 
 
-def _search_graph(g: int, r: int, d: int, window: int | None):
+def _search_graph(g: int, r: int, d: int, window: int | None, clamp: bool):
     """The search as a graph: the subtree below a prefix depends only on
     its length j and merged DP state C, so ``node`` runs the kernel once per
     key (j, *C) and keeps the options that lead to a hit, each with its
-    child's options (its min h0 at the last component), and the node's
-    two counts.  An option is dropped when its merged state C' has
-    min_u (C'[u] + U[u]) < r + 1 for the next component's upper-bound
-    table U (see :func:`_bound_tables`): the table bounds every completion
-    from above, whatever aspects it carries, so nothing dropped is
-    r-positive.  A generic option moves its child's exact count into the
-    generic count.  Returns the root's options and both counts."""
+    child's options (its min h0 at the last component), and two counts; a
+    generic option moves its child's exact count into the generic one.
+    The kernel is min-plus linear in C, so a completion's min h0 is
+    min_u (C[u] + F(u)) with Lb <= F <= U (:func:`_search_bounds`, next
+    component).  An option whose merged state has min_u (C[u] + U[u]) <= r
+    is dropped: no completion is r-positive.  With ``clamp`` each cell with
+    C[u] + Lb[u] > r is set missing before the node is keyed.  The counts
+    stay: a failing completion's minimum is attained at a cell with
+    C[u] + Lb[u] <= r at every depth, which is never clamped, and a clamped
+    cell only raises its own term.  The kept min h0 values do change, so
+    only counting clamps.  Returns the root's options and both counts."""
     require(1, g=g)
     require(0, r=r)
     window, lo, hi = _window(g, d, window)
     options = aspect_options(g, d, window)
     if (size := prod(map(len, options))) > _MAX_TUPLES:
         raise PreconditionError(f"search refused: state space {size} tuples (guard {_MAX_TUPLES})")
-    tables, memo = _bound_tables(g, d, lo, hi), {}
+    (upper, lower), memo = _search_bounds(g, d, lo, hi), {}
 
     def node(j: int, C: list[int]):
         if (found := memo.get(key := (j, *C))) is None:
@@ -578,7 +574,9 @@ def _search_graph(g: int, r: int, d: int, window: int | None):
                 if j == g - 1:  # the last component ends at S_g = d
                     below = min(m0[d - lo], m1[d - lo])
                     e, n = int(below > r), 0
-                elif min(map(add, C2 := _merge(m0, m1), tables[j])) > r:
+                elif min(map(add, C2 := _merge(m0, m1), upper[j])) > r:
+                    if clamp:
+                        C2 = [c if c + b <= r else _INF for c, b in zip(C2, lower[j])]
                     below, e, n = node(j + 1, C2)
                 else:
                     continue
@@ -598,7 +596,7 @@ def search_limit_bundles(g: int, r: int, d: int, window: int | None = None) -> S
     branch-and-bound search over the graph of :func:`_search_graph`,
     without listing them.  ``count_exact`` counts tuples whose aspects are
     all exact; tuples containing a generic aspect are counted separately."""
-    return SearchResult(*_search_graph(g, r, d, window)[1:])
+    return SearchResult(*_search_graph(g, r, d, window, True)[1:])
 
 
 def search_witnesses(
@@ -616,7 +614,7 @@ def search_witnesses(
             else:
                 yield from walk(j + 1, x, prefix + (a,))
 
-    kids, exact, generic = _search_graph(g, r, d, window)
+    kids, exact, generic = _search_graph(g, r, d, window, False)
     if exact + generic > _MAX_HITS:
         raise PreconditionError(f"listing refused: {exact + generic} hits (guard {_MAX_HITS})")
     return tuple(walk(0, kids, ()))

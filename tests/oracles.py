@@ -455,12 +455,14 @@ def oracle_search(g: int, r: int, d: int, window: int | None = None, minima=None
     return SearchResult(exact, len(hits) - exact), tuple(hits)
 
 
-def bound_tables(g: int, d: int, lo: int, hi: int):
-    """The search's upper-bound tables U[c], c = 2..g, by the min-max
-    recursion over every cell (u, s): at degree k = s - u the cell costs
-    the worse of its generic and its exact-at-u outcome (n added, eps),
-    plus U[c + 1] at key s + 1 - eps minus eps; the last component meets
-    only s = d and costs what it adds."""
+def bound_tables(g: int, d: int, lo: int, hi: int, pick=max):
+    """The search's bound tables for c = 2..g by the recursion over every
+    cell (u, s): at degree k = s - u the cell costs ``pick`` of its generic
+    and its exact-at-u outcome (n added, eps), each plus the table of
+    c + 1 at key s + 1 - eps minus eps; the last component meets only
+    s = d and costs what it adds.  ``pick=max`` takes the worse outcome
+    and gives the upper table U, ``pick=min`` the better and gives the
+    lower table Lb."""
     nxt = None
     out = []
     for c in range(g, 1, -1):
@@ -477,7 +479,7 @@ def bound_tables(g: int, d: int, lo: int, hi: int):
                     n if nxt is None else n - eps + nxt[s + 1 - eps - lo]
                     for n, eps in outcomes
                 ]
-                best = min(best, max(costs))
+                best = min(best, pick(costs))
             table.append(best)
         out.append(table)
         nxt = table

@@ -6,14 +6,17 @@ every pair of old and new prefix sums; every test here asks the two for
 the same numbers, including missing states and exact aspects on the two
 diagonals where the component has degree 0 or 1.
 
-The search's upper-bound tables are checked the same way, against the
-min-max recursion over every cell, and the pruned search against the
-oracle that visits every tuple.  The bound itself is checked directly:
-at every prefix of a small search it is at least the min h0 of every
-completion, which catches an unsound table even where it happens not to
-cross r + 1, and a search whose tables never prune must give the same
-result as the pruned one.  A search runs the kernel once per distinct
-(depth, merged state), which a counting wrapper around the kernel pins.
+The search's closed-form bound tables are checked the same way, against
+the recursion over every cell that takes the worse (upper table) or the
+better (lower table) outcome per cell, and the pruned search against the
+oracle that visits every tuple.  The bounds themselves are checked
+directly: at every prefix of a small search they sandwich the min h0 of
+every completion, which catches an unsound table even where it happens
+not to cross r + 1.  The counting search, which clamps its states with
+the lower table, gives the unclamped graph's counts, and a search whose
+tables neither prune nor clamp gives the same result as the pruned one.
+A search runs the kernel once per distinct (depth, merged state), which
+a counting wrapper around the kernel pins.
 The windowed pass is memoized for the last two (bundle, window range)
 pairs; ``cache_info`` pins its hits, misses and evictions.
 """
@@ -303,45 +306,77 @@ class TestSearchSharesNodes:
             hits += search_limit_bundles(g, r, d, g + 1).total
             assert len(set(calls[start:])) == len(calls) - start, (g, r, d)
         # one kernel call per prefix would make 7,721 here
-        assert (len(calls), hits) == (507, 10_671)
+        assert (len(calls), hits) == (240, 10_671)
 
 
 class TestSearchBound:
     def test_tables_match_min_max_over_every_cell(self):
-        for g in range(1, 6):
-            for d in range(-2, 9):
+        """The closed forms of ``_search_bounds`` against the recursion
+        over every cell: the worse outcome per cell for U, the better for
+        Lb."""
+        for g in range(1, 9):
+            for d in range(-3, 2 * g + 4):
                 for window in (0, 1, 2, g + 1):
                     _, lo, hi = chain._window(g, d, window)
-                    assert chain._bound_tables(g, d, lo, hi) == oracles.bound_tables(g, d, lo, hi)
+                    upper, lower = chain._search_bounds(g, d, lo, hi)
+                    assert upper == oracles.bound_tables(g, d, lo, hi), (g, d, window)
+                    assert lower == oracles.bound_tables(g, d, lo, hi, min), (g, d, window)
 
     def test_bound_is_at_least_every_completion(self):
+        """The sandwich at every prefix: min_u (C + Lb) <= the min h0 of
+        every completion <= min_u (C + U)."""
         for g in (2, 3):
             for d in range(-2, 2 * g + 2):
                 for window in (0, 1, 2):
                     _, lo, hi = chain._window(g, d, window)
-                    tables = chain._bound_tables(g, d, lo, hi)
+                    upper, lower = chain._search_bounds(g, d, lo, hi)
                     options = aspect_options(g, d, window)
                     for j in range(1, g):
                         for prefix in itertools.product(*options[:j]):
                             C = chain._start(lo, hi)
                             for a in prefix:
                                 C = chain._merge(*chain._dp_step((a,), C, lo)[0])
-                            bound = min(map(add, C, tables[j - 1]))
-                            worst = max(
+                            minima = [
                                 min_h0(LimitLineBundle(d, prefix + rest), window)
                                 for rest in itertools.product(*options[j:])
-                            )
-                            assert worst <= bound, (g, d, window, prefix)
+                            ]
+                            floor = min(map(add, C, lower[j - 1]))
+                            bound = min(map(add, C, upper[j - 1]))
+                            assert floor <= min(minima), (g, d, window, prefix)
+                            assert max(minima) <= bound, (g, d, window, prefix)
+
+    def test_clamped_counts_equal_the_unclamped_graph(self):
+        """Clamping the counting search's states changes no count, on
+        every search with g <= 6, r <= 4, d = -2..2g+1 at windows 0, 1, 2
+        and the default that the tuple guard admits."""
+        searched = 0
+        for g in range(1, 7):
+            for r in range(5):
+                for d in range(-2, 2 * g + 2):
+                    for window in (0, 1, 2, None):
+                        try:
+                            want = chain._search_graph(g, r, d, window, False)[1:]
+                        except PreconditionError:
+                            continue
+                        got = chain._search_graph(g, r, d, window, True)[1:]
+                        assert got == want, (g, r, d, window)
+                        searched += 1
+        assert searched == 1_305
 
     def test_bound_free_search_agrees(self, monkeypatch):
-        """Tables that never prune must give the same result: same counts,
-        same witnesses in the same order.  This reaches g = 5 and 6, past
-        the all-tuples oracle (g <= 4) and the prefix check (g <= 3)."""
+        """Tables that neither prune nor clamp must give the same result:
+        same counts, same witnesses in the same order.  This reaches
+        g = 5 and 6, past the all-tuples oracle (g <= 4) and the prefix
+        check (g <= 3)."""
         cases = [(5, r, d) for d in range(-2, 9) for r in range(5)]
         cases += [(6, r, d) for d in range(-2, 11) for r in range(5) if rho(6, r, d) <= 0]
         want = [_search(*case) for case in cases]
-        monkeypatch.setattr(
-            chain, "_bound_tables", lambda g, d, lo, hi: [[chain._INF] * (hi - lo + 2)] * (g - 1)
-        )
+
+        def bound_free(g, d, lo, hi):
+            # U = _INF never prunes; Lb = -2 * _INF clamps no cell, missing ones included
+            width = hi - lo + 2
+            return [[chain._INF] * width] * (g - 1), [[-2 * chain._INF] * width] * (g - 1)
+
+        monkeypatch.setattr(chain, "_search_bounds", bound_free)
         for case, result in zip(cases, want):
             assert _search(*case) == result, case
