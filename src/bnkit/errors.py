@@ -8,18 +8,18 @@ says which precondition or check; no finer type is raised.
 :func:`require` is the one integer-domain rule that every public entry
 point states its bounds with, ``_MAX_HITS`` the one hit guard that
 both listings refuse by, and ``_MAX_NODES`` the size guard of the
-k-filling graph.
+k-filling sweep.
 """
 
 from operator import index
 
 
-#: chain.search_witnesses and tableaux.k_filling_witnesses read their
-#: counts before building any witness and refuse to list more than this
+#: chain.search_witnesses reads its count and tableaux.k_filling_witnesses counts its
+#: words as they are made; both refuse to list more than this before any witness
 _MAX_HITS = 100_000
 
-#: tableaux._filling_graph refuses a strict-add graph of more cores than
-#: this, checked as each level is built
+#: tableaux._filling_sweep refuses a strict-add graph of more cores than
+#: this, checked as each level is swept
 _MAX_NODES = 100_000
 
 

@@ -14,8 +14,8 @@ they share a residue and sit at pairwise lattice distance a multiple of
 k.  This holds for every strict-add step: two addable corners in rows
 i1 < i2 have columns j1 > j2, so their lattice distance is their content
 difference, a multiple of k as they share a residue.  As the residue
-action is an involution, fillings are counted and listed on the graph swept
-down from the core by strict removes, whose every core lies on a path from ().
+action is an involution, one sweep down from the core by strict removes
+counts the fillings, carrying integers, or lists them, carrying words.
 """
 
 from __future__ import annotations
@@ -152,15 +152,16 @@ def _core_length(p: Partition, k: int) -> int:
     return sum(min(k - 1, b) - i + bisect_left(beads, b - k + 1) for i, b in enumerate(beads))
 
 
-def _filling_graph(target: Partition, k: int, g: int):
-    """Validate the arguments and build the strict-add graph below the
-    k-core ``target`` by levels down from it: each core's strict removes
+def _filling_sweep(target: Partition, k: int, g: int, start, extend):
+    """Validate the arguments and sweep the strict-add graph below the
+    k-core ``target`` by levels down from it.  Strict removes
     (:func:`_removable_corners`) are strict adds read backwards, as
-    :func:`_apply_residue` is an involution.  Every nonempty k-core has a
-    removable corner and each strict remove lowers core_length by one, so
-    the g levels end at () and hold exactly the cores on a path to ``target``.
-    Returns the target, ``up[q]`` (the strict adds (residue, core) out of
-    each core q below it) and the path count; refuses past ``_MAX_NODES`` cores."""
+    :func:`_apply_residue` is an involution; every nonempty k-core has one,
+    and each lowers core_length by one, so the g levels end at () and hold
+    exactly the cores on a path to ``target``.  The target carries ``start``
+    and a core below the ``+``-sum of ``extend(res, x)`` over the removes of
+    residue ``res`` that reach it from a core carrying ``x``.  Returns what
+    () carries, holding two levels at a time; refuses past ``_MAX_NODES`` cores."""
     require(0, g=g)
     target = _require_core(target, k)
     forced = _core_length(target, k)
@@ -168,21 +169,22 @@ def _filling_graph(target: Partition, k: int, g: int):
         raise PreconditionError(
             f"{k}-fillings of {target or '()'} use exactly {forced} symbols, got g={g}"
         )
-    up: dict[Partition, list[tuple[int, Partition]]] = {}
-    level, nodes = {target: 1}, 1
+    level, nodes = {target: start}, 1
     for step in range(g):
-        below: dict[Partition, int] = {}
-        for p, paths in level.items():
+        below = {}
+        for p, x in level.items():
             for res, rem in _removable_corners(p, k).items():
                 q = _resize_rows(p, rem, -1)
-                below[q] = below.get(q, 0) + paths
-                up.setdefault(q, []).append((res, p))
+                if q in below:
+                    below[q] += extend(res, x)
+                else:
+                    below[q] = extend(res, x)
         level = below
         nodes += len(level)
         if nodes > _MAX_NODES:
             raise PreconditionError(f"k-filling graph refused: {nodes} cores after "
                                     f"{step + 1} of {g} steps (guard {_MAX_NODES})")
-    return target, up, level[()]
+    return level[()]
 
 
 def count_k_fillings(target: Partition, k: int, g: int) -> int:
@@ -192,7 +194,7 @@ def count_k_fillings(target: Partition, k: int, g: int) -> int:
     strict-add path from () to the core has :func:`core_length` steps); a
     different g raises :class:`PreconditionError` since every sequence of
     that length would contribute zero."""
-    return _filling_graph(target, k, g)[2]
+    return _filling_sweep(target, k, g, 1, lambda res, paths: paths)
 
 
 class FillingWitness(namedtuple("FillingWitness", "residues k")):
@@ -245,27 +247,22 @@ def _replay_step(p: Partition, res: int, k: int, word: tuple[int, ...]):
 
 def k_filling_witnesses(target: Partition, k: int, g: int) -> list[FillingWitness]:
     """All k-fillings of ``target`` as residue-sequence witnesses, in
-    lexicographic order of the sequences.  Each is a path of the strict-add
-    graph, whose moves are the addable corner groups that
-    :meth:`FillingWitness.replay` adds, so it is not replayed again.  Refuses
-    more than ``_MAX_HITS`` fillings before listing any."""
-    target, up, total = _filling_graph(target, k, g)
-    if total > _MAX_HITS:
-        raise PreconditionError(f"listing refused: {total} fillings (guard {_MAX_HITS})")
-    witnesses: list[FillingWitness] = []
-    # depth first; sorted by residue and pushed in reverse, the moves pop in
-    # increasing order, and every core of the graph lies on a path to target
-    for moves in up.values():
-        moves.sort()
-    stack = [((), ())]
-    while stack:
-        p, word = stack.pop()
-        if p == target:
-            witnesses.append(FillingWitness(word, k))
-            continue
-        for res, q in reversed(up[p]):
-            stack.append((q, word + (res,)))
-    return witnesses
+    lexicographic order.  The sweep carries each core's words to ``target``,
+    whose moves are the addable corner groups :meth:`FillingWitness.replay`
+    adds, so they are not replayed again.  The words of one length are
+    distinct (read backwards, a word fixes its removes) and each ends a
+    filling, so the words made at one length never outnumber the fillings:
+    refusing as they pass ``_MAX_HITS`` is exact, and comes before any witness."""
+    target, made = check_partition(target), {}
+
+    def prepend(res, words):
+        n = made[len(words[0])] = made.get(len(words[0]), 0) + len(words)
+        if n > _MAX_HITS:
+            raise PreconditionError(f"listing refused: {count_k_fillings(target, k, g)} "
+                                    f"fillings (guard {_MAX_HITS})")
+        return [(res,) + word for word in words]
+
+    return [FillingWitness(word, k) for word in sorted(_filling_sweep(target, k, g, [()], prepend))]
 
 
 def syt_count(shape: Partition) -> int:

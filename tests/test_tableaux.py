@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from bnkit import tableaux
@@ -282,20 +284,39 @@ class TestReplayOncePerMove:
 
 class TestFillingGraph:
     def test_same_graph_as_every_residue_of_the_public_action(self):
-        # sweeping down from the target by strict removes gives the live part
-        # of the graph that trying all k residues with core_apply_residue
-        # gives from (): exactly the cores with a path to the target, the
-        # moves between them read backwards, and the same number of paths
+        # sweeping down from the target by strict removes counts and lists
+        # what trying all k residues with core_apply_residue gives from ():
+        # the number of paths to the target, and the paths themselves by
+        # increasing residue.  The paths pass through exactly the cores with
+        # a path to the target and the moves between them, so equal lists pin
+        # the same graph.  The whole grid lists 51,998 words, so no core is
+        # left out.
+        def paths(q, succ, count, target):
+            if q == target:
+                yield ()
+                return
+            for res, r in succ[q]:
+                if count[r]:
+                    yield from ((res,) + rest for rest in paths(r, succ, count, target))
+
         for k in range(2, 7):
             for p in small_k_cores(k, 16):
                 g = core_length(p, k)
-                _, up, total = tableaux._filling_graph(p, k, g)
                 succ, count = residue_graph(p, k, g)
-                assert set(up) | {p} == {q for q, paths in count.items() if paths}, (p, k)
-                live = {q: [(res, r) for res, r in moves if count[r]]
-                        for q, moves in succ.items() if count[q]}
-                assert {q: sorted(moves) for q, moves in up.items()} == live, (p, k)
-                assert total == count[()], (p, k)
+                assert count_k_fillings(p, k, g) == count[()], (p, k)
+                words = [w.residues for w in k_filling_witnesses(p, k, g)]
+                assert words == list(paths((), succ, count, p)), (p, k)
+
+    def test_counting_keeps_no_graph(self):
+        # a count holds two levels of path counts, not the edges of the graph
+        # (3,432 cores at k = 1000): the whole sweep peaks well below 1 MiB
+        tracemalloc.start()
+        try:
+            assert count_k_fillings((7,) * 7, 1000, 49) == syt_count((7,) * 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
     @pytest.mark.parametrize("shape", [(3, 2, 1), (4, 4, 2), (5, 3, 3, 1), (6, 6, 6, 6), (7,) * 7])
     def test_k_above_every_hook_counts_standard_tableaux(self, shape):
@@ -345,6 +366,25 @@ class TestHitGuard:
         with pytest.raises(PreconditionError,
                            match=r"listing refused: 1662804 fillings \(guard 100000\)"):
             k_filling_witnesses((5, 5, 5, 5), 20, 20)
+
+    @pytest.mark.parametrize("target,k,total", [((4, 4, 4), 100, 462), ((6, 4, 2, 2, 1, 1), 3, 6)])
+    def test_the_guard_is_exact(self, target, k, total, monkeypatch):
+        # a listing of exactly the guard's number of fillings is admitted, one
+        # more is refused with the count of all of them, before any witness
+        g = core_length(target, k)
+        words = [w.residues for w in k_filling_witnesses(target, k, g)]
+        assert len(words) == total
+        monkeypatch.setattr(tableaux, "_MAX_HITS", total)
+        assert [w.residues for w in k_filling_witnesses(target, k, g)] == words
+
+        def no_witness(*args):
+            raise AssertionError("a refused listing built a FillingWitness")
+
+        monkeypatch.setattr(tableaux, "_MAX_HITS", total - 1)
+        monkeypatch.setattr(tableaux, "FillingWitness", no_witness)
+        with pytest.raises(PreconditionError,
+                           match=rf"^listing refused: {total} fillings \(guard {total - 1}\)$"):
+            k_filling_witnesses(target, k, g)
 
 
 class TestSerialization:
