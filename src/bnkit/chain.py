@@ -35,10 +35,13 @@ has no r-positive completion and its subtree is skipped; when counting,
 the cells with C[u] + Lb[c][u] > r are set missing, so more prefixes
 share a node.  The subtree below a prefix depends only on its length and
 merged state, so the search is a graph: one kernel call per distinct
-(component, state).  Each node counts its all-exact and its generic
-completions from its children's counts, so the hits are counted without
-being listed; the witnesses, when asked for, come from a walk that
-enters only nodes with hits.
+(component, state).  A node runs one generic step; an exact option
+changes the generic merged state at three keys, so its bound check is
+O(1), and only the options that pass it copy the state.  The last
+component is read at the one index S_g = d.  Each node counts its
+all-exact and its generic completions from its children's counts, so the
+hits are counted without being listed; the witnesses, when asked for,
+come from a walk that enters only nodes with hits.
 """
 
 from __future__ import annotations
@@ -246,15 +249,21 @@ def _merge(n0: list[int], n1: list[int]) -> list[int]:
     twist u = lo + k (one entry longer than the state): an eps-0 state at
     S = u - 1 forces the new sections to vanish at the node, an eps-1
     state at S = u spends one matching condition.  So
-    C[u] = min(n0[u - 1], n1[u] - 1)."""
-    # a < b means a <= b - 1; a missing n1 never wins
+    C[u] = min(n0[u - 1], n1[u] - 1), the :func:`_meet` of each key, written
+    out: through ``map`` the kernel pass reads 3% slower."""
     return [a if b >= _INF or a < b else b - 1 for a, b in zip([_INF, *n0], [*n1, _INF])]
 
 
-def _dp_step(aspects, C: list[int], lo: int):
-    """Glue one more component onto the merged array ``C`` (see
-    :func:`_merge`), once for each aspect in ``aspects``.  Returns one
-    state (m0, m1) per aspect, over the window's sums s at index s - lo.
+def _meet(a: int, b: int) -> int:
+    """min(a, b - 1), where a missing b never wins (a < b means a <= b - 1)."""
+    return a if b >= _INF or a < b else b - 1
+
+
+def _dp_step(C: list[int], lo: int):
+    """Glue one more component with a generic aspect onto the merged array
+    ``C`` (see :func:`_merge`).  Returns (pre, suf, m0, m1): the prefix and
+    suffix minima below, and the state they give, over the window's sums s
+    at index s - lo.
 
     At left twist u and new prefix sum s the component has degree
     k = s - u.  For k >= 2 it adds k sections and leaves eps = 1; for
@@ -262,31 +271,47 @@ def _dp_step(aspects, C: list[int], lo: int):
     see the aspect: a generic class adds 1 at eps = 1 for k = 1 and 0 at
     eps = 0 for k = 0, while an exact aspect with aspect[0] == u adds 1
     at eps = 0 for k = 1 and 1 at eps = 1 for k = 0.  So the generic
-    result is a prefix minimum, m1[s] = s + min_{u < s} (C[u] - u), and a
-    suffix minimum, m0[s] = min_{u >= s} C[u]; an exact aspect moves the
-    cell u = aspect[0] between them at s = u and s = u + 1, the indices
-    aspect[0] - lo and aspect[0] - lo + 1.  Linear in the window.
+    state is a suffix minimum, m0[s] = suf[s - lo] = min_{u >= s} C[u], and
+    a prefix minimum, m1[s] = s + pre[s - lo] = s + min_{u < s} (C[u] - u).
+    An exact aspect moves the cell u = aspect[0] between them at s = u and
+    s = u + 1, so its state is this one with the two cells of
+    :func:`_patch` at the indices aspect[0] - lo and aspect[0] - lo + 1.
+    Linear in the window.
     """
-    n = len(C) - 1
-    sums = range(lo, lo + n)
+    sums = range(lo, lo + len(C) - 1)
     # an empty prefix starts at _INF - lo, so that s + pre stays missing
     pre = list(accumulate(map(sub, C, sums), min, initial=_INF - lo))
     suf = list(accumulate(reversed(C), min))[::-1]
-    g0, g1 = suf[:n], list(map(add, sums, pre))
+    return pre, suf, suf[:-1], list(map(add, sums, pre))
+
+
+def _patch(u: int, c: int, p: int, q: int) -> tuple[int, int, int, int]:
+    """The cells m0[u], m1[u], m0[u + 1], m1[u + 1] of an exact aspect with
+    aspect[0] = u, from c = C[u], p = pre[u - lo] and q = suf[u - lo + 1]
+    of :func:`_dp_step`; every other cell is generic.  At s = u the
+    degree-0 cell has a section, at s = u + 1 the degree-1 cell keeps
+    eps = 0."""
+    return q, min(u + p, c + 1), min(q, c + 1), u + 1 + p
+
+
+def _dp_end(aspects, C: list[int], lo: int, t: int) -> list[int]:
+    """min(m0[t], m1[t]) of the state of each aspect in ``aspects``: the
+    step read at index t alone, a search's last component at t = d - lo.
+    The generic cell is min(suf[t], lo + t + pre[t]), and an exact aspect
+    changes it only from aspect[0] = lo + t or lo + t - 1 (:func:`_patch`).
+    Each term is a minimum over a slice of C, so no list of the step is
+    built; a missing value may come out as another missing value."""
+    u, s = lo + t, min(C[t + 1:])
+    p = min(map(sub, C[:t], range(lo, u)), default=_INF - lo)
     out = []
     for a in aspects:
-        k = -1 if a is None else a[0] - lo
-        if not 0 <= k < n:
-            out.append((g0, g1))
-            continue
-        m0, m1 = g0[:], g1[:]
-        hit = C[k] + 1
-        m0[k] = suf[k + 1]  # s = u: the degree-0 cell has a section
-        m1[k] = min(m1[k], hit)
-        if k + 1 < n:  # s = u + 1: the degree-1 cell keeps eps = 0
-            m0[k + 1] = min(m0[k + 1], hit)
-            m1[k + 1] = a[0] + 1 + pre[k]
-        out.append((m0, m1))
+        if a is not None and a[0] == u:
+            out.append(min(_patch(u, C[t], p, s)[:2]))
+        elif a is not None and lo <= a[0] == u - 1:
+            q = min(map(sub, C[:t - 1], range(lo, u - 1)), default=_INF - lo)
+            out.append(min(_patch(u - 1, C[t - 1], q, min(C[t], s))[2:]))
+        else:
+            out.append(min(C[t], s, u + p))
     return out
 
 
@@ -308,16 +333,22 @@ def _kernel_pass(L: LimitLineBundle, lo: int, hi: int):
     X^{>g-j} of L keyed by d - S_{g-j}, with eps the evaluation rank at
     p^{g-j}; the last state is the whole chain at key d (S_0 = 0).  Returns
     every state, the minimum h0 and its :func:`_witness`, walked while the
-    merged arrays are at hand, to be read and not changed (module docstring)."""
-    g, d = L.g, L.d
+    merged arrays are at hand, to be read and not changed (module docstring).
+    Each state is the generic one with an exact aspect's two cells
+    (:func:`_patch`) written in place."""
+    g, d, n = L.g, L.d, hi - lo + 1
     aspects = tuple(None if a is None else (a[1], a[0]) for a in reversed(L.aspects))
     C = _start(lo, hi)
     states, merged = [], []
     for j, a in enumerate(aspects, 1):
-        (state,) = _dp_step((a,), C, lo)
-        states.append(state)
+        pre, suf, m0, m1 = _dp_step(C, lo)
+        if a is not None and 0 <= (k := a[0] - lo) < n:
+            m0[k], m1[k], *cells = _patch(a[0], C[k], pre[k], suf[k + 1])
+            if k + 1 < n:
+                m0[k + 1], m1[k + 1] = cells
+        states.append((m0, m1))
         if j < g:
-            merged.append(C := _merge(*state))
+            merged.append(C := _merge(m0, m1))
     n0, n1 = (m[d - lo] for m in states[-1])
     if (best := min(n0, n1)) >= _INF:
         raise InternalCheckError("chain DP produced no state at S_0 = 0")
@@ -409,11 +440,10 @@ def vanishing_tables(L: LimitLineBundle, r: int, window: int | None = None) -> V
     for i in range(1, g):
         # node i is reflected node g - i, keyed by d - S_i
         n0, n1 = states[g - i - 1]
-        minsuf = [min(a, b) for a, b in zip(n0, n1)]
-        # sanity: min-suffix-h0 must rise by at most 1 per unit of the key d - s
-        for x, y in zip(minsuf, minsuf[1:]):
-            if not (x <= y <= x + 1):
-                raise InternalCheckError(f"min-suffix-h0 at node {i} is not 1-Lipschitz monotone")
+        minsuf = list(map(min, n0, n1))
+        # sanity: min-suffix-h0 must rise by 0 or 1 per unit of the key d - s
+        if not set(map(sub, minsuf[1:], minsuf)) <= {0, 1}:
+            raise InternalCheckError(f"min-suffix-h0 at node {i} is not 1-Lipschitz monotone")
         row = []
         for n in range(r + 1):
             # the keys keeping r + 1 - n sections are those from t on, and alpha = d - (lo + t)
@@ -544,10 +574,55 @@ def _search_bounds(g: int, d: int, lo: int, hi: int) -> tuple[list[list[int]], l
     return upper, [[max(0, d - u - n) for u in keys] for n in ns]
 
 
+def _search_step(aspects, C: list[int], lo: int, U: list[int], Lb: list[int] | None, r: int):
+    """The children of a search node with merged state C: each option in
+    ``aspects`` whose merged state C2 has min_u (C2[u] + U[u]) > r, with
+    C2, in which each key with C2[u] + Lb[u] > r is set missing unless Lb
+    is None.  One generic step (:func:`_dp_step`), then O(1) per rejected
+    option; only a kept exact option copies a list.
+
+    An exact option at k = a[0] - lo changes the state at k and k + 1 alone
+    (:func:`_patch`), and key u merges m0[u - 1] with m1[u], so C2 is the
+    generic merged state G except at the keys k..k + 2.  So
+    min (C2 + U) > r iff the "low" keys, with G[u] + U[u] <= r (where the
+    prefix and suffix minima of G + U reach r), all lie in k..k + 2 and
+    the patched keys are not low in C2.  The clamp acts key by key: G is
+    clamped once, and a kept option clamps its patched keys."""
+    pre, suf, *state = _dp_step(C, lo)
+    n, G = len(C) - 1, _merge(*state)
+    low = [u for u, (c, b) in enumerate(zip(G, U)) if c + b <= r]
+    kept, base = [], None
+    for a in aspects:
+        k = -1 if a is None else a[0] - lo
+        if not 0 <= k < n:
+            if low:
+                continue
+            cells = ()
+        elif low and (low[0] < k or low[-1] > k + 2):
+            continue
+        else:
+            x0, x1, y0, y1 = _patch(a[0], C[k], pre[k], suf[k + 1])
+            cells = [_meet(suf[k - 1] if k else _INF, x1), x0]
+            if k + 1 < n:
+                cells[1:] = _meet(x0, y1), _meet(y0, a[0] + 2 + pre[k + 2] if k + 2 < n else _INF)
+            if min(map(add, cells, U[k:k + 3])) <= r:
+                continue
+        if base is None:
+            base = G if Lb is None else [c if c + b <= r else _INF for c, b in zip(G, Lb)]
+        C2 = base
+        if cells:
+            C2 = base[:]
+            for u, c in enumerate(cells, k):
+                C2[u] = c if Lb is None or c + Lb[u] <= r else _INF
+        kept.append((a, C2))
+    return kept
+
+
 def _search_graph(g: int, r: int, d: int, window: int | None, clamp: bool):
     """The search as a graph: the subtree below a prefix depends only on
     its length j and merged DP state C, so ``node`` runs the kernel once per
-    key (j, *C) and keeps the options that lead to a hit, each with its
+    key (j, *C), :func:`_search_step` or at the last component
+    :func:`_dp_end`, and keeps the options that lead to a hit, each with its
     child's options (its min h0 at the last component), and two counts; a
     generic option moves its child's exact count into the generic one.
     The kernel is min-plus linear in C, so a completion's min h0 is
@@ -570,21 +645,17 @@ def _search_graph(g: int, r: int, d: int, window: int | None, clamp: bool):
     def node(j: int, C: list[int]):
         if (found := memo.get(key := (j, *C))) is None:
             opts, kids, exact, generic = options[j], [], 0, 0
-            for a, (m0, m1) in zip(opts, _dp_step(opts, C, lo)):
-                if j == g - 1:  # the last component ends at S_g = d
-                    below = min(m0[d - lo], m1[d - lo])
-                    e, n = int(below > r), 0
-                elif min(map(add, C2 := _merge(m0, m1), upper[j])) > r:
-                    if clamp:
-                        C2 = [c if c + b <= r else _INF for c, b in zip(C2, lower[j])]
-                    below, e, n = node(j + 1, C2)
-                else:
-                    continue
+            if leaf := j == g - 1:  # the last component ends at S_g = d
+                step = zip(opts, _dp_end(opts, C, lo, d - lo))
+            else:
+                step = _search_step(opts, C, lo, upper[j], lower[j] if clamp else None, r)
+            for a, x in step:
+                below, e, m = (x, int(x > r), 0) if leaf else node(j + 1, x)
                 if a is None:  # every completion is generic
-                    e, n = 0, e + n
-                if e or n:
+                    e, m = 0, e + m
+                if e or m:
                     kids.append((a, below))
-                    exact, generic = exact + e, generic + n
+                    exact, generic = exact + e, generic + m
             memo[key] = found = kids, exact, generic
         return found
 

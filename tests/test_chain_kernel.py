@@ -1,10 +1,14 @@
 """The linear chain-DP kernel against the quadratic sweep it replaced.
 
-``bnkit.chain._dp_step`` glues one component onto a prefix state in time
-linear in the window.  ``oracles`` keeps the pairwise sweep, which tries
-every pair of old and new prefix sums; every test here asks the two for
-the same numbers, including missing states and exact aspects on the two
-diagonals where the component has degree 0 or 1.
+``bnkit.chain._dp_step`` glues one component with a generic aspect onto
+a prefix state in time linear in the window, and ``_patch`` gives the two
+cells an exact aspect changes.  ``oracles`` keeps the pairwise sweep,
+which tries every pair of old and new prefix sums; every test here asks
+the two for the same numbers, including missing states and exact aspects
+on the two diagonals where the component has degree 0 or 1.  So do the
+readers built on them: ``_dp_end``, the state at one index, and
+``_search_step``, a search node's children with their three patched
+keys and O(1) bound check.
 
 The search's closed-form bound tables are checked the same way, against
 the recursion over every cell that takes the worse (upper table) or the
@@ -16,7 +20,8 @@ not to cross r + 1.  The counting search, which clamps its states with
 the lower table, gives the unclamped graph's counts, and a search whose
 tables neither prune nor clamp gives the same result as the pruned one.
 A search runs the kernel once per distinct (depth, merged state), which
-a counting wrapper around the kernel pins.
+a counting wrapper around the kernel pins, and with the tuple guard
+lifted its rho = 0 counts up to genus 16 are those of ``count_grd``.
 The windowed pass is memoized for the last two (bundle, window range)
 pairs; ``cache_info`` pins its hits, misses and evictions.
 """
@@ -38,8 +43,8 @@ from bnkit.chain import (
     star_components,
     vanishing_tables,
 )
-from bnkit.errors import PreconditionError
-from bnkit.invariants import rho
+from bnkit.errors import InternalCheckError, PreconditionError
+from bnkit.invariants import count_grd, rho
 
 import oracles
 from oracles import INF
@@ -67,6 +72,19 @@ def _random_aspect(rng, d, lo, hi):
     return (a, d - a)
 
 
+def _state(aspect, C, lo):
+    """The state of one aspect: the generic step with an exact aspect's two
+    cells written in place, as the kernel pass builds it."""
+    pre, suf, m0, m1 = chain._dp_step(C, lo)
+    k = -1 if aspect is None else aspect[0] - lo
+    if 0 <= k < len(m0):
+        cells = chain._patch(aspect[0], C[k], pre[k], suf[k + 1])
+        m0[k], m1[k] = cells[:2]
+        if k + 1 < len(m0):
+            m0[k + 1], m1[k + 1] = cells[2:]
+    return m0, m1
+
+
 class TestStep:
     def test_step_matches_pairwise_sweep(self):
         rng = random.Random(2026)
@@ -77,24 +95,31 @@ class TestStep:
             state = _random_state(rng, hi - lo + 1)
             aspect = _random_aspect(rng, d, lo, hi)
             want = oracles.forward_dp_step(aspect, d, lo, hi, state)
-            (got,) = chain._dp_step((aspect,), chain._merge(*state), lo)
+            got = _state(aspect, chain._merge(*state), lo)
             assert tuple(map(_norm, got)) == want, (d, lo, hi, aspect, state)
             if aspect is not None and lo <= aspect[0] <= hi:
                 diagonal_hits += 1
         assert diagonal_hits > 1000
 
     def test_finish_matches_pairwise_sweep(self):
+        """``_dp_end`` reads the state at one index without building it: at
+        t = d - lo against the oracle's last component, and at every index
+        against the whole state, aspects at lo + t - 1 and lo + t
+        included."""
         rng = random.Random(11)
         for _ in range(3000):
             d = rng.randint(-2, 8)
             _, lo, hi = chain._window(1, d, rng.randint(0, 5))
             state = _random_state(rng, hi - lo + 1)
-            if min(min(state[0]), min(state[1])) >= INF:
-                continue
-            aspect = rng.choice([None, (d, 0), _random_aspect(rng, d, lo, hi)])
-            (got,) = chain._dp_step((aspect,), chain._merge(*state), lo)
-            want = oracles.forward_dp_finish(aspect, d, lo, state)
-            assert min(got[0][d - lo], got[1][d - lo]) == want
+            C = chain._merge(*state)
+            if min(min(state[0]), min(state[1])) < INF:
+                aspect = rng.choice([None, (d, 0), _random_aspect(rng, d, lo, hi)])
+                (got,) = chain._dp_end((aspect,), C, lo, d - lo)
+                assert got == oracles.forward_dp_finish(aspect, d, lo, state)
+            t = rng.randint(0, hi - lo)
+            aspects = [None, (lo + t, d - lo - t), (lo + t - 1, d - lo - t + 1), _random_aspect(rng, d, lo, hi)]
+            want = [min(m0[t], m1[t]) for m0, m1 in (_state(a, C, lo) for a in aspects)]
+            assert _norm(chain._dp_end(aspects, C, lo, t)) == _norm(want), (C, lo, t, aspects)
 
     def test_shared_call_equals_one_call_per_aspect(self):
         rng = random.Random(5)
@@ -103,9 +128,47 @@ class TestStep:
             _, lo, hi = chain._window(1, d, rng.randint(0, 4))
             C = chain._merge(*_random_state(rng, hi - lo + 1))
             aspects = [_random_aspect(rng, d, lo, hi) for _ in range(6)]
-            together = chain._dp_step(aspects, C, lo)
-            alone = [chain._dp_step((a,), C, lo)[0] for a in aspects]
-            assert together == alone
+            t, r = rng.randint(0, hi - lo), rng.randint(0, 12)
+            assert chain._dp_end(aspects, C, lo, t) == [chain._dp_end((a,), C, lo, t)[0] for a in aspects]
+            U = [rng.randint(0, 6) for _ in C]
+            for Lb in (None, [rng.randint(0, 6) for _ in C]):
+                together = chain._search_step(aspects, C, lo, U, Lb, r)
+                alone = [kid for a in aspects for kid in chain._search_step((a,), C, lo, U, Lb, r)]
+                assert together == alone
+
+    def test_search_step_patches_three_keys_with_an_exact_bound(self):
+        """An exact option's merged state is the generic one G with the keys
+        k, k + 1 and k + 2 patched, and the bound check reads min_u (C2 + U)
+        in O(1).  Against ``_merge`` of the pairwise sweep, for every option
+        whose k is 0, 1, n - 2, n - 1, inside or outside the window: a
+        child is kept exactly when min(C2 + U) > r, at r just below and at
+        that minimum and far from it, and it is the oracle's merged state,
+        clamped per key by Lb when Lb is given."""
+        rng = random.Random(28)
+        edges = 0
+        for _ in range(300):
+            d = rng.randint(-2, 8)
+            _, lo, hi = chain._window(1, d, rng.randint(0, 5))
+            n = hi - lo + 1
+            state = _random_state(rng, n)
+            C = chain._merge(*state)
+            U = [rng.randint(-2, 8) for _ in C]
+            Lb = [rng.randint(-4, 4) for _ in C]
+            for k in [*range(-2, n + 2), None]:
+                aspect = None if k is None else (lo + k, d - lo - k)
+                merged = chain._merge(*oracles.forward_dp_step(aspect, d, lo, hi, state))
+                bound = min(map(add, merged, U))
+                edges += k in (0, 1, n - 2, n - 1)
+                for r in {-3, 24, *((bound - 1, bound) if bound < INF else ())}:
+                    for clamp in (None, Lb):
+                        kept = chain._search_step((aspect,), C, lo, U, clamp, r)
+                        assert bool(kept) == (bound > r), (C, lo, aspect, U, r)
+                        if kept:
+                            want = merged if clamp is None else [
+                                c if c + b <= r else INF for c, b in zip(merged, clamp)
+                            ]
+                            assert _norm(kept[0][1]) == _norm(want), (C, lo, aspect, U, clamp, r)
+        assert edges > 1000
 
 
 def _oracle_a_rows(tables, g, r, lo):
@@ -279,26 +342,34 @@ class TestSearchAgainstOracleStep:
 class TestSearchSharesNodes:
     def test_one_kernel_call_per_depth_and_merged_state(self, monkeypatch):
         """The DP states a search uses: the kernel runs once per distinct
-        (depth, merged state C) of each search, never per prefix.  Depth is
-        the component whose option list the call receives.  Counting
-        builds no witness."""
-        real_options, real_step = chain.aspect_options, chain._dp_step
-        options, calls = [], []
+        (depth, merged state C) of each search, never per prefix: a node
+        calls ``_search_step``, which runs one generic step, or at the last
+        component ``_dp_end``, which runs none.  Depth is the component
+        whose option list the call receives.  Counting builds no witness."""
+        real_options, real_generic = chain.aspect_options, chain._dp_step
+        real_step, real_end = chain._search_step, chain._dp_end
+        options, calls, inner, generic = [], [], [], []
 
         def recorded_options(*args):
             options.append(real_options(*args))
             return options[-1]
 
-        def counted_step(aspects, C, *args):
-            depth = next(j for j, opts in enumerate(options[-1]) if opts is aspects)
-            calls.append((depth, *C))
-            return real_step(aspects, C, *args)
+        def counted(real, log):
+            def call(aspects, C, *args):
+                depth = next(j for j, opts in enumerate(options[-1]) if opts is aspects)
+                calls.append((depth, *C))
+                log.append(depth)
+                return real(aspects, C, *args)
+
+            return call
 
         def no_witness(*args):
             raise AssertionError("search_limit_bundles built a SearchWitness")
 
         monkeypatch.setattr(chain, "aspect_options", recorded_options)
-        monkeypatch.setattr(chain, "_dp_step", counted_step)
+        monkeypatch.setattr(chain, "_search_step", counted(real_step, inner))
+        monkeypatch.setattr(chain, "_dp_end", counted(real_end, []))
+        monkeypatch.setattr(chain, "_dp_step", lambda *args: generic.append(args) or real_generic(*args))
         monkeypatch.setattr(chain, "SearchWitness", no_witness)
         hits = 0
         for g, r, d in GRID + [(5, 1, 3), (5, 1, 4), (5, 2, 6)]:
@@ -307,6 +378,7 @@ class TestSearchSharesNodes:
             assert len(set(calls[start:])) == len(calls) - start, (g, r, d)
         # one kernel call per prefix would make 7,721 here
         assert (len(calls), hits) == (240, 10_671)
+        assert len(generic) == len(inner) < len(calls)
 
 
 class TestSearchBound:
@@ -335,7 +407,7 @@ class TestSearchBound:
                         for prefix in itertools.product(*options[:j]):
                             C = chain._start(lo, hi)
                             for a in prefix:
-                                C = chain._merge(*chain._dp_step((a,), C, lo)[0])
+                                C = chain._merge(*_state(a, C, lo))
                             minima = [
                                 min_h0(LimitLineBundle(d, prefix + rest), window)
                                 for rest in itertools.product(*options[j:])
@@ -380,3 +452,41 @@ class TestSearchBound:
         monkeypatch.setattr(chain, "_search_bounds", bound_free)
         for case, result in zip(cases, want):
             assert _search(*case) == result, case
+
+
+class TestRhoZeroBeyondTheGuard:
+    def test_counts_equal_count_grd_up_to_genus_sixteen(self, monkeypatch):
+        """With the tuple guard lifted, the count at every rho = 0 triple
+        with 7 <= g <= 16, r >= 1 and g - d + r > 0, at the default window,
+        is the number of g^r_d on a general curve, and no hit has a generic
+        aspect.  The guard refuses every one of them."""
+        triples = [
+            (g, r, d)
+            for g in range(7, 17)
+            for r in range(1, g + 1)
+            for d in range(2 * g + 1)
+            if rho(g, r, d) == 0 and g - d + r > 0
+        ]
+        assert len(triples) == 26
+        with pytest.raises(PreconditionError, match="search refused"):
+            search_limit_bundles(7, 6, 12)
+        monkeypatch.setattr(chain, "_MAX_TUPLES", 10**40)
+        for g, r, d in triples:
+            assert search_limit_bundles(g, r, d) == (count_grd(g, r, d), 0), (g, r, d)
+
+
+class TestVanishingTableCheck:
+    def test_a_state_that_is_not_1_lipschitz_is_an_internal_error(self, monkeypatch):
+        """The sanity check on each node's minima passes steps of 0 and 1
+        and fires on a step of 2 or on a drop."""
+        L = LimitLineBundle(2, ((0, 2), (1, 1), (2, 0)))
+        window, lo, states, best, witness = chain._suffix_pass(L, None)
+        ramp = [min(i, 4) for i in range(len(states[0][0]))]
+        for forged, ok in ((ramp, True), ([2 * x for x in ramp], False), (ramp[::-1], False)):
+            forged_states = ((forged, forged), *states[1:])
+            monkeypatch.setattr(chain, "_suffix_pass", lambda *_: (window, lo, forged_states, best, witness))
+            if ok:
+                vanishing_tables(L, 0)
+            else:
+                with pytest.raises(InternalCheckError, match="not 1-Lipschitz monotone"):
+                    vanishing_tables(L, 0)
