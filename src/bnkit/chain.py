@@ -568,10 +568,20 @@ def _search_bounds(g: int, d: int, lo: int, hi: int) -> tuple[list[list[int]], l
     nondecreasing and 1-Lipschitz, so every cell gives at least
     l(x - 1) = l_n(x), and s = u attains it (s = u - 1 at u = hi + 1 > d).
     Remark: on a subchain of genus n + 1, f_n is Clifford's bound joined
-    with the non-special value, and l_n is Riemann-Roch."""
-    keys, ns = range(lo, hi + 2), range(g - 2, -1, -1)
-    upper = [[max(d - u - n, (d - u) // 2 + 1) if u <= d else 0 for u in keys] for n in ns]
-    return upper, [[max(0, d - u - n) for u in keys] for n in ns]
+    with the non-special value, and l_n is Riemann-Roch.
+
+    Each row is built from runs, u up from lo (x down from d - lo): U is
+    x - n while x >= 2n + 2 (where x - n >= x // 2 + 1), then
+    x // 2 + 1, the same for every row, down to x = 0, then zeros; Lb is
+    x - n down to 1, then zeros."""
+    width, x0 = hi - lo + 2, d - lo
+    half = [x // 2 + 1 if x >= 0 else 0 for x in range(x0, x0 - width, -1)]
+    upper, lower = [], []
+    for n in range(g - 2, -1, -1):
+        k, j = (min(max(0, m), width) for m in (x0 - 2 * n - 1, x0 - n))
+        upper.append(list(range(x0 - n, x0 - n - k, -1)) + half[k:])
+        lower.append(list(range(x0 - n, x0 - n - j, -1)) + [0] * (width - j))
+    return upper, lower
 
 
 def _search_step(aspects, C: list[int], lo: int, U: list[int], Lb: list[int] | None, r: int):

@@ -12,7 +12,9 @@ error).
 A command is one entry of ``COMMANDS``: its name, help text, flags and a
 function from the parsed arguments to the result payload.  The parser tree
 is built from that table, and every command runs through the one wrapper
-in :func:`main`: parse, read, run, envelope.  A flag of serialized text
+in :func:`main`: parse, read, run, envelope.  A process runs one command,
+so ``main`` builds only the branch of the tree that its argv names, and
+``json`` is imported only for JSON output.  A flag of serialized text
 names its reader, a library parse function, and ``main`` reads every such
 value before ``run``, so ``run`` receives values, never text.  ``inputs``
 echo the declared flags in order, except switches: a serialized value as
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from collections import namedtuple
 
@@ -35,6 +36,8 @@ from .errors import InternalCheckError, PreconditionError, require
 
 def _envelope(command: str, inputs: dict, result, fmt: str) -> str:
     if fmt == "json":
+        import json  # only JSON output needs it
+
         return json.dumps(
             {"command": command, "format": fmt, "inputs": inputs, "result": result},
             sort_keys=True,
@@ -316,19 +319,25 @@ COMMANDS = [
 ]
 
 
+_FORMATS = ("table", "json", "csv")
+_NAMED = {tuple(cmd.name.split(" ")): cmd.name for cmd in COMMANDS}
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser tree of ``COMMANDS``, built once per process and shared
-    by every caller, so no caller may change it."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser tree of ``COMMANDS``, or of the one entry named
+    ``command``, built once per process and shared by every caller, so no
+    caller may change it.  A one-entry tree parses its command's argv as
+    the whole tree does; only its top-level usage lists that one name."""
     ap = argparse.ArgumentParser(
         prog="bnkit",
         description="Exact combinatorial invariants of Brill-Noether theory",
     )
-    ap.add_argument(
-        "--format", choices=("table", "json", "csv"), default="table", help="output format"
-    )
+    ap.add_argument("--format", choices=_FORMATS, default="table", help="output format")
     sub = {"": ap.add_subparsers(dest="command", required=True)}
     for cmd in COMMANDS:
+        if command is not None and cmd.name != command:
+            continue
         group, _, leaf = cmd.name.rpartition(" ")
         if group not in sub:
             p = sub[""].add_parser(group, help=GROUPS[group])
@@ -340,9 +349,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _named(argv: list[str]) -> str | None:
+    """The ``COMMANDS`` entry that ``argv`` names right after an optional
+    exact ``--format VALUE`` or ``--format=VALUE``, else None."""
+    heads = [["--format", f] for f in _FORMATS] + [[f"--format={f}"] for f in _FORMATS]
+    i = next((len(h) for h in heads if argv[:len(h)] == h), 0)
+    return _NAMED.get(tuple(argv[i:i + 1])) or _NAMED.get(tuple(argv[i:i + 2]))
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command: parse ``argv`` (``sys.argv[1:]`` when None), read,
+    run and print its envelope; return the exit code.  Only the named
+    command's parsers are built.  An argv that names none, or that leaves
+    arguments over, is parsed by the whole tree, so that its usage and
+    errors read the same."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args, rest = build_parser(_named(argv)).parse_known_args(argv)
+        if rest:
+            args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
     cmd = args.leaf_command

@@ -197,19 +197,26 @@ def count_k_fillings(target: Partition, k: int, g: int) -> int:
     return _filling_sweep(target, k, g, 1, lambda res, paths: paths)
 
 
+_INT = frozenset({int})  # issuperset(map(type, word)) checks a word without building a set
+
+
 class FillingWitness(namedtuple("FillingWitness", "residues k")):
     """A k-filling witness: the residue sequence in application order."""
 
     __slots__ = ()
 
     def __new__(cls, residues, k: int) -> FillingWitness:
+        """``residues`` is kept as given when it is a tuple of ints, and
+        read through ``operator.index`` otherwise (so a bool becomes an int)."""
         require(2, k=k)
-        try:
-            return super().__new__(cls, tuple(map(index, residues)), k)
-        except TypeError:
-            for res in residues:
-                require(None, residue=res)
-            raise
+        if type(residues) is not tuple or not _INT.issuperset(map(type, residues)):
+            try:
+                residues = tuple(map(index, residues))
+            except TypeError:
+                for res in residues:
+                    require(None, residue=res)
+                raise
+        return super().__new__(cls, residues, k)
 
     #: ``_replace`` builds through ``_make``, so it validates too
     _make = classmethod(lambda cls, fields: cls(*fields))

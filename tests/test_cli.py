@@ -1,15 +1,19 @@
+import argparse
 import csv
 import io
 import json
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnkit import chain
-from bnkit.cli import COMMANDS, _csv_cell, build_parser, main
+import bnkit
+from bnkit import chain, cli
+from bnkit.cli import COMMANDS, GROUPS, _csv_cell, build_parser, main
 from bnkit.errors import InternalCheckError
 
 from cli_table_goldens import TABLE_GOLDENS
@@ -377,6 +381,73 @@ class TestCommandTable:
         assert out == 'count,witnesses\n2,"0,1,2,1,0;0,2,1,2,0"'
         assert _csv_cell('say "a,b"') == '"say ""a,b"""'
         assert _csv_cell("a\nb") == '"a\nb"'
+
+
+_RHO = ["rho", "-g", "8", "-r", "2", "-d", "7"]
+#: argvs that are not one valid command, or that a one-command parse must
+#: hand to the whole tree: help, no command, unknown words, format spellings
+#: that argparse takes but the lookup does not, leftovers and bad values
+_EDGE_ARGVS = [
+    [], ["-h"], ["--help"], ["chain"], ["chain", "-h"], ["rho", "-h"],
+    ["chain", "search", "-h"], ["--format", "json", "splitting", "rd", "--help"],
+    ["--format", "xml", *_RHO], ["--fo", "json", *_RHO], ["--format=csv", *_RHO],
+    ["--format", "json", "--format", "csv", *_RHO], ["--format"], ["--format", "json"],
+    ["frobnicate", "-g", "1"], ["chain", "frobnicate"], ["chain", "search rho"],
+    [*_RHO, "--format", "json"], [*_RHO, "--bogus"], [*_RHO, "8"], ["-5", "rho"],
+    ["--", *_RHO], ["rho", "-g", "8", "-r", "2"], ["rho", "-g", "x", "-r", "2", "-d", "7"],
+    ["chain", "search", "-g", "6", "-r", "1", "-d", "4", "--window"],
+    ["chain", "min-h0", "--aspects", "0,4;x"],
+    ["nb", "modify", "--degrees", "2,1", "--summand", "0", "--sign", "*", "--points", "1"],
+]
+
+
+def _count_parsers(monkeypatch):
+    """Count the ``argparse.ArgumentParser``s built from now on."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+class TestOneCommandParser:
+    @pytest.mark.parametrize("argv", [
+        *(["--format", fmt, *argv.split()] for argv in sorted(TABLE_GOLDENS)
+          for fmt in ("table", "json", "csv")),
+        *_EDGE_ARGVS,
+    ], ids=repr)
+    def test_same_bytes_and_code_as_the_whole_tree(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+        one = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_named", lambda argv: None)
+        assert one == run(capsys, *argv)
+
+    @pytest.mark.parametrize("argv", sorted(TABLE_GOLDENS))
+    def test_one_command_builds_at_most_three_parsers(self, capsys, monkeypatch, argv):
+        build_parser.cache_clear()
+        built = _count_parsers(monkeypatch)
+        assert main(["--format", "json", *argv.split()]) == 0
+        name = TABLE_GOLDENS[argv].split("  ", 1)[0]
+        assert len(built) == 1 + len(name.split(" ")) <= 3  # top, group, leaf
+
+    def test_help_builds_the_whole_tree(self, capsys, monkeypatch):
+        build_parser.cache_clear()
+        built = _count_parsers(monkeypatch)
+        assert main(["-h"]) == 0
+        assert len(built) == 1 + len(GROUPS) + len(COMMANDS)
+        usage = capsys.readouterr().out.split("\n\n", 1)[0]
+        assert all(cmd.name.split(" ")[0] in usage for cmd in COMMANDS)
+
+    def test_json_is_imported_only_for_json_output(self):
+        src = str(Path(bnkit.__file__).resolve().parent.parent)
+        code = "import bnkit.cli, sys; sys.exit('json' in sys.modules)"
+        res = subprocess.run([sys.executable, "-S", "-c", code], env={"PYTHONPATH": src},
+                             capture_output=True, timeout=60)
+        assert res.returncode == 0, res.stderr
 
 
 # Serialized values: comma lists of tokens, alone or joined by ";" into

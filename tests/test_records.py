@@ -198,3 +198,13 @@ def test_validated_record_refusals(make, exc, message):
         make()
     assert type(info.value) is exc
     assert str(info.value) == message
+
+
+def test_filling_witness_keeps_a_tuple_of_ints_and_reads_anything_else():
+    word = (0, 1, 2)
+    assert tableaux.FillingWitness(word, 3).residues is word
+    assert tableaux.FillingWitness(word, 3)._replace(k=4).residues is word
+    for given in ([True, 0, 2], (True, 0, 2), iter([1, 0, 2])):
+        residues = tableaux.FillingWitness(given, 3).residues
+        assert residues == (1, 0, 2)
+        assert {*map(type, residues)} == {int}
