@@ -294,25 +294,18 @@ def _patch(u: int, c: int, p: int, q: int) -> tuple[int, int, int, int]:
     return q, min(u + p, c + 1), min(q, c + 1), u + 1 + p
 
 
-def _dp_end(aspects, C: list[int], lo: int, t: int) -> list[int]:
-    """min(m0[t], m1[t]) of the state of each aspect in ``aspects``: the
-    step read at index t alone, a search's last component at t = d - lo.
-    The generic cell is min(suf[t], lo + t + pre[t]), and an exact aspect
-    changes it only from aspect[0] = lo + t or lo + t - 1 (:func:`_patch`).
-    Each term is a minimum over a slice of C, so no list of the step is
-    built; a missing value may come out as another missing value."""
-    u, s = lo + t, min(C[t + 1:])
-    p = min(map(sub, C[:t], range(lo, u)), default=_INF - lo)
-    out = []
-    for a in aspects:
-        if a is not None and a[0] == u:
-            out.append(min(_patch(u, C[t], p, s)[:2]))
-        elif a is not None and lo <= a[0] == u - 1:
-            q = min(map(sub, C[:t - 1], range(lo, u - 1)), default=_INF - lo)
-            out.append(min(_patch(u - 1, C[t - 1], q, min(C[t], s))[2:]))
-        else:
-            out.append(min(C[t], s, u + p))
-    return out
+def _dp_end(aspects, C: list[int], lo: int, d: int) -> list[int]:
+    """min(m0[t], m1[t]) at t = d - lo of the state of each option of a
+    search's last component, which ends at S_g = d: ``(d, 0)`` or generic
+    (None).  The generic cell is min(C[t], suf[t + 1], d + pre[t]), and
+    ``(d, 0)`` has aspect[0] = d, so :func:`_patch` adds one section at
+    its degree-0 cell, C[t] + 1, and leaves the rest.  Each term is a
+    minimum over a slice of C, so no list of the step is built; a missing
+    value may come out as another missing value."""
+    t = d - lo
+    pre = min(map(sub, C[:t], range(lo, d)), default=_INF - lo)
+    rest = min(min(C[t + 1:]), d + pre)
+    return [min(C[t] + (a is not None), rest) for a in aspects]
 
 
 # --- windowed minimum h0, tables and witnesses from one kernel pass ---
@@ -656,7 +649,7 @@ def _search_graph(g: int, r: int, d: int, window: int | None, clamp: bool):
         if (found := memo.get(key := (j, *C))) is None:
             opts, kids, exact, generic = options[j], [], 0, 0
             if leaf := j == g - 1:  # the last component ends at S_g = d
-                step = zip(opts, _dp_end(opts, C, lo, d - lo))
+                step = zip(opts, _dp_end(opts, C, lo, d))
             else:
                 step = _search_step(opts, C, lo, upper[j], lower[j] if clamp else None, r)
             for a, x in step:

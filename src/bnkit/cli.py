@@ -51,8 +51,6 @@ def _csv(result) -> str:
     rows = result if isinstance(result, list) else [result]
     if not rows:
         return ""
-    if not isinstance(rows[0], dict):
-        rows = [{"value": r} for r in rows]
     keys = sorted(rows[0])
     lines = [",".join(keys)]
     for row in rows:
@@ -75,17 +73,12 @@ def _cell(v) -> str:
 
 def _table(command: str, inputs: dict, result) -> str:
     lines = [f"{command}  " + " ".join(f"{k}={_cell(v)}" for k, v in inputs.items())]
-    if isinstance(result, list):
-        for row in result:
-            if isinstance(row, dict):
-                lines.append("  " + "  ".join(f"{k}={_cell(v)}" for k, v in sorted(row.items())))
-            else:
-                lines.append(f"  {_cell(row)}")
-    elif isinstance(result, dict):
+    if isinstance(result, dict):
         for k in sorted(result):
             lines.append(f"  {k} = {_cell(result[k])}")
-    else:
-        lines.append(f"  {_cell(result)}")
+    else:  # a list of dicts, one line each
+        for row in result:
+            lines.append("  " + "  ".join(f"{k}={_cell(v)}" for k, v in sorted(row.items())))
     return "\n".join(lines)
 
 
@@ -120,7 +113,7 @@ def _switch(name: str, help: str) -> _Flag:
 
 class _Command(namedtuple("_Command", "name help flags run")):
     """A leaf command.  ``run`` maps the parsed arguments, every serialized
-    value already read, to the result payload."""
+    value already read, to the result payload: a dict or a list of dicts."""
 
     __slots__ = ()
 

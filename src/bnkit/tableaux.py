@@ -44,7 +44,7 @@ def check_partition(rows) -> Partition:
 # Public functions validate their partitions with check_partition and k
 # with require; the underscore helpers below trust both.  Partitions the
 # engine builds need no check: _resize_rows keeps rows weakly decreasing,
-# and the residue action maps k-cores to k-cores (see _apply_residue).
+# and the residue action maps k-cores to k-cores (see core_apply_residue).
 
 def hook_lengths(p: Partition) -> list[int]:
     """All hook lengths of the diagram, row by row."""
@@ -109,22 +109,17 @@ def core_apply_residue(p: Partition, residue: int, k: int) -> Partition:
     """Action of the residue-``residue`` generator of the affine symmetric
     group on a k-core: add every addable box of that residue if any exist,
     otherwise remove every removable box of that residue, otherwise leave
-    the core unchanged.  Involutive, and maps k-cores to k-cores."""
-    require(None, residue=residue)
-    return _apply_residue(_require_core(p, k), residue, k)[0]
-
-
-def _apply_residue(p: Partition, residue: int, k: int):
-    """The new core and the boxes added: the addable corners, or none.  On
-    the k-abacus the addable and removable boxes of one residue sit on two
+    the core unchanged.  Involutive, and maps k-cores to k-cores: on the
+    k-abacus the addable and removable boxes of one residue sit on two
     adjacent runners, and every runner of a k-core is flush, so at most one
-    kind exists and the move swaps the two runners' bead counts: the
-    result is a k-core (Lapointe-Morse 2005)."""
-    r = residue % k
+    kind exists and the move swaps the two runners' bead counts
+    (Lapointe-Morse 2005)."""
+    require(None, residue=residue)
+    p, r = _require_core(p, k), residue % k
     if add := _addable_corners(p, k).get(r):
-        return _resize_rows(p, add, 1), add
+        return _resize_rows(p, add, 1)
     rem = _removable_corners(p, k).get(r)
-    return (_resize_rows(p, rem, -1) if rem else p), []
+    return _resize_rows(p, rem, -1) if rem else p
 
 
 def _resize_rows(p: Partition, cells, step: int) -> Partition:
@@ -156,7 +151,7 @@ def _filling_sweep(target: Partition, k: int, g: int, start, extend):
     """Validate the arguments and sweep the strict-add graph below the
     k-core ``target`` by levels down from it.  Strict removes
     (:func:`_removable_corners`) are strict adds read backwards, as
-    :func:`_apply_residue` is an involution; every nonempty k-core has one,
+    :func:`core_apply_residue` is an involution; every nonempty k-core has one,
     and each lowers core_length by one, so the g levels end at () and hold
     exactly the cores on a path to ``target``.  The target carries ``start``
     and a core below the ``+``-sum of ``extend(res, x)`` over the removes of
@@ -210,12 +205,10 @@ class FillingWitness(namedtuple("FillingWitness", "residues k")):
         read through ``operator.index`` otherwise (so a bool becomes an int)."""
         require(2, k=k)
         if type(residues) is not tuple or not _INT.issuperset(map(type, residues)):
-            try:
-                residues = tuple(map(index, residues))
-            except TypeError:
-                for res in residues:
-                    require(None, residue=res)
-                raise
+            residues = tuple(residues)  # read once: it may be an iterator
+            for res in residues:
+                require(None, residue=res)
+            residues = tuple(map(index, residues))
         return super().__new__(cls, residues, k)
 
     #: ``_replace`` builds through ``_make``, so it validates too
@@ -245,11 +238,10 @@ def _replay_step(p: Partition, res: int, k: int, word: tuple[int, ...]):
     core and the boxes it added, the addable corners of residue ``res``."""
     if not 0 <= res < k:
         raise InternalCheckError(f"witness {word}: residue {res} is not in 0..{k - 1}")
-    q, boxes = _apply_residue(p, res, k)
-    if not boxes:
+    if not (boxes := _addable_corners(p, k).get(res)):
         raise InternalCheckError(f"witness {word}: residue {res} mod {k} does not strictly add "
                                  f"boxes to {p or '()'}")
-    return q, boxes
+    return _resize_rows(p, boxes, 1), boxes
 
 
 def k_filling_witnesses(target: Partition, k: int, g: int) -> list[FillingWitness]:

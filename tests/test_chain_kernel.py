@@ -6,9 +6,9 @@ cells an exact aspect changes.  ``oracles`` keeps the pairwise sweep,
 which tries every pair of old and new prefix sums; every test here asks
 the two for the same numbers, including missing states and exact aspects
 on the two diagonals where the component has degree 0 or 1.  So do the
-readers built on them: ``_dp_end``, the state at one index, and
-``_search_step``, a search node's children with their three patched
-keys and O(1) bound check.
+readers built on them: ``_dp_end``, the last component's state at
+S_g = d, and ``_search_step``, a search node's children with their three
+patched keys and O(1) bound check.
 
 The search's closed-form bound tables are checked the same way, against
 the recursion over every cell that takes the worse (upper table) or the
@@ -102,24 +102,21 @@ class TestStep:
         assert diagonal_hits > 1000
 
     def test_finish_matches_pairwise_sweep(self):
-        """``_dp_end`` reads the state at one index without building it: at
-        t = d - lo against the oracle's last component, and at every index
-        against the whole state, aspects at lo + t - 1 and lo + t
-        included."""
+        """``_dp_end`` reads the state at S_g = d (index t = d - lo) without
+        building it, for the last component's two options, generic and
+        (d, 0): against the oracle's last component, and against the whole
+        state of the step with the exact option's cells patched in."""
         rng = random.Random(11)
         for _ in range(3000):
             d = rng.randint(-2, 8)
             _, lo, hi = chain._window(1, d, rng.randint(0, 5))
             state = _random_state(rng, hi - lo + 1)
-            C = chain._merge(*state)
+            C, t, leaf = chain._merge(*state), d - lo, [None, (d, 0)]
+            got = chain._dp_end(leaf, C, lo, d)
             if min(min(state[0]), min(state[1])) < INF:
-                aspect = rng.choice([None, (d, 0), _random_aspect(rng, d, lo, hi)])
-                (got,) = chain._dp_end((aspect,), C, lo, d - lo)
-                assert got == oracles.forward_dp_finish(aspect, d, lo, state)
-            t = rng.randint(0, hi - lo)
-            aspects = [None, (lo + t, d - lo - t), (lo + t - 1, d - lo - t + 1), _random_aspect(rng, d, lo, hi)]
-            want = [min(m0[t], m1[t]) for m0, m1 in (_state(a, C, lo) for a in aspects)]
-            assert _norm(chain._dp_end(aspects, C, lo, t)) == _norm(want), (C, lo, t, aspects)
+                assert got == [oracles.forward_dp_finish(a, d, lo, state) for a in leaf]
+            want = [min(m0[t], m1[t]) for m0, m1 in (_state(a, C, lo) for a in leaf)]
+            assert _norm(got) == _norm(want), (C, lo, d)
 
     def test_shared_call_equals_one_call_per_aspect(self):
         rng = random.Random(5)
@@ -128,8 +125,8 @@ class TestStep:
             _, lo, hi = chain._window(1, d, rng.randint(0, 4))
             C = chain._merge(*_random_state(rng, hi - lo + 1))
             aspects = [_random_aspect(rng, d, lo, hi) for _ in range(6)]
-            t, r = rng.randint(0, hi - lo), rng.randint(0, 12)
-            assert chain._dp_end(aspects, C, lo, t) == [chain._dp_end((a,), C, lo, t)[0] for a in aspects]
+            leaf, r = [rng.choice([None, (d, 0)]) for _ in range(6)], rng.randint(0, 12)
+            assert chain._dp_end(leaf, C, lo, d) == [chain._dp_end((a,), C, lo, d)[0] for a in leaf]
             U = [rng.randint(0, 6) for _ in C]
             for Lb in (None, [rng.randint(0, 6) for _ in C]):
                 together = chain._search_step(aspects, C, lo, U, Lb, r)

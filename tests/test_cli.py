@@ -193,6 +193,40 @@ class TestEnvelopeDiscipline:
         assert code == 0
         assert out.splitlines()[0] == "d,exception,expected_maximal,g,r,rho"
 
+    @pytest.mark.parametrize("argv", sorted(TABLE_GOLDENS))
+    def test_every_result_is_a_dict_or_a_list_of_dicts(self, capsys, argv):
+        # the table and csv forms read no other shape
+        result = run_json(capsys, *argv.split())["result"]
+        rows = result if isinstance(result, list) else [result]
+        assert all(isinstance(row, dict) for row in rows), result
+
+    def test_an_empty_list_is_an_empty_csv_line_and_a_bare_table_header(self, capsys):
+        argv = ["lattice", "reachable", "-r", "3", "--g-max", "0", "--d-max", "2"]
+        assert run_json(capsys, *argv)["result"] == []
+        assert main(["--format", "csv", *argv]) == 0
+        assert capsys.readouterr().out == "\n"
+        assert main(["--format", "table", *argv]) == 0
+        assert capsys.readouterr().out == "lattice reachable  r=3 g_max=0 d_max=2\n"
+
+    def test_a_count_below_the_formula_is_missing_with_a_note(self, capsys):
+        argv = ["interp", "-g", "4", "-r", "3", "-d", "6"]
+        code, out, _ = run(capsys, "--format", "json", *argv)
+        assert code == 0 and '"count": null' in out
+        assert json.loads(out)["result"] == {
+            "count": None,
+            "formula_value": 12,
+            "is_exception": True,
+            "note": "below formula; exact count not pinned",
+        }
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "  count = ",
+            "  formula_value = 12",
+            "  is_exception = True",
+            "  note = below formula; exact count not pinned",
+        ]
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):

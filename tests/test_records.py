@@ -208,3 +208,12 @@ def test_filling_witness_keeps_a_tuple_of_ints_and_reads_anything_else():
         residues = tableaux.FillingWitness(given, 3).residues
         assert residues == (1, 0, 2)
         assert {*map(type, residues)} == {int}
+
+
+@pytest.mark.parametrize("kind", [list, tuple, iter, lambda xs: (x for x in xs)],
+                         ids=["list", "tuple", "iterator", "generator"])
+def test_filling_witness_names_a_bad_residue_however_it_is_given(kind):
+    # a one-shot iterator is read once, so its bad item is still named
+    with pytest.raises(TypeError) as info:
+        tableaux.FillingWitness(kind([0, 1.5, 2]), 3)
+    assert str(info.value) == "need an integer residue, got residue=1.5"

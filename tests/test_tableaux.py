@@ -253,13 +253,13 @@ class TestReplayOncePerMove:
         # a listed word is a path of the strict-add graph: the graph scans the
         # removable corners of each core once, and those scans, read as strict
         # adds, make every move of the listed words; listing neither replays a
-        # word nor applies a residue one at a time
+        # word nor looks for the addable corners of a residue
         words = [w.residues for w in k_filling_witnesses(target, k, core_length(target, k))]
         moves = {}  # (core, residue) -> (new core, boxes added), for every step of every word
         for word in words:
             p = ()
             for res in word:
-                moves[p, res] = tableaux._apply_residue(p, res, k)
+                moves[p, res] = tableaux._replay_step(p, res, k, word)
                 p = moves[p, res][0]
         assert len(moves) < sum(map(len, words))  # the witnesses share moves
         scans = {}
@@ -271,11 +271,11 @@ class TestReplayOncePerMove:
             return scans[p]
 
         def no_call(*args):
-            raise AssertionError("k_filling_witnesses replayed a word or applied a residue")
+            raise AssertionError("k_filling_witnesses replayed a word or scanned addable corners")
 
         monkeypatch.setattr(tableaux, "_removable_corners", counting)
         monkeypatch.setattr(tableaux, "_replay_step", no_call)
-        monkeypatch.setattr(tableaux, "_apply_residue", no_call)
+        monkeypatch.setattr(tableaux, "_addable_corners", no_call)
         listed = k_filling_witnesses(target, k, core_length(target, k))
         assert [w.residues for w in listed] == words and len(words) >= 6
         for (p, res), (q, boxes) in moves.items():
