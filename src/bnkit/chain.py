@@ -31,17 +31,17 @@ most of the others.  Closed-form tables, proven by induction on the
 component, bound what E^c..E^g add to a prefix entering E^c at merged
 key u, whatever aspects they carry: at least Lb[c][u] and at most
 U[c][u].  A prefix with merged state C and min_u (C[u] + U[c][u]) < r + 1
-has no r-positive completion and its subtree is skipped; when counting,
-the cells with C[u] + Lb[c][u] > r are set missing, so more prefixes
-share a node.  The subtree below a prefix depends only on its length and
-merged state, so the search is a graph: one kernel call per distinct
-(component, state).  A node runs one generic step; an exact option
-changes the generic merged state at three keys, so its bound check is
-O(1), and only the options that pass it copy the state.  The last
-component is read at the one index S_g = d.  Each node counts its
-all-exact and its generic completions from its children's counts, so the
-hits are counted without being listed; the witnesses, when asked for,
-come from a walk that enters only nodes with hits.
+has no r-positive completion and its subtree is skipped; the cells with
+C[u] + Lb[c][u] above r when counting, or above min_u (C[u] + U[c][u])
+when listing, are set missing, so more prefixes share a node.  The
+subtree below a prefix depends only on its length and merged state, so
+the search is a graph: one kernel call per distinct (component, state).
+A node runs one generic step; every exact option whose key holds a
+missing cell shares the generic child, and the others build theirs.
+The last component is read at the one index S_g = d.  Each node counts
+its all-exact and its generic completions from its children's counts, so
+the hits are counted without being listed; the witnesses, when asked
+for, come from a walk that enters only nodes with hits.
 """
 
 from __future__ import annotations
@@ -249,14 +249,9 @@ def _merge(n0: list[int], n1: list[int]) -> list[int]:
     twist u = lo + k (one entry longer than the state): an eps-0 state at
     S = u - 1 forces the new sections to vanish at the node, an eps-1
     state at S = u spends one matching condition.  So
-    C[u] = min(n0[u - 1], n1[u] - 1), the :func:`_meet` of each key, written
-    out: through ``map`` the kernel pass reads 3% slower."""
+    C[u] = min(n0[u - 1], n1[u] - 1), where a missing n1[u] never wins, and
+    a key is missing exactly when both of its inputs are."""
     return [a if b >= _INF or a < b else b - 1 for a, b in zip([_INF, *n0], [*n1, _INF])]
-
-
-def _meet(a: int, b: int) -> int:
-    """min(a, b - 1), where a missing b never wins (a < b means a <= b - 1)."""
-    return a if b >= _INF or a < b else b - 1
 
 
 def _dp_step(C: list[int], lo: int):
@@ -274,8 +269,8 @@ def _dp_step(C: list[int], lo: int):
     state is a suffix minimum, m0[s] = suf[s - lo] = min_{u >= s} C[u], and
     a prefix minimum, m1[s] = s + pre[s - lo] = s + min_{u < s} (C[u] - u).
     An exact aspect moves the cell u = aspect[0] between them at s = u and
-    s = u + 1, so its state is this one with the two cells of
-    :func:`_patch` at the indices aspect[0] - lo and aspect[0] - lo + 1.
+    s = u + 1, so its state is this one with the cells at the indices
+    aspect[0] - lo and aspect[0] - lo + 1 rewritten by :func:`_patch`.
     Linear in the window.
     """
     sums = range(lo, lo + len(C) - 1)
@@ -285,13 +280,16 @@ def _dp_step(C: list[int], lo: int):
     return pre, suf, suf[:-1], list(map(add, sums, pre))
 
 
-def _patch(u: int, c: int, p: int, q: int) -> tuple[int, int, int, int]:
-    """The cells m0[u], m1[u], m0[u + 1], m1[u + 1] of an exact aspect with
-    aspect[0] = u, from c = C[u], p = pre[u - lo] and q = suf[u - lo + 1]
-    of :func:`_dp_step`; every other cell is generic.  At s = u the
-    degree-0 cell has a section, at s = u + 1 the degree-1 cell keeps
-    eps = 0."""
-    return q, min(u + p, c + 1), min(q, c + 1), u + 1 + p
+def _patch(u: int, C: list[int], lo: int, pre, suf, m0: list[int], m1: list[int]) -> None:
+    """Turn the generic state (m0, m1) of :func:`_dp_step` on C into that
+    of an exact aspect with aspect[0] = u in the window, in place: at s = u
+    the degree-0 cell has a section, at s = u + 1 the degree-1 cell keeps
+    eps = 0, and every other cell is generic."""
+    k = u - lo
+    p, q, c = pre[k], suf[k + 1], C[k] + 1
+    m0[k], m1[k] = q, min(u + p, c)
+    if k + 1 < len(m0):
+        m0[k + 1], m1[k + 1] = min(q, c), u + 1 + p
 
 
 def _dp_end(aspects, C: list[int], lo: int, d: int) -> list[int]:
@@ -328,17 +326,15 @@ def _kernel_pass(L: LimitLineBundle, lo: int, hi: int):
     every state, the minimum h0 and its :func:`_witness`, walked while the
     merged arrays are at hand, to be read and not changed (module docstring).
     Each state is the generic one with an exact aspect's two cells
-    (:func:`_patch`) written in place."""
-    g, d, n = L.g, L.d, hi - lo + 1
+    written in place by :func:`_patch`."""
+    g, d = L.g, L.d
     aspects = tuple(None if a is None else (a[1], a[0]) for a in reversed(L.aspects))
     C = _start(lo, hi)
     states, merged = [], []
     for j, a in enumerate(aspects, 1):
         pre, suf, m0, m1 = _dp_step(C, lo)
-        if a is not None and 0 <= (k := a[0] - lo) < n:
-            m0[k], m1[k], *cells = _patch(a[0], C[k], pre[k], suf[k + 1])
-            if k + 1 < n:
-                m0[k + 1], m1[k + 1] = cells
+        if a is not None and lo <= a[0] <= hi:
+            _patch(a[0], C, lo, pre, suf, m0, m1)
         states.append((m0, m1))
         if j < g:
             merged.append(C := _merge(m0, m1))
@@ -509,6 +505,7 @@ def aspect_options(g: int, d: int, window: int) -> list[list[Aspect]]:
     by left coefficient; the generic option is last."""
     require(1, g=g)
     require(None, d=d)
+    require(0, window=window)
     if g == 1:
         return [[(0, 0), None] if d == 0 else [None]]
     options: list[list[Aspect]] = []
@@ -577,47 +574,37 @@ def _search_bounds(g: int, d: int, lo: int, hi: int) -> tuple[list[list[int]], l
     return upper, lower
 
 
-def _search_step(aspects, C: list[int], lo: int, U: list[int], Lb: list[int] | None, r: int):
-    """The children of a search node with merged state C: each option in
-    ``aspects`` whose merged state C2 has min_u (C2[u] + U[u]) > r, with
-    C2, in which each key with C2[u] + Lb[u] > r is set missing unless Lb
-    is None.  One generic step (:func:`_dp_step`), then O(1) per rejected
-    option; only a kept exact option copies a list.
+def _child(m0: list[int], m1: list[int], U: list[int], Lb: list[int], r: int, clamp: bool):
+    """The merged state C2 of (m0, m1), or None when t = min (C2 + U) <= r,
+    with each key where C2[u] + Lb[u] exceeds r (``clamp``) or t set to
+    _INF: with Lb >= 0, every missing key unless all are missing."""
+    C2 = _merge(m0, m1)
+    if (t := min(map(add, C2, U))) <= r:
+        return None
+    if clamp:
+        t = r
+    return [c if c + b <= t else _INF for c, b in zip(C2, Lb)]
 
-    An exact option at k = a[0] - lo changes the state at k and k + 1 alone
-    (:func:`_patch`), and key u merges m0[u - 1] with m1[u], so C2 is the
-    generic merged state G except at the keys k..k + 2.  So
-    min (C2 + U) > r iff the "low" keys, with G[u] + U[u] <= r (where the
-    prefix and suffix minima of G + U reach r), all lie in k..k + 2 and
-    the patched keys are not low in C2.  The clamp acts key by key: G is
-    clamped once, and a kept option clamps its patched keys."""
-    pre, suf, *state = _dp_step(C, lo)
-    n, G = len(C) - 1, _merge(*state)
-    low = [u for u, (c, b) in enumerate(zip(G, U)) if c + b <= r]
-    kept, base = [], None
+
+def _search_step(aspects, C: list[int], lo: int, U: list[int], Lb: list[int], r: int, clamp: bool):
+    """The children of a search node with merged state C: each option in
+    ``aspects`` whose :func:`_child` is not None, with it.  One generic step
+    (:func:`_dp_step`) gives the generic child, and every exact option at a
+    key k = a[0] - lo outside the window or with C[k] missing shares it:
+    with C[k] missing, :func:`_patch` changes only cells that are missing
+    in both states, so only keys that are missing in both merged states,
+    and the clamp writes those as _INF.  Each other exact option patches a
+    copy of the generic state and builds its own child."""
+    pre, suf, m0, m1 = _dp_step(C, lo)
+    n, generic, kept = len(m0), _child(m0, m1, U, Lb, r, clamp), []
     for a in aspects:
-        k = -1 if a is None else a[0] - lo
-        if not 0 <= k < n:
-            if low:
-                continue
-            cells = ()
-        elif low and (low[0] < k or low[-1] > k + 2):
-            continue
-        else:
-            x0, x1, y0, y1 = _patch(a[0], C[k], pre[k], suf[k + 1])
-            cells = [_meet(suf[k - 1] if k else _INF, x1), x0]
-            if k + 1 < n:
-                cells[1:] = _meet(x0, y1), _meet(y0, a[0] + 2 + pre[k + 2] if k + 2 < n else _INF)
-            if min(map(add, cells, U[k:k + 3])) <= r:
-                continue
-        if base is None:
-            base = G if Lb is None else [c if c + b <= r else _INF for c, b in zip(G, Lb)]
-        C2 = base
-        if cells:
-            C2 = base[:]
-            for u, c in enumerate(cells, k):
-                C2[u] = c if Lb is None or c + Lb[u] <= r else _INF
-        kept.append((a, C2))
+        C2 = generic
+        if a is not None and 0 <= (k := a[0] - lo) < n and C[k] < _INF:
+            x0, x1 = m0[:], m1[:]
+            _patch(a[0], C, lo, pre, suf, x0, x1)
+            C2 = _child(x0, x1, U, Lb, r, clamp)
+        if C2 is not None:
+            kept.append((a, C2))
     return kept
 
 
@@ -631,12 +618,14 @@ def _search_graph(g: int, r: int, d: int, window: int | None, clamp: bool):
     The kernel is min-plus linear in C, so a completion's min h0 is
     min_u (C[u] + F(u)) with Lb <= F <= U (:func:`_search_bounds`, next
     component).  An option whose merged state has min_u (C[u] + U[u]) <= r
-    is dropped: no completion is r-positive.  With ``clamp`` each cell with
-    C[u] + Lb[u] > r is set missing before the node is keyed.  The counts
-    stay: a failing completion's minimum is attained at a cell with
-    C[u] + Lb[u] <= r at every depth, which is never clamped, and a clamped
-    cell only raises its own term.  The kept min h0 values do change, so
-    only counting clamps.  Returns the root's options and both counts."""
+    is dropped: no completion is r-positive.  Then each cell with
+    C[u] + Lb[u] > r, with ``clamp`` (counting), or > t = min_u (C[u] + U[u])
+    without it (listing), is set missing before the node is keyed.  A
+    clamped cell only raises its own term, and a completion's minimum is
+    never clamped: when it fails, C + Lb <= C + F <= r at its argmin cell
+    at every depth, so no count changes; and always C + Lb <= C + F =
+    min h0 <= t there, since F <= U, so every listed min h0 is exact.
+    Returns the root's options and both counts."""
     require(1, g=g)
     require(0, r=r)
     window, lo, hi = _window(g, d, window)
@@ -651,7 +640,7 @@ def _search_graph(g: int, r: int, d: int, window: int | None, clamp: bool):
             if leaf := j == g - 1:  # the last component ends at S_g = d
                 step = zip(opts, _dp_end(opts, C, lo, d))
             else:
-                step = _search_step(opts, C, lo, upper[j], lower[j] if clamp else None, r)
+                step = _search_step(opts, C, lo, upper[j], lower[j], r, clamp)
             for a, x in step:
                 below, e, m = (x, int(x > r), 0) if leaf else node(j + 1, x)
                 if a is None:  # every completion is generic

@@ -173,11 +173,11 @@ def odd_degree_certificate(d: int) -> OddDegreeCertificate:
     """Run the 1-secant peeling ledger for an odd degree d >= 3.  Even
     degrees are refused: the ledger certifies odd d only.  For odd d the
     formulas give sub = quot = (3d+1)/2 and total = 4d-2 outright."""
+    require(3, d=d)
     if d % 2 == 0:
         raise PreconditionError(
             f"degree {d} is even; this balancedness certificate covers odd degrees only"
         )
-    require(3, d=d)
     peels = (d - 3) // 2
     reduced = (d + 3) // 2
     # sub: pointing bundle of the reduced curve through q, twisted by the

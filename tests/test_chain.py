@@ -397,6 +397,9 @@ class TestSearch:
             search_limit_bundles(3, 1, 3, window=-1)
         with pytest.raises(PreconditionError, match="window"):
             min_h0(RUNNING, -1)
+        # not a truncated option set
+        with pytest.raises(PreconditionError, match="window=-1"):
+            aspect_options(3, 4, -1)
 
     def test_minima_match_single_bundle_engine(self):
         for w in search_witnesses(3, 1, 3):

@@ -1,14 +1,14 @@
 """The linear chain-DP kernel against the quadratic sweep it replaced.
 
 ``bnkit.chain._dp_step`` glues one component with a generic aspect onto
-a prefix state in time linear in the window, and ``_patch`` gives the two
+a prefix state in time linear in the window, and ``_patch`` writes the two
 cells an exact aspect changes.  ``oracles`` keeps the pairwise sweep,
 which tries every pair of old and new prefix sums; every test here asks
 the two for the same numbers, including missing states and exact aspects
 on the two diagonals where the component has degree 0 or 1.  So do the
 readers built on them: ``_dp_end``, the last component's state at
-S_g = d, and ``_search_step``, a search node's children with their three
-patched keys and O(1) bound check.
+S_g = d, and ``_search_step``, a search node's children, where every
+option whose exact key holds a missing cell shares the generic child.
 
 The search's closed-form bound tables are checked the same way, against
 the recursion over every cell that takes the worse (upper table) or the
@@ -16,9 +16,11 @@ better (lower table) outcome per cell, and the pruned search against the
 oracle that visits every tuple.  The bounds themselves are checked
 directly: at every prefix of a small search they sandwich the min h0 of
 every completion, which catches an unsound table even where it happens
-not to cross r + 1.  The counting search, which clamps its states with
-the lower table, gives the unclamped graph's counts, and a search whose
-tables neither prune nor clamp gives the same result as the pruned one.
+not to cross r + 1.  Both searches clamp their states with the lower
+table, the counts at r and the listing at each child's own upper bound,
+and both give the counts and witnesses of a search whose lower table
+clamps nothing; a search whose tables neither prune nor clamp gives the
+same result as the pruned one.
 A search runs the kernel once per distinct (depth, merged state), which
 a counting wrapper around the kernel pins, and with the tuple guard
 lifted its rho = 0 counts up to genus 16 are those of ``count_grd``.
@@ -76,12 +78,8 @@ def _state(aspect, C, lo):
     """The state of one aspect: the generic step with an exact aspect's two
     cells written in place, as the kernel pass builds it."""
     pre, suf, m0, m1 = chain._dp_step(C, lo)
-    k = -1 if aspect is None else aspect[0] - lo
-    if 0 <= k < len(m0):
-        cells = chain._patch(aspect[0], C[k], pre[k], suf[k + 1])
-        m0[k], m1[k] = cells[:2]
-        if k + 1 < len(m0):
-            m0[k + 1], m1[k + 1] = cells[2:]
+    if aspect is not None and 0 <= aspect[0] - lo < len(m0):
+        chain._patch(aspect[0], C, lo, pre, suf, m0, m1)
     return m0, m1
 
 
@@ -127,45 +125,49 @@ class TestStep:
             aspects = [_random_aspect(rng, d, lo, hi) for _ in range(6)]
             leaf, r = [rng.choice([None, (d, 0)]) for _ in range(6)], rng.randint(0, 12)
             assert chain._dp_end(leaf, C, lo, d) == [chain._dp_end((a,), C, lo, d)[0] for a in leaf]
-            U = [rng.randint(0, 6) for _ in C]
-            for Lb in (None, [rng.randint(0, 6) for _ in C]):
-                together = chain._search_step(aspects, C, lo, U, Lb, r)
-                alone = [kid for a in aspects for kid in chain._search_step((a,), C, lo, U, Lb, r)]
+            U, Lb = ([rng.randint(0, 6) for _ in C] for _ in range(2))
+            for clamp in (True, False):
+                args = C, lo, U, Lb, r, clamp
+                together = chain._search_step(aspects, *args)
+                alone = [kid for a in aspects for kid in chain._search_step((a,), *args)]
                 assert together == alone
 
-    def test_search_step_patches_three_keys_with_an_exact_bound(self):
-        """An exact option's merged state is the generic one G with the keys
-        k, k + 1 and k + 2 patched, and the bound check reads min_u (C2 + U)
-        in O(1).  Against ``_merge`` of the pairwise sweep, for every option
-        whose k is 0, 1, n - 2, n - 1, inside or outside the window: a
-        child is kept exactly when min(C2 + U) > r, at r just below and at
-        that minimum and far from it, and it is the oracle's merged state,
-        clamped per key by Lb when Lb is given."""
+    def test_search_step_children_against_the_sweep(self):
+        """Each option's child is ``_merge`` of the pairwise sweep's state,
+        kept exactly when t = min(C2 + U) > r, and clamped at r with
+        ``clamp`` or at its own t without it: every key with C2 + Lb above
+        the threshold reads INF.  For every option whose k is 0, 1, n - 2,
+        n - 1, inside or outside the window, with C[k] missing and finite,
+        at r just below and at t and far from it.  An option outside the
+        window or at a missing key gets the generic option's child."""
         rng = random.Random(28)
-        edges = 0
+        edges = missing = 0
         for _ in range(300):
             d = rng.randint(-2, 8)
             _, lo, hi = chain._window(1, d, rng.randint(0, 5))
             n = hi - lo + 1
             state = _random_state(rng, n)
             C = chain._merge(*state)
-            U = [rng.randint(-2, 8) for _ in C]
-            Lb = [rng.randint(-4, 4) for _ in C]
+            U, Lb = [rng.randint(-2, 8) for _ in C], [rng.randint(0, 6) for _ in C]
             for k in [*range(-2, n + 2), None]:
                 aspect = None if k is None else (lo + k, d - lo - k)
                 merged = chain._merge(*oracles.forward_dp_step(aspect, d, lo, hi, state))
                 bound = min(map(add, merged, U))
                 edges += k in (0, 1, n - 2, n - 1)
+                shared = k is not None and not (0 <= k < n and C[k] < INF)
+                missing += shared and 0 <= k < n
                 for r in {-3, 24, *((bound - 1, bound) if bound < INF else ())}:
-                    for clamp in (None, Lb):
-                        kept = chain._search_step((aspect,), C, lo, U, clamp, r)
+                    for clamp in (True, False):
+                        kept = chain._search_step((aspect,), C, lo, U, Lb, r, clamp)
                         assert bool(kept) == (bound > r), (C, lo, aspect, U, r)
                         if kept:
-                            want = merged if clamp is None else [
-                                c if c + b <= r else INF for c, b in zip(merged, clamp)
-                            ]
-                            assert _norm(kept[0][1]) == _norm(want), (C, lo, aspect, U, clamp, r)
-        assert edges > 1000
+                            t = r if clamp else bound
+                            want = [c if c + b <= t else INF for c, b in zip(merged, Lb)]
+                            assert kept[0][1] == want, (C, lo, aspect, U, Lb, r, clamp)
+                        if shared:
+                            generic = chain._search_step((None,), C, lo, U, Lb, r, clamp)
+                            assert [kid for _, kid in kept] == [kid for _, kid in generic]
+        assert edges > 1000 and missing > 300
 
 
 def _oracle_a_rows(tables, g, r, lo):
@@ -414,23 +416,42 @@ class TestSearchBound:
                             assert floor <= min(minima), (g, d, window, prefix)
                             assert max(minima) <= bound, (g, d, window, prefix)
 
-    def test_clamped_counts_equal_the_unclamped_graph(self):
-        """Clamping the counting search's states changes no count, on
-        every search with g <= 6, r <= 4, d = -2..2g+1 at windows 0, 1, 2
-        and the default that the tuple guard admits."""
-        searched = 0
+    def test_clamped_searches_equal_the_unclamped_graph(self, monkeypatch):
+        """Clamping changes no count and no witness: the counting search,
+        clamped at r, and the listing, clamped at each child's own t, give
+        what a search with the same upper tables and a lower table of
+        -2 * _INF, which clamps no cell, gives.  On every search with
+        g <= 6, r <= 4, d = -2..2g+1 at windows 0, 1, 2 and the default that
+        the tuple guard admits; a listing over the hit guard is refused
+        alike."""
+        def outcome(g, r, d, window):
+            counts = search_limit_bundles(g, r, d, window)  # the tuple guard refuses here
+            try:
+                return counts, search_witnesses(g, r, d, window)
+            except PreconditionError as refusal:
+                return counts, str(refusal)
+
+        cases, got = [], []
         for g in range(1, 7):
             for r in range(5):
                 for d in range(-2, 2 * g + 2):
                     for window in (0, 1, 2, None):
                         try:
-                            want = chain._search_graph(g, r, d, window, False)[1:]
+                            got.append(outcome(g, r, d, window))
                         except PreconditionError:
                             continue
-                        got = chain._search_graph(g, r, d, window, True)[1:]
-                        assert got == want, (g, r, d, window)
-                        searched += 1
-        assert searched == 1_305
+                        cases.append((g, r, d, window))
+        assert len(cases) == 1_305
+        assert sum(isinstance(listed, str) for _, listed in got) > 0
+        bounds = chain._search_bounds
+
+        def clamp_free(g, d, lo, hi):
+            upper, lower = bounds(g, d, lo, hi)
+            return upper, [[-2 * chain._INF] * len(row) for row in lower]
+
+        monkeypatch.setattr(chain, "_search_bounds", clamp_free)
+        for case, result in zip(cases, got):
+            assert outcome(*case) == result, case
 
     def test_bound_free_search_agrees(self, monkeypatch):
         """Tables that neither prune nor clamp must give the same result:

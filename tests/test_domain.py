@@ -115,6 +115,9 @@ SCALAR_CASES = {
     "balanced_type-total": (lambda: splitting.balanced_type(3, 4.5), "total"),
     "chain.chip_fire-i": (lambda: chain.chip_fire((1, 2, 0), 2.0), "i"),
     "chain.prefix_fire-i": (lambda: chain.prefix_fire((1, 2, 0), 1.0), "i"),
+    "chain.aspect_options-window": (lambda: chain.aspect_options(3, 4, 1.0), "window"),
+    "odd_degree_certificate-d-4.0": (lambda: normal_bundle.odd_degree_certificate(4.0), "d"),
+    "odd_degree_certificate-d-str": (lambda: normal_bundle.odd_degree_certificate("4"), "d"),
     "modify-summand_index": (lambda: normal_bundle.modify(SPLIT, 1.0, "+", 1), "summand_index"),
     "hh_restriction-summand_index": (lambda: normal_bundle.hh_restriction(SPLIT, [0, 1.0]),
                                      "summand_index"),
