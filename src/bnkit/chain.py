@@ -38,7 +38,7 @@ subtree below a prefix depends only on its length and merged state, so
 the search is a graph: one kernel call per distinct (component, state).
 A node runs one generic step; every exact option whose key holds a
 missing cell shares the generic child, and the others build theirs.
-The last component is read at the one index S_g = d.  Each node counts
+The last component is read at the one key of S_g = d.  Each node counts
 its all-exact and its generic completions from its children's counts, so
 the hits are counted without being listed; the witnesses, when asked
 for, come from a walk that enters only nodes with hits.
@@ -172,15 +172,8 @@ def restrict(L: LimitLineBundle, dist) -> list[ComponentBundle]:
     i carries the i-th aspect twisted down by S_{i-1} at the left node and
     d - S_i at the right node (S_i the prefix sums), so its degree is
     d^i."""
-    dist = _check_dist(L, dist)
-    out = []
-    prefix = 0
-    for i, a in enumerate(L.aspects):
-        u = prefix
-        prefix += dist[i]
-        v = L.d - prefix
-        out.append(ComponentBundle(a, u, v, L.d))
-    return out
+    sums = list(accumulate(_check_dist(L, dist), initial=0))
+    return [ComponentBundle(a, u, L.d - s, L.d) for a, u, s in zip(L.aspects, sums, sums[1:])]
 
 
 # --- exact h0 of a multidegree limit ---
@@ -218,9 +211,11 @@ def default_window(g: int) -> int:
 #
 # Every windowed computation below runs the same left-to-right recursion
 # over prefix-sum states.  The state after the components E^1..E^j is a
-# pair of arrays (n0, n1) over S_j = s in the window: the minimum h0 of
-# the prefix X^{<=j} among windowed prefixes with that sum whose
-# sections evaluate at p^j with rank eps = 0 resp. 1.
+# pair of arrays (n0, n1) at the keys s - lo of the sums S_j = s in the
+# window [lo, hi]: the minimum h0 of the prefix X^{<=j} among windowed
+# prefixes with that sum whose sections evaluate at p^j with rank eps = 0
+# resp. 1.  A step reads only keys; lo appears only where a sum is read
+# or written: _start, an option's key, _witness and the tables' alpha.
 
 def _window(g: int, d: int, window: int | None) -> tuple[int, int, int]:
     """The degree window, ``default_window(g)`` when None, and its
@@ -254,11 +249,10 @@ def _merge(n0: list[int], n1: list[int]) -> list[int]:
     return [a if b >= _INF or a < b else b - 1 for a, b in zip([_INF, *n0], [*n1, _INF])]
 
 
-def _dp_step(C: list[int], lo: int):
+def _dp_step(C: list[int]):
     """Glue one more component with a generic aspect onto the merged array
-    ``C`` (see :func:`_merge`).  Returns (pre, suf, m0, m1): the prefix and
-    suffix minima below, and the state they give, over the window's sums s
-    at index s - lo.
+    ``C`` (see :func:`_merge`).  Returns its state (m0, m1), keyed like C
+    and one entry shorter.
 
     At left twist u and new prefix sum s the component has degree
     k = s - u.  For k >= 2 it adds k sections and leaves eps = 1; for
@@ -266,43 +260,38 @@ def _dp_step(C: list[int], lo: int):
     see the aspect: a generic class adds 1 at eps = 1 for k = 1 and 0 at
     eps = 0 for k = 0, while an exact aspect with aspect[0] == u adds 1
     at eps = 0 for k = 1 and 1 at eps = 1 for k = 0.  So the generic
-    state is a suffix minimum, m0[s] = suf[s - lo] = min_{u >= s} C[u], and
-    a prefix minimum, m1[s] = s + pre[s - lo] = s + min_{u < s} (C[u] - u).
-    An exact aspect moves the cell u = aspect[0] between them at s = u and
-    s = u + 1, so its state is this one with the cells at the indices
-    aspect[0] - lo and aspect[0] - lo + 1 rewritten by :func:`_patch`.
-    Linear in the window.
+    state is a suffix minimum, m0[i] = min_{j >= i} C[j], and a prefix
+    minimum, m1[i] = i + min_{j < i} (C[j] - j) from _INF, in which lo
+    cancels.  An exact aspect moves the cell at its key between them, at
+    that key and the next (:func:`_patch`).  Linear in the window.
     """
-    sums = range(lo, lo + len(C) - 1)
-    # an empty prefix starts at _INF - lo, so that s + pre stays missing
-    pre = list(accumulate(map(sub, C, sums), min, initial=_INF - lo))
-    suf = list(accumulate(reversed(C), min))[::-1]
-    return pre, suf, suf[:-1], list(map(add, sums, pre))
+    keys = range(len(C) - 1)
+    m1 = list(map(add, keys, accumulate(map(sub, C, keys), min, initial=_INF)))
+    return list(accumulate(reversed(C), min))[:0:-1], m1
 
 
-def _patch(u: int, C: list[int], lo: int, pre, suf, m0: list[int], m1: list[int]) -> None:
+def _patch(k: int, C: list[int], m0: list[int], m1: list[int]) -> None:
     """Turn the generic state (m0, m1) of :func:`_dp_step` on C into that
-    of an exact aspect with aspect[0] = u in the window, in place: at s = u
-    the degree-0 cell has a section, at s = u + 1 the degree-1 cell keeps
-    eps = 0, and every other cell is generic."""
-    k = u - lo
-    p, q, c = pre[k], suf[k + 1], C[k] + 1
-    m0[k], m1[k] = q, min(u + p, c)
+    of an exact aspect at key k, in place: at k the degree-0 cell has a
+    section, at k + 1 the degree-1 cell keeps eps = 0, and every other
+    cell is generic.  So with c = C[k] + 1 and q = m0[k + 1], or C[-1] at
+    the last key, m0[k] = q, m1[k] = min(m1[k], c), m0[k + 1] = min(q, c)
+    and m1[k + 1] is the generic m1[k] + 1."""
+    c, m, q = C[k] + 1, m1[k], C[-1]
     if k + 1 < len(m0):
-        m0[k + 1], m1[k + 1] = min(q, c), u + 1 + p
+        m0[k + 1], m1[k + 1] = min(q := m0[k + 1], c), m + 1
+    m0[k], m1[k] = q, min(m, c)
 
 
-def _dp_end(aspects, C: list[int], lo: int, d: int) -> list[int]:
-    """min(m0[t], m1[t]) at t = d - lo of the state of each option of a
-    search's last component, which ends at S_g = d: ``(d, 0)`` or generic
-    (None).  The generic cell is min(C[t], suf[t + 1], d + pre[t]), and
-    ``(d, 0)`` has aspect[0] = d, so :func:`_patch` adds one section at
+def _dp_end(aspects, C: list[int], t: int) -> list[int]:
+    """min(m0[t], m1[t]) at the key t = d - lo of S_g = d, of the state of
+    each option of a search's last component: ``(d, 0)`` or generic
+    (None).  The generic cell is min(C[t], min_{j > t} C[j], m1[t]), and
+    ``(d, 0)`` has its key at t, so :func:`_patch` adds one section at
     its degree-0 cell, C[t] + 1, and leaves the rest.  Each term is a
     minimum over a slice of C, so no list of the step is built; a missing
     value may come out as another missing value."""
-    t = d - lo
-    pre = min(map(sub, C[:t], range(lo, d)), default=_INF - lo)
-    rest = min(min(C[t + 1:]), d + pre)
+    rest = min(min(C[t + 1:]), t + min(map(sub, C[:t], range(t)), default=_INF))
     return [min(C[t] + (a is not None), rest) for a in aspects]
 
 
@@ -325,16 +314,17 @@ def _kernel_pass(L: LimitLineBundle, lo: int, hi: int):
     p^{g-j}; the last state is the whole chain at key d (S_0 = 0).  Returns
     every state, the minimum h0 and its :func:`_witness`, walked while the
     merged arrays are at hand, to be read and not changed (module docstring).
-    Each state is the generic one with an exact aspect's two cells
-    written in place by :func:`_patch`."""
+    Each reflected aspect becomes its key, or None when it is generic or
+    outside the window, where no cell sees it; :func:`_patch` writes an
+    exact aspect's two cells into the generic state."""
     g, d = L.g, L.d
-    aspects = tuple(None if a is None else (a[1], a[0]) for a in reversed(L.aspects))
+    keys = tuple(a[1] - lo if a and lo <= a[1] <= hi else None for a in reversed(L.aspects))
     C = _start(lo, hi)
     states, merged = [], []
-    for j, a in enumerate(aspects, 1):
-        pre, suf, m0, m1 = _dp_step(C, lo)
-        if a is not None and lo <= a[0] <= hi:
-            _patch(a[0], C, lo, pre, suf, m0, m1)
+    for j, k in enumerate(keys, 1):
+        m0, m1 = _dp_step(C)
+        if k is not None:
+            _patch(k, C, m0, m1)
         states.append((m0, m1))
         if j < g:
             merged.append(C := _merge(m0, m1))
@@ -342,22 +332,23 @@ def _kernel_pass(L: LimitLineBundle, lo: int, hi: int):
     if (best := min(n0, n1)) >= _INF:
         raise InternalCheckError("chain DP produced no state at S_0 = 0")
     # ties at S_0 go to eps 0
-    return tuple(states), best, _witness(d, lo, aspects, states, merged, int(n1 < n0), best)
+    return tuple(states), best, _witness(d, lo, keys, states, merged, int(n1 < n0), best)
 
 
-def _witness(d: int, lo: int, aspects, states, merged, eps: int, val: int) -> tuple[int, ...]:
+def _witness(d: int, lo: int, keys, states, merged, eps: int, val: int) -> tuple[int, ...]:
     """A distribution attaining the minimum ``val``, reached at S_0 with
-    rank ``eps``, by walking back over the merged arrays C of the states.
+    rank ``eps``, by walking back over the merged arrays C of the states,
+    whose exact aspects are given by their ``keys`` (:func:`_kernel_pass`).
     At key u the component has degree k = s - u and adds (h0, eps) as in
     :func:`_dp_step`; each state is a minimum, so a key whose eps matches
     and C[u] + h0 equals the state has a predecessor attaining C[u].  Ties
     go to the smallest S_i, then eps 0 before eps 1."""
-    g, s, sums = len(aspects), d, []
+    g, s, sums = len(keys), d, []
     for j in range(g - 1, 0, -1):
-        a, prev1, C = aspects[j], states[j - 1][1], merged[j - 1]
+        key, prev1, C = keys[j], states[j - 1][1], merged[j - 1]
         # the largest key first is the smallest S_{g-j}
         for i in range(len(C) - 1, -1, -1):
-            k, exact = s - lo - i, a is not None and a[0] == lo + i
+            k, exact = s - lo - i, key == i
             # (h0, eps) of the cell at k >= 2, k < 0, k = 1 and k = 0
             w, e = (k, 1) if k > 1 else (0, 0) if k < 0 else (1, not exact) if k else (exact, exact)
             if e == eps and C[i] + w == val:
@@ -588,20 +579,21 @@ def _child(m0: list[int], m1: list[int], U: list[int], Lb: list[int], r: int, cl
 
 def _search_step(aspects, C: list[int], lo: int, U: list[int], Lb: list[int], r: int, clamp: bool):
     """The children of a search node with merged state C: each option in
-    ``aspects`` whose :func:`_child` is not None, with it.  One generic step
-    (:func:`_dp_step`) gives the generic child, and every exact option at a
-    key k = a[0] - lo outside the window or with C[k] missing shares it:
-    with C[k] missing, :func:`_patch` changes only cells that are missing
-    in both states, so only keys that are missing in both merged states,
-    and the clamp writes those as _INF.  Each other exact option patches a
-    copy of the generic state and builds its own child."""
-    pre, suf, m0, m1 = _dp_step(C, lo)
-    n, generic, kept = len(m0), _child(m0, m1, U, Lb, r, clamp), []
+    ``aspects`` whose :func:`_child` is not None, with it.  Each exact
+    option's key k = a[0] - lo must be a key of the state, as for every
+    option of :func:`aspect_options`: lo <= -window <= a[0] <= d + window
+    <= hi inside, and 0 or d at the ends.  One generic step gives the
+    generic child, which every exact option with C[k] missing shares:
+    :func:`_patch` then changes only cells missing in both states, so only
+    keys missing in both merged states, which the clamp writes as _INF.
+    Each other exact option patches a copy of the generic state."""
+    m0, m1 = _dp_step(C)
+    generic, kept = _child(m0, m1, U, Lb, r, clamp), []
     for a in aspects:
         C2 = generic
-        if a is not None and 0 <= (k := a[0] - lo) < n and C[k] < _INF:
+        if a is not None and C[k := a[0] - lo] < _INF:
             x0, x1 = m0[:], m1[:]
-            _patch(a[0], C, lo, pre, suf, x0, x1)
+            _patch(k, C, x0, x1)
             C2 = _child(x0, x1, U, Lb, r, clamp)
         if C2 is not None:
             kept.append((a, C2))
@@ -638,7 +630,7 @@ def _search_graph(g: int, r: int, d: int, window: int | None, clamp: bool):
         if (found := memo.get(key := (j, *C))) is None:
             opts, kids, exact, generic = options[j], [], 0, 0
             if leaf := j == g - 1:  # the last component ends at S_g = d
-                step = zip(opts, _dp_end(opts, C, lo, d))
+                step = zip(opts, _dp_end(opts, C, d - lo))
             else:
                 step = _search_step(opts, C, lo, upper[j], lower[j], r, clamp)
             for a, x in step:

@@ -7,7 +7,7 @@ floats, byte-identical across runs.  CSV cells holding a comma, a double
 quote or a line break are quoted as in RFC 4180.  Exit codes: 0 success,
 2 usage or precondition error (with a one-line diagnostic naming the
 violated precondition), 3 internal invariant violation (a bug, not a user
-error).
+error).  A reader that closes stdout early leaves the code as it was.
 
 A command is one entry of ``COMMANDS``: its name, help text, flags and a
 function from the parsed arguments to the result payload.  The parser tree
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from collections import namedtuple
 
@@ -380,7 +381,11 @@ def main(argv: list[str] | None = None) -> int:
         limit = sys.get_int_max_str_digits()
         print(f"error: the answer has more than {limit} digits", file=sys.stderr)
         return 2
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader stopped early, but the work is done: exit 0
+        # what is left in the buffer goes to devnull, so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -1,14 +1,17 @@
 """The linear chain-DP kernel against the quadratic sweep it replaced.
 
 ``bnkit.chain._dp_step`` glues one component with a generic aspect onto
-a prefix state in time linear in the window, and ``_patch`` writes the two
-cells an exact aspect changes.  ``oracles`` keeps the pairwise sweep,
-which tries every pair of old and new prefix sums; every test here asks
-the two for the same numbers, including missing states and exact aspects
-on the two diagonals where the component has degree 0 or 1.  So do the
-readers built on them: ``_dp_end``, the last component's state at
-S_g = d, and ``_search_step``, a search node's children, where every
-option whose exact key holds a missing cell shares the generic child.
+a prefix state in time linear in the window, and ``_patch`` rewrites from
+that state alone the two cells an exact aspect changes; both take keys
+s - lo of the window, never lo itself.  ``oracles`` keeps the pairwise
+sweep, which tries every pair of old and new prefix sums; every test here
+asks the two for the same numbers, including missing states and exact
+aspects on the two diagonals where the component has degree 0 or 1.  So
+do the readers built on them: ``_dp_end``, the last component's state at
+the key of S_g = d, and ``_search_step``, a search node's children, where
+every option whose exact key holds a missing cell shares the generic
+child.  ``_search_step`` tests no key against the window, so every exact
+option of ``aspect_options`` is checked to lie in it.
 
 The search's closed-form bound tables are checked the same way, against
 the recursion over every cell that takes the worse (upper table) or the
@@ -67,19 +70,19 @@ def _random_state(rng, width):
     return [entry() for _ in range(width)], [entry() for _ in range(width)]
 
 
-def _random_aspect(rng, d, lo, hi):
+def _random_aspect(rng, d, lo, hi, off=2):
     if rng.random() < 0.25:
         return None
-    a = rng.randint(lo - 2, hi + 2)  # on, next to and off the window
+    a = rng.randint(lo - off, hi + off)  # on the window, and with off > 0 next to and off it
     return (a, d - a)
 
 
 def _state(aspect, C, lo):
     """The state of one aspect: the generic step with an exact aspect's two
     cells written in place, as the kernel pass builds it."""
-    pre, suf, m0, m1 = chain._dp_step(C, lo)
-    if aspect is not None and 0 <= aspect[0] - lo < len(m0):
-        chain._patch(aspect[0], C, lo, pre, suf, m0, m1)
+    m0, m1 = chain._dp_step(C)
+    if aspect is not None and 0 <= (k := aspect[0] - lo) < len(m0):
+        chain._patch(k, C, m0, m1)
     return m0, m1
 
 
@@ -110,7 +113,7 @@ class TestStep:
             _, lo, hi = chain._window(1, d, rng.randint(0, 5))
             state = _random_state(rng, hi - lo + 1)
             C, t, leaf = chain._merge(*state), d - lo, [None, (d, 0)]
-            got = chain._dp_end(leaf, C, lo, d)
+            got = chain._dp_end(leaf, C, t)
             if min(min(state[0]), min(state[1])) < INF:
                 assert got == [oracles.forward_dp_finish(a, d, lo, state) for a in leaf]
             want = [min(m0[t], m1[t]) for m0, m1 in (_state(a, C, lo) for a in leaf)]
@@ -122,9 +125,10 @@ class TestStep:
             d = rng.randint(0, 6)
             _, lo, hi = chain._window(1, d, rng.randint(0, 4))
             C = chain._merge(*_random_state(rng, hi - lo + 1))
-            aspects = [_random_aspect(rng, d, lo, hi) for _ in range(6)]
-            leaf, r = [rng.choice([None, (d, 0)]) for _ in range(6)], rng.randint(0, 12)
-            assert chain._dp_end(leaf, C, lo, d) == [chain._dp_end((a,), C, lo, d)[0] for a in leaf]
+            # a search passes only options inside the window (test_options_lie_in_the_window)
+            aspects = [_random_aspect(rng, d, lo, hi, off=0) for _ in range(6)]
+            leaf, r, t = [rng.choice([None, (d, 0)]) for _ in range(6)], rng.randint(0, 12), d - lo
+            assert chain._dp_end(leaf, C, t) == [chain._dp_end((a,), C, t)[0] for a in leaf]
             U, Lb = ([rng.randint(0, 6) for _ in C] for _ in range(2))
             for clamp in (True, False):
                 args = C, lo, U, Lb, r, clamp
@@ -132,14 +136,33 @@ class TestStep:
                 alone = [kid for a in aspects for kid in chain._search_step((a,), *args)]
                 assert together == alone
 
+    def test_options_lie_in_the_window(self):
+        """Every exact option of ``aspect_options`` has both coefficients in
+        the range [lo, hi] of ``_window``, so ``_search_step`` reads every
+        option's key inside the window: interior options lie in
+        [-w, d + w], and the end ones are 0 and d.  The grid reaches
+        d < -w, where lo = d, and d <= -2w - 1, where the interior has no
+        exact option."""
+        exact = below = empty = 0
+        for g in range(1, 11):
+            for d in range(-5, 2 * g + 6):
+                for w in (0, 1, 2, 3, 4, None):
+                    w, lo, hi = chain._window(g, d, w)
+                    options = [a for opts in aspect_options(g, d, w) for a in opts if a is not None]
+                    assert all(lo <= x <= hi for a in options for x in a), (g, d, w)
+                    exact += len(options)
+                    below += d < -w and lo == d
+                    empty += g > 2 and d <= -2 * w - 1 and len(options) == 2
+        assert (exact, below, empty) == (89_886, 156, 72)
+
     def test_search_step_children_against_the_sweep(self):
         """Each option's child is ``_merge`` of the pairwise sweep's state,
         kept exactly when t = min(C2 + U) > r, and clamped at r with
         ``clamp`` or at its own t without it: every key with C2 + Lb above
-        the threshold reads INF.  For every option whose k is 0, 1, n - 2,
-        n - 1, inside or outside the window, with C[k] missing and finite,
-        at r just below and at t and far from it.  An option outside the
-        window or at a missing key gets the generic option's child."""
+        the threshold reads INF.  For every option with a key k of the
+        window, 0, 1, n - 2 and n - 1 among them, with C[k] missing and
+        finite, at r just below and at t and far from it.  An option at a
+        missing key gets the generic option's child."""
         rng = random.Random(28)
         edges = missing = 0
         for _ in range(300):
@@ -149,13 +172,12 @@ class TestStep:
             state = _random_state(rng, n)
             C = chain._merge(*state)
             U, Lb = [rng.randint(-2, 8) for _ in C], [rng.randint(0, 6) for _ in C]
-            for k in [*range(-2, n + 2), None]:
+            for k in [*range(n), None]:
                 aspect = None if k is None else (lo + k, d - lo - k)
                 merged = chain._merge(*oracles.forward_dp_step(aspect, d, lo, hi, state))
                 bound = min(map(add, merged, U))
                 edges += k in (0, 1, n - 2, n - 1)
-                shared = k is not None and not (0 <= k < n and C[k] < INF)
-                missing += shared and 0 <= k < n
+                missing += (shared := k is not None and C[k] >= INF)
                 for r in {-3, 24, *((bound - 1, bound) if bound < INF else ())}:
                     for clamp in (True, False):
                         kept = chain._search_step((aspect,), C, lo, U, Lb, r, clamp)

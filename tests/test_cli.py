@@ -238,6 +238,18 @@ class TestExitCodes:
         assert code == 2
         assert "rho" in err
 
+    def test_a_reader_that_stops_early_gets_exit_0(self):
+        """A 2.8 MB listing, more than a pipe holds, read for 10 bytes and
+        closed: the command did its work, so exit 0 and nothing on stderr."""
+        src = str(Path(bnkit.__file__).resolve().parent.parent)
+        argv = "--format json chain search -g 6 -r 2 -d 7 --witnesses".split()
+        with subprocess.Popen([sys.executable, "-m", "bnkit.cli", *argv], env={"PYTHONPATH": src},
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.read(10) == b'{"command"'
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=60), err) == (0, b"")
+
     def test_too_small_window_is_a_precondition_error(self, capsys):
         code, _, err = run(
             capsys, "chain", "tables", "--aspects", "0,4;2,2;0,4", "-r", "2", "--window", "0"

@@ -56,6 +56,11 @@ class TestModify:
         with pytest.raises(PreconditionError, match="summand index 2 out of range for rank 2"):
             modify(SplitBundle((1, 1)), 2, "+", 1)
 
+    @pytest.mark.parametrize("sign", ["*", ""])
+    def test_sign_error(self, sign):
+        with pytest.raises(PreconditionError, match="sign must be"):
+            modify(SplitBundle((1, 1)), 0, sign, 1)
+
 
 class TestPointing:
     def test_positions(self):
