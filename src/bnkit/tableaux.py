@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
-from math import factorial, prod
 from operator import index
 
 from .errors import _MAX_HITS, _MAX_NODES, InternalCheckError, PreconditionError, require
+from .invariants import factorial_quotient
 
 Partition = tuple[int, ...]
 
@@ -47,9 +47,14 @@ def check_partition(rows) -> Partition:
 # and the residue action maps k-cores to k-cores (see core_apply_residue).
 
 def hook_lengths(p: Partition) -> list[int]:
-    """All hook lengths of the diagram, row by row."""
+    """All hook lengths of the diagram, row by row: row_i - j + col_j - i - 1
+    at row i, column j (0-indexed), where col_j counts the rows longer than
+    j.  As rows weakly decrease, col_j = i + 1 for row_{i+1} <= j < row_i,
+    so one pass over the rows reads every col_j."""
     p = check_partition(p)
-    cols = [sum(row > j for row in p) for j in range(p[0] if p else 0)]
+    cols = [0] * (p[0] if p else 0)
+    for i, (row, below) in enumerate(zip(p, p[1:] + (0,))):
+        cols[below:row] = [i + 1] * (row - below)
     return [row - j + cols[j] - i - 1 for i, row in enumerate(p) for j in range(row)]
 
 
@@ -266,13 +271,16 @@ def k_filling_witnesses(target: Partition, k: int, g: int) -> list[FillingWitnes
 
 def syt_count(shape: Partition) -> int:
     """Number of standard Young tableaux of the given shape, by the hook
-    length formula n! / prod(hooks)."""
+    length formula n! / prod(hooks), read by
+    :func:`~bnkit.invariants.factorial_quotient` off the hooks of length
+    q, 2q, .. for each prime power q.  The longest hook is the corner's."""
     shape = check_partition(shape)
-    hooks = hook_lengths(shape)
-    while len(hooks) > 1:  # pairwise, so that big factors meet at similar sizes
-        hooks = [a * b for a, b in zip(hooks[::2], hooks[1::2])] + hooks[len(hooks) & ~1:]
-    count, rem = divmod(factorial(sum(shape)), prod(hooks))
-    if rem:
+    top = shape[0] + len(shape) - 1 if shape else 0
+    hooks = [0] * (top + 1)  # hooks[h]: how many hooks have length h
+    for h in hook_lengths(shape):
+        hooks[h] += 1
+    count = factorial_quotient(sum(shape), top, lambda q: sum(hooks[q::q]))
+    if count is None:
         raise InternalCheckError(f"hook length formula non-integral on {shape}")
     return count
 

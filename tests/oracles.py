@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to pin expected values.
 
 These deliberately avoid the library's own closed forms: tableaux are
-counted by direct enumeration of fillings, rho-derived quantities by
+counted by direct enumeration of fillings, or for large shapes by the
+hook length formula as one big-integer division, rho-derived quantities by
 explicit scans, and the chain DP by the quadratic pairwise sweep and the
 left-to-right h0 sweep, so that the fast paths are checked against
 something that cannot share their bugs.
@@ -29,6 +30,42 @@ def brute_syt_count(shape: tuple[int, ...]) -> int:
         return total
 
     return place(1)
+
+
+def column_hook_lengths(p: tuple[int, ...]) -> list[int]:
+    """All hook lengths of p, row by row, each column length counted by a
+    scan of every row: O(rows * cols)."""
+    cols = [sum(row > j for row in p) for j in range(p[0] if p else 0)]
+    return [row - j + cols[j] - i - 1 for i, row in enumerate(p) for j in range(row)]
+
+
+def divmod_syt_count(shape: tuple[int, ...]) -> int:
+    """The hook length formula as one division: n! divmod the hook
+    product, the hooks multiplied pairwise."""
+    from math import factorial, prod
+
+    hooks = column_hook_lengths(shape)
+    while len(hooks) > 1:  # pairwise, so that big factors meet at similar sizes
+        hooks = [a * b for a, b in zip(hooks[::2], hooks[1::2])] + hooks[len(hooks) & ~1:]
+    count, rem = divmod(factorial(sum(shape)), prod(hooks))
+    if rem:
+        raise AssertionError(f"hook length formula non-integral on {shape}")
+    return count
+
+
+def divmod_count_grd(g: int, r: int, d: int) -> int:
+    """N(g, r, d) = g! * prod_{a=0}^{r} a! / (g-d+r+a)! at rho = 0, as one
+    division of the two products.  Slow for large r, where the products
+    hold millions of bits: 23 s at (2500, 1249, 3747) with Python 3.11 on
+    a 2-core Xeon."""
+    from math import factorial, prod
+
+    s = g - d + r
+    num = factorial(g) * prod(factorial(a) for a in range(r + 1))
+    count, rem = divmod(num, prod(factorial(s + a) for a in range(r + 1)))
+    if rem:
+        raise AssertionError(f"count_grd({g}, {r}, {d}) is not integral")
+    return count
 
 
 def rho_zero_triples(g_max: int, r_cap: int = 12):

@@ -344,9 +344,13 @@ class TestExitCodes:
         assert err == f"error: listing refused: 1662804 fillings (guard {chain._MAX_HITS})\n"
 
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
-    @pytest.mark.parametrize("argv", ["syt --rows 60 --cols 60", "count -g 14400 -r 1 -d 7201"])
+    @pytest.mark.parametrize("argv", [
+        "syt --rows 60 --cols 60", "count -g 14400 -r 1 -d 7201",
+        "syt --rows 300 --cols 300", "count -g 90000 -r 299 -d 89999",
+    ])
     def test_answer_past_the_digit_limit_is_refused(self, capsys, argv, fmt):
-        # both answers have more digits than int -> str allows (4,300 by default)
+        # every answer has more digits than int -> str allows (4,300 by
+        # default); the CLI builds each one in full before it refuses it
         code, out, err = run(capsys, "--format", fmt, *argv.split())
         assert code == 2
         assert out == ""

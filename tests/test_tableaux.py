@@ -1,15 +1,18 @@
+import random
 import tracemalloc
+from math import factorial
 
 import pytest
 
-from bnkit import tableaux
+from bnkit import invariants, tableaux
 from bnkit.errors import InternalCheckError, PreconditionError
-from bnkit.invariants import count_grd
+from bnkit.invariants import _PRIME_ROUTE_FROM, count_grd, factorial_quotient
 from bnkit.tableaux import (
     FillingWitness,
     core_apply_residue,
     core_length,
     count_k_fillings,
+    hook_lengths,
     is_core,
     k_filling_witnesses,
     parse_partition,
@@ -20,6 +23,9 @@ from bnkit.tableaux import (
 from oracles import (
     brute_k_fillings,
     brute_syt_count,
+    column_hook_lengths,
+    divmod_count_grd,
+    divmod_syt_count,
     hook_core_length,
     hook_is_core,
     peel_length,
@@ -53,8 +59,6 @@ class TestSytCounts:
                 assert syt_count(shape) == brute_syt_count(shape)
 
     def test_shapes_with_an_odd_number_of_boxes(self):
-        # the hook product folds pairwise; an odd count leaves one factor
-        # over at some fold (11 hooks: 6, 3, 2, 1)
         for n in (9, 11):
             for shape in partitions_of(n):
                 assert syt_count(shape) == brute_syt_count(shape), shape
@@ -65,6 +69,105 @@ class TestSytCounts:
         # r = rows - 1, d = g - cols + r
         g = rows * cols
         assert syt_count_rect(rows, cols) == count_grd(g, rows - 1, g - cols + rows - 1)
+
+
+# the tableaux benchmark's rho = 0 rectangles (rows, cols), 100 to 6,400 boxes
+RECTANGLES = [
+    (2, 50), (3, 40), (5, 30), (8, 25), (10, 10), (12, 20), (15, 15), (20, 20),
+    (20, 40), (25, 30), (30, 30), (30, 40), (35, 35), (40, 40), (40, 50), (45, 45),
+    (50, 50), (50, 60), (55, 55), (60, 60), (10, 200), (5, 400), (70, 70), (80, 80),
+]
+
+
+def rectangle_triple(rows: int, cols: int) -> tuple[int, int, int]:
+    """The rho = 0 triple whose g^r_d's the rows x cols rectangle counts."""
+    g = rows * cols
+    return g, rows - 1, g - cols + rows - 1
+
+
+class TestAgainstTheDivisionOracles:
+    """syt_count and count_grd multiply prime powers (factorial_quotient);
+    the oracles divide n! by the whole product once, with the hook
+    lengths counted column by column.  The tableaux benchmark compares
+    syt_count_rect with count_grd, which now share that prime product, so
+    these are the reference independent of it.  Shapes and genera lie on
+    both sides of _PRIME_ROUTE_FROM, where the helper switches to n! and
+    one division."""
+
+    def test_hook_lengths_against_the_column_scan(self):
+        for n in range(13):
+            for p in partitions_of(n):
+                assert hook_lengths(p) == column_hook_lengths(p), p
+
+    def test_benchmark_rectangles(self):
+        sizes = [rows * cols for rows, cols in RECTANGLES]
+        assert min(sizes) < _PRIME_ROUTE_FROM <= max(sizes)
+        for rows, cols in RECTANGLES:
+            count = divmod_syt_count((cols,) * rows)
+            assert syt_count_rect(rows, cols) == count, (rows, cols)
+            assert count_grd(*rectangle_triple(rows, cols)) == count, (rows, cols)
+
+    def test_every_rho_zero_triple_up_to_genus_400(self):
+        # With s = g-d+r, the oracle's products hold r + 1 factorials: 21 s
+        # over these triples with Python 3.11 on a 2-core Xeon, most of it
+        # at r >= s.  There it is read at the transposed triple
+        # (g, s-1, 2g-2-d), the s x (r+1) rectangle, except up to genus 60.
+        triples = 0
+        for g in range(1, 401):
+            for r in range(g):
+                if g % (r + 1):
+                    continue
+                s = g // (r + 1)
+                d = g - s + r
+                if r < s or g <= 60:
+                    expected = divmod_count_grd(g, r, d)
+                else:
+                    expected = divmod_count_grd(g, s - 1, 2 * g - 2 - d)
+                assert count_grd(g, r, d) == expected, (g, r, d)
+                triples += 1
+        assert triples == 2468
+
+    def test_random_shapes(self):
+        rng = random.Random(20260433)
+        sizes = []
+        for _ in range(300):
+            # n boxes cut at up to 79 random points into at most 80 rows
+            n = rng.randint(1, 2000)
+            cuts = sorted(rng.choices(range(n + 1), k=rng.randint(0, 79)))
+            rows = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+            shape = tuple(sorted(filter(None, rows), reverse=True))
+            sizes.append(sum(shape))
+            assert syt_count(shape) == divmod_syt_count(shape), shape
+        assert sum(n < _PRIME_ROUTE_FROM for n in sizes) >= 50
+        assert sum(n >= _PRIME_ROUTE_FROM for n in sizes) >= 50
+
+    def test_edges(self):
+        for n in (0, 1, 2, _PRIME_ROUTE_FROM - 1, _PRIME_ROUTE_FROM, 1500):
+            for shape in (() if n == 0 else (n,), (1,) * n):
+                assert syt_count(shape) == divmod_syt_count(shape) == 1, n
+            assert syt_count_rect(n, 0) == syt_count_rect(0, n) == 1
+            assert syt_count_rect(1, n) == syt_count_rect(n, 1) == 1
+        assert syt_count((2, 1) + (1,) * 1000) == divmod_syt_count((2, 1) + (1,) * 1000) == 1002
+        assert count_grd(0, 0, 0) == divmod_count_grd(0, 0, 0) == 1
+        assert count_grd(1, 0, 0) == divmod_count_grd(1, 0, 0) == 1
+        assert count_grd(0, 5, 5) == divmod_count_grd(0, 5, 5) == 1
+
+    @pytest.mark.parametrize("n", [10, 2000])
+    def test_a_denominator_that_does_not_divide_is_reported(self, n):
+        # D = 2^e, given as e factors equal to 2: it divides n! iff e <= v_2(n!)
+        v2 = n - bin(n).count("1")
+        assert factorial_quotient(n, 2, lambda q: v2) == factorial(n) >> v2
+        assert factorial_quotient(n, 2, lambda q: v2 + 1) is None
+        # a prime above n
+        assert factorial_quotient(n, 2003, lambda q: q == 2003) is None
+
+    def test_integrality_checks_stay(self, monkeypatch):
+        monkeypatch.setattr(tableaux, "factorial_quotient", lambda *args: None)
+        monkeypatch.setattr(invariants, "factorial_quotient", lambda *args: None)
+        with pytest.raises(InternalCheckError, match="non-integral"):
+            syt_count((3, 2))
+        with pytest.raises(InternalCheckError, match="not integral"):
+            count_grd(4, 1, 3)
 
 
 class TestCoreBasics:
