@@ -3,7 +3,7 @@
 Everything here is a polynomial or factorial expression in the triple
 (g, r, d) = (genus, target projective dimension, degree).  All arithmetic
 is exact: a count that is a ratio of factorials is n! over a product
-given by its prime exponents (:func:`factorial_quotient`), checked to be
+given by its prime exponents (:func:`_factorial_quotient`), checked to be
 integral.  No floats anywhere.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import compress
-from math import comb, factorial, isqrt, prod
+from math import comb, isqrt
 
 from .errors import InternalCheckError, PreconditionError, require
 
@@ -65,7 +65,7 @@ def count_grd(g: int, r: int, d: int) -> int:
     if rho(g, r, d) != 0:
         raise PreconditionError(f"rho({g}, {r}, {d}) = {rho(g, r, d)} != 0; count undefined")
     s = g - d + r  # rho = 0 forces s >= 0
-    count = factorial_quotient(
+    count = _factorial_quotient(
         g, s + r, lambda q: _floor_sum(s + r + 1, q) - _floor_sum(s, q) - _floor_sum(r + 1, q))
     if count is None:
         raise InternalCheckError(f"count_grd({g}, {r}, {d}) is not integral")
@@ -80,42 +80,21 @@ def _floor_sum(n: int, q: int) -> int:
     return m * (2 * n - q - q * m) // 2
 
 
-#: Below this many factors, factorial(n) and one division by the
-#: denominator cost less than the prime route of factorial_quotient, whose
-#: sieve runs to n.  syt_count plus count_grd on rectangles, division
-#: against prime route, best of 7 (Python 3.11, 2-core Xeon): 0.25 against
-#: 0.26 ms at 900 boxes, 0.29 against 0.31 ms at 1,000, 0.31 against
-#: 0.29 ms at 1,024, 0.37 against 0.33 ms at 1,200, 0.64 against 0.44 ms
-#: at 1,600.
-_PRIME_ROUTE_FROM = 1000
-
-
-def factorial_quotient(n: int, top: int, multiples) -> int | None:
+def _factorial_quotient(n: int, top: int, multiples) -> int | None:
     """n! / D, where D is a product of integers in [1, top] of which
     ``multiples(q)`` are multiples of q, for each prime power q <= top;
     None when D does not divide n!.
 
     By Legendre's formula p appears in the quotient to the power
     sum_{q = p^i} n // q - multiples(q), negative for some p iff D does not
-    divide n!.  From ``_PRIME_ROUTE_FROM`` factors on, the powers p^e are
-    multiplied pairwise, big factors meeting at similar sizes (Borwein
-    1985), with no big-integer division; below it, n! is divided by D once.
+    divide n!.  The powers p^e are multiplied pairwise, big factors meeting
+    at similar sizes (Borwein 1985), with no big-integer division.
     """
-    den = {}
-    for p in _primes(top):
-        e, q = 0, p
-        while q <= top:
-            e += multiples(q)
-            q *= p
-        den[p] = e
-    if n < _PRIME_ROUTE_FROM:
-        count, rem = divmod(factorial(n), prod(p ** e for p, e in den.items()))
-        return None if rem else count
     powers = [1]  # the product when no prime is at most n
     for p in _primes(max(n, top)):
-        e, q = -den.get(p, 0), p
-        while q <= n:
-            e += n // q
+        e, q = 0, p
+        while q <= n or q <= top:
+            e += n // q - (multiples(q) if q <= top else 0)
             q *= p
         if e < 0:
             return None

@@ -25,7 +25,7 @@ from collections import namedtuple
 from operator import index
 
 from .errors import _MAX_HITS, _MAX_NODES, InternalCheckError, PreconditionError, require
-from .invariants import factorial_quotient
+from .invariants import _factorial_quotient
 
 Partition = tuple[int, ...]
 
@@ -272,14 +272,14 @@ def k_filling_witnesses(target: Partition, k: int, g: int) -> list[FillingWitnes
 def syt_count(shape: Partition) -> int:
     """Number of standard Young tableaux of the given shape, by the hook
     length formula n! / prod(hooks), read by
-    :func:`~bnkit.invariants.factorial_quotient` off the hooks of length
+    :func:`~bnkit.invariants._factorial_quotient` off the hooks of length
     q, 2q, .. for each prime power q.  The longest hook is the corner's."""
     shape = check_partition(shape)
     top = shape[0] + len(shape) - 1 if shape else 0
     hooks = [0] * (top + 1)  # hooks[h]: how many hooks have length h
     for h in hook_lengths(shape):
         hooks[h] += 1
-    count = factorial_quotient(sum(shape), top, lambda q: sum(hooks[q::q]))
+    count = _factorial_quotient(sum(shape), top, lambda q: sum(hooks[q::q]))
     if count is None:
         raise InternalCheckError(f"hook length formula non-integral on {shape}")
     return count

@@ -6,7 +6,7 @@ import pytest
 
 from bnkit import invariants, tableaux
 from bnkit.errors import InternalCheckError, PreconditionError
-from bnkit.invariants import _PRIME_ROUTE_FROM, count_grd, factorial_quotient
+from bnkit.invariants import _factorial_quotient, count_grd
 from bnkit.tableaux import (
     FillingWitness,
     core_apply_residue,
@@ -86,13 +86,11 @@ def rectangle_triple(rows: int, cols: int) -> tuple[int, int, int]:
 
 
 class TestAgainstTheDivisionOracles:
-    """syt_count and count_grd multiply prime powers (factorial_quotient);
+    """syt_count and count_grd multiply prime powers (_factorial_quotient);
     the oracles divide n! by the whole product once, with the hook
     lengths counted column by column.  The tableaux benchmark compares
     syt_count_rect with count_grd, which now share that prime product, so
-    these are the reference independent of it.  Shapes and genera lie on
-    both sides of _PRIME_ROUTE_FROM, where the helper switches to n! and
-    one division."""
+    these are the reference independent of it."""
 
     def test_hook_lengths_against_the_column_scan(self):
         for n in range(13):
@@ -100,8 +98,6 @@ class TestAgainstTheDivisionOracles:
                 assert hook_lengths(p) == column_hook_lengths(p), p
 
     def test_benchmark_rectangles(self):
-        sizes = [rows * cols for rows, cols in RECTANGLES]
-        assert min(sizes) < _PRIME_ROUTE_FROM <= max(sizes)
         for rows, cols in RECTANGLES:
             count = divmod_syt_count((cols,) * rows)
             assert syt_count_rect(rows, cols) == count, (rows, cols)
@@ -129,20 +125,16 @@ class TestAgainstTheDivisionOracles:
 
     def test_random_shapes(self):
         rng = random.Random(20260433)
-        sizes = []
         for _ in range(300):
             # n boxes cut at up to 79 random points into at most 80 rows
             n = rng.randint(1, 2000)
             cuts = sorted(rng.choices(range(n + 1), k=rng.randint(0, 79)))
             rows = [b - a for a, b in zip([0] + cuts, cuts + [n])]
             shape = tuple(sorted(filter(None, rows), reverse=True))
-            sizes.append(sum(shape))
             assert syt_count(shape) == divmod_syt_count(shape), shape
-        assert sum(n < _PRIME_ROUTE_FROM for n in sizes) >= 50
-        assert sum(n >= _PRIME_ROUTE_FROM for n in sizes) >= 50
 
     def test_edges(self):
-        for n in (0, 1, 2, _PRIME_ROUTE_FROM - 1, _PRIME_ROUTE_FROM, 1500):
+        for n in (0, 1, 2, 1500):
             for shape in (() if n == 0 else (n,), (1,) * n):
                 assert syt_count(shape) == divmod_syt_count(shape) == 1, n
             assert syt_count_rect(n, 0) == syt_count_rect(0, n) == 1
@@ -156,14 +148,14 @@ class TestAgainstTheDivisionOracles:
     def test_a_denominator_that_does_not_divide_is_reported(self, n):
         # D = 2^e, given as e factors equal to 2: it divides n! iff e <= v_2(n!)
         v2 = n - bin(n).count("1")
-        assert factorial_quotient(n, 2, lambda q: v2) == factorial(n) >> v2
-        assert factorial_quotient(n, 2, lambda q: v2 + 1) is None
+        assert _factorial_quotient(n, 2, lambda q: v2) == factorial(n) >> v2
+        assert _factorial_quotient(n, 2, lambda q: v2 + 1) is None
         # a prime above n
-        assert factorial_quotient(n, 2003, lambda q: q == 2003) is None
+        assert _factorial_quotient(n, 2003, lambda q: q == 2003) is None
 
     def test_integrality_checks_stay(self, monkeypatch):
-        monkeypatch.setattr(tableaux, "factorial_quotient", lambda *args: None)
-        monkeypatch.setattr(invariants, "factorial_quotient", lambda *args: None)
+        monkeypatch.setattr(tableaux, "_factorial_quotient", lambda *args: None)
+        monkeypatch.setattr(invariants, "_factorial_quotient", lambda *args: None)
         with pytest.raises(InternalCheckError, match="non-integral"):
             syt_count((3, 2))
         with pytest.raises(InternalCheckError, match="not integral"):
