@@ -23,8 +23,8 @@ meets two windows, and the kernel pass is a memoized function of the
 bundle and the window's range that keeps the last two passes: the tables
 and the star condition at theta read the pass that r-positivity ran
 there.  A pass keeps only its states, minimum h0 and witness: one of
-994,800 cells (g = 100), near the _MAX_CELLS guard, keeps about 30 MiB by
-tracemalloc, so the memo holds at most about 61 MiB.
+994,800 cells (g = 100), near the _MAX_CELLS guard, keeps about 31 MiB by
+tracemalloc (Python 3.11), so the memo holds at most about 62 MiB.
 
 The search over aspect tuples finds every r-positive tuple and skips
 most of the others.  Closed-form tables, proven by induction on the
@@ -61,9 +61,11 @@ Aspect = tuple[int, int] | None
 #: marks a missing DP state; the kernel keeps every missing value >= _INF
 _INF = 1 << 30
 
-#: size guards, checked before any state is built: a DP sweep over 10**6
-#: cells takes about 0.5 s and 64 MiB on one core, and 2,000,000 tuples admit
-#: every default-window search with g <= 6, 0 <= d <= 2g - 2 and no g = 7 one
+#: size guards, checked before any state is built: a `bnkit chain tables`
+#: process over 994,800 cells takes about 0.3 s, best of 3, and peaks at
+#: about 53 MiB RSS (wait4) on one core (Python 3.11), and 2,000,000
+#: tuples admit every default-window search with g <= 6,
+#: 0 <= d <= 2g - 2 and no g = 7 one
 _MAX_CELLS = 10**6
 _MAX_TUPLES = 2_000_000
 
@@ -262,12 +264,21 @@ def _dp_step(C: list[int]):
     at eps = 0 for k = 1 and 1 at eps = 1 for k = 0.  So the generic
     state is a suffix minimum, m0[i] = min_{j >= i} C[j], and a prefix
     minimum, m1[i] = i + min_{j < i} (C[j] - j) from _INF, in which lo
-    cancels.  An exact aspect moves the cell at its key between them, at
-    that key and the next (:func:`_patch`).  Linear in the window.
+    cancels; it is carried as p = m1[i], with m1[i + 1] = min(p, C[i]) + 1.
+    An exact aspect moves the cell at its key between them, at that key
+    and the next (:func:`_patch`).  Linear in the window.  Both minima are
+    loops with one comparison per cell, because a builtin ``min`` call per
+    cell costs 3-4x an inline comparison.
     """
-    keys = range(len(C) - 1)
-    m1 = list(map(add, keys, accumulate(map(sub, C, keys), min, initial=_INF)))
-    return list(accumulate(reversed(C), min))[:0:-1], m1
+    m0, m = [], C[-1]
+    for c in C[-2::-1]:
+        m0.append(m := c if c < m else m)
+    m0.reverse()
+    m1, p = [], _INF
+    for c in C[:-1]:
+        m1.append(p)
+        p = (c if c < p else p) + 1
+    return m0, m1
 
 
 def _patch(k: int, C: list[int], m0: list[int], m1: list[int]) -> None:
@@ -420,7 +431,7 @@ def vanishing_tables(L: LimitLineBundle, r: int, window: int | None = None) -> V
     for i in range(1, g):
         # node i is reflected node g - i, keyed by d - S_i
         n0, n1 = states[g - i - 1]
-        minsuf = list(map(min, n0, n1))
+        minsuf = [a if a < b else b for a, b in zip(n0, n1)]
         # sanity: min-suffix-h0 must rise by 0 or 1 per unit of the key d - s
         if not set(map(sub, minsuf[1:], minsuf)) <= {0, 1}:
             raise InternalCheckError(f"min-suffix-h0 at node {i} is not 1-Lipschitz monotone")

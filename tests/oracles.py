@@ -421,6 +421,19 @@ def forward_dp_step(aspect, d: int, lo: int, hi: int, state):
     return m0, m1
 
 
+def accumulate_dp_step(C):
+    """The generic step of ``bnkit.chain._dp_step`` on a merged array C as
+    two ``accumulate`` folds that call builtin ``min`` per cell: the
+    prefix minimum m1 from INF and the suffix minimum m0.  Exact, missing
+    values above INF included."""
+    from itertools import accumulate
+    from operator import add, sub
+
+    keys = range(len(C) - 1)
+    m1 = list(map(add, keys, accumulate(map(sub, C, keys), min, initial=INF)))
+    return list(accumulate(reversed(C), min))[:0:-1], m1
+
+
 def forward_dp_init(aspect, d: int, lo: int, hi: int):
     """State after E^1, keyed by S_1: (n, eps at p^1) minima."""
     from bnkit.chain import h0_twisted

@@ -10,7 +10,9 @@ aspects on the two diagonals where the component has degree 0 or 1.  So
 do the readers built on them: ``_dp_end``, the last component's state at
 the key of S_g = d, and ``_search_step``, a search node's children, where
 every option whose exact key holds a missing cell shares the generic
-child.  ``_search_step`` tests no key against the window, so every exact
+child.  The generic step must also equal exactly the ``accumulate`` folds
+over builtin ``min`` it was once written as, missing values above INF
+included.  ``_search_step`` tests no key against the window, so every exact
 option of ``aspect_options`` is checked to lie in it.
 
 The search's closed-form bound tables are checked the same way, against
@@ -88,19 +90,40 @@ def _state(aspect, C, lo):
 
 class TestStep:
     def test_step_matches_pairwise_sweep(self):
+        """The step with an exact aspect's cells patched in against the
+        pairwise sweep, and the generic step exactly against the
+        ``accumulate`` folds of ``oracles``: on windows of one cell
+        (merged arrays of two), of up to 5 cells past [0, d], and of
+        certify's 2w windows, about 70 cells; with missing values at INF
+        and above it, where m1 leaves them.  The folds also see merged
+        arrays of one cell and seeded random arrays with negative cells."""
         rng = random.Random(2026)
-        diagonal_hits = 0
-        for _ in range(3000):
-            d = rng.randint(-2, 8)
-            _, lo, hi = chain._window(1, d, rng.randint(0, 5))
-            state = _random_state(rng, hi - lo + 1)
+        diagonal_hits = above = widest = 0
+        cases = [(rng.randint(-2, 8), rng.randint(0, 5)) for _ in range(3000)]
+        cases += [(0, 0)] * 20 + [(rng.randint(0, 20), rng.randint(20, 26)) for _ in range(30)]
+        for d, window in cases:
+            _, lo, hi = chain._window(1, d, window)
+            state = tuple(
+                [x + rng.randint(0, 70) if x >= INF and rng.random() < 0.5 else x for x in n]
+                for n in _random_state(rng, hi - lo + 1)
+            )
+            above += any(x > INF for n in state for x in n)
             aspect = _random_aspect(rng, d, lo, hi)
             want = oracles.forward_dp_step(aspect, d, lo, hi, state)
-            got = _state(aspect, chain._merge(*state), lo)
+            C = chain._merge(*state)
+            widest = max(widest, len(C))
+            assert chain._dp_step(C) == oracles.accumulate_dp_step(C), C
+            got = _state(aspect, C, lo)
             assert tuple(map(_norm, got)) == want, (d, lo, hi, aspect, state)
             if aspect is not None and lo <= aspect[0] <= hi:
                 diagonal_hits += 1
-        assert diagonal_hits > 1000
+        assert diagonal_hits > 1000 and above > 1000 and widest >= 70
+        for width in [1, 1, 2, 2, *range(1, 80)] * 5:
+            C = [
+                rng.choice((INF, INF + rng.randint(1, 70), rng.randint(-3, 20)))
+                for _ in range(width)
+            ]
+            assert chain._dp_step(C) == oracles.accumulate_dp_step(C), C
 
     def test_finish_matches_pairwise_sweep(self):
         """``_dp_end`` reads the state at S_g = d (index t = d - lo) without
