@@ -26,7 +26,6 @@ means adding one entry.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 from collections import namedtuple
@@ -317,12 +316,10 @@ _FORMATS = ("table", "json", "csv")
 _NAMED = {tuple(cmd.name.split(" ")): cmd.name for cmd in COMMANDS}
 
 
-@functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser tree of ``COMMANDS``, or of the one entry named
-    ``command``, built once per process and shared by every caller, so no
-    caller may change it.  A one-entry tree parses its command's argv as
-    the whole tree does; only its top-level usage lists that one name."""
+    ``command``.  A one-entry tree parses its command's argv as the whole
+    tree does; only its top-level usage lists that one name."""
     ap = argparse.ArgumentParser(
         prog="bnkit",
         description="Exact combinatorial invariants of Brill-Noether theory",

@@ -34,33 +34,27 @@ def min_degree(r: int, g: int) -> int:
 
 def reachable_set(r: int, g_max: int, d_max: int) -> set[tuple[int, int]]:
     """Closure of {(d, g) = (r, 0)} under moves A, B, C inside the box
-    g <= g_max, d <= d_max.  Coincides with the set of (d, g) in the box
-    with rho(g, r, d) >= 0."""
+    g <= g_max, d <= d_max: the (d, g) with min_degree(r, g) <= d, where
+    rho(g, r, d) >= 0.  No move lowers rho = g - (r+1)(g-d+r): A adds r+1,
+    B adds 1, C adds 0, and rho(0, r, r) = 0.  With c, b = divmod(g, r+1),
+    min_degree(r, g) = r + rc + b, so A^a B^b C^c, a = d - r - b - rc >= 0,
+    reaches each such point, on a path inside the box: moves raise d and g."""
     require(1, r=r)
     require(0, g_max=g_max, d_max=d_max)
-    steps = [step for step, _ in _moves(r).values()]
-    seen: set[tuple[int, int]] = set()
-    frontier = [(r, 0)]
-    while frontier:
-        d, g = frontier.pop()
-        if d > d_max or g > g_max or (d, g) in seen:
-            continue
-        seen.add((d, g))
-        frontier.extend((d + dd, g + dg) for dd, dg in steps)
-    return seen
+    return {(d, g) for g in range(g_max + 1) for d in range(min_degree(r, g), d_max + 1)}
 
 
-def _moves(r: int) -> dict[str, tuple[tuple[int, int], SplitBundle]]:
-    """Each move's step on (d, g), and the splitting type of the tangent
-    bundle of P^r restricted to the attached rational curve, twisted down
-    by the secancy divisor."""
+def _moves(r: int) -> dict[str, SplitBundle]:
+    """The splitting type of the tangent bundle of P^r restricted to the
+    rational curve each move attaches, twisted down by the secancy
+    divisor."""
     return {
         # line, 1 secancy point: O(1)^{r-1} + O(2) twisted down once
-        "A": ((1, 0), SplitBundle((0,) * (r - 1) + (1,))),
+        "A": SplitBundle((0,) * (r - 1) + (1,)),
         # line, 2 secancy points
-        "B": ((1, 1), SplitBundle((-1,) * (r - 1) + (0,))),
+        "B": SplitBundle((-1,) * (r - 1) + (0,)),
         # rational normal curve, r+2 secancy points: O(r+1)^r twisted down r+2
-        "C": ((r, r + 1), SplitBundle((-1,) * r)),
+        "C": SplitBundle((-1,) * r),
     }
 
 
@@ -93,7 +87,7 @@ def h1_certificate(r: int, d: int, g: int) -> MoveCertificate:
     c, b = divmod(g, r + 1)
     word = "A" * (d - r - b - c * r) + "B" * b + "C" * c
     moves = _moves(r)
-    steps = tuple(MoveStep(m, moves[m][1], moves[m][1].h1) for m in word)
+    steps = tuple(MoveStep(m, moves[m], moves[m].h1) for m in word)
     base = SplitBundle((r + 1,) * r)  # tangent bundle restricted to the RNC
     return MoveCertificate(
         r=r,

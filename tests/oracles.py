@@ -3,9 +3,10 @@
 These deliberately avoid the library's own closed forms: tableaux are
 counted by direct enumeration of fillings, or for large shapes by the
 hook length formula as one big-integer division, rho-derived quantities by
-explicit scans, and the chain DP by the quadratic pairwise sweep and the
-left-to-right h0 sweep, so that the fast paths are checked against
-something that cannot share their bugs.
+explicit scans, the (d, g) lattice by a search over its moves, and the
+chain DP by the quadratic pairwise sweep and the left-to-right h0 sweep,
+so that the fast paths are checked against something that cannot share
+their bugs.
 """
 
 from __future__ import annotations
@@ -268,6 +269,22 @@ def expected_maximal_rows(g: int) -> list:
         for d in range(2, g)
         if rho(r, d) < 0 <= min(rho(r, d + 1), rho(r - 1, d - 1))
     ]
+
+
+def move_closure(r: int, g_max: int, d_max: int) -> set[tuple[int, int]]:
+    """The closure of {(d, g) = (r, 0)} under the moves A: (1, 0),
+    B: (1, 1) and C: (r, r+1) inside the box g <= g_max, d <= d_max, by
+    a depth-first search over every move from every point reached."""
+    steps = [(1, 0), (1, 1), (r, r + 1)]
+    seen: set[tuple[int, int]] = set()
+    frontier = [(r, 0)]
+    while frontier:
+        d, g = frontier.pop()
+        if d > d_max or g > g_max or (d, g) in seen:
+            continue
+        seen.add((d, g))
+        frontier.extend((d + dd, g + dg) for dd, dg in steps)
+    return seen
 
 
 # --- the quadratic chain DP, kept as an independent check of the kernel ---

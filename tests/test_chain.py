@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
 from bnkit import chain
 from bnkit.chain import (
     LimitLineBundle,
+    VanishingTable,
     aspect_options,
     aspects_str,
     chip_fire,
@@ -23,7 +25,7 @@ from bnkit.chain import (
     star_components,
     vanishing_tables,
 )
-from bnkit.errors import PreconditionError
+from bnkit.errors import InternalCheckError, PreconditionError
 from bnkit.invariants import count_grd, rho
 
 from oracles import brute_window_distributions, h0_chain_lr
@@ -290,6 +292,48 @@ class TestStars:
         L = parse_aspects("gen;gen", d=5)
         rep = star_components(L, 0)
         assert rep.pairs == ()
+
+    def test_star_counts_meet_the_forced_bound(self):
+        # proven in star_components' docstring and not checked at run time
+        rng = random.Random(35)
+        reports = []
+        for g in range(2, 9):
+            for d in range(g - 3, g + 4):
+                opts = aspect_options(g, d, g + 1)
+                for _ in range(6):
+                    L = LimitLineBundle(d, tuple(rng.choice(o) for o in opts))
+                    for r in range(min_h0(L, g + 1)):
+                        rep = star_components(L, r, g + 1)
+                        assert rep.lower_bound == g - d + r
+                        assert sorted(rep.per_n) == list(range(r + 1))
+                        assert min(rep.per_n.values()) >= rep.lower_bound, (L, r)
+                        reports.append(rep)
+        # the sweep reaches stars, and bounds that are positive and attained
+        assert sum(len(rep.pairs) for rep in reports) > 100
+        assert sum(any(c == rep.lower_bound > 0 for c in rep.per_n.values())
+                   for rep in reports) > 10
+
+    def test_a_decreasing_a_column_violates_the_star_bound(self, monkeypatch):
+        # g = 3, r = 1, d = 3 with a(1, 0) = 1 > a(2, 0) = 0, the b rows
+        # derived as vanishing_tables derives them: a(1, 0) + b(2, 1) = 4 > d
+        g, r, d = 3, 1, 3
+        a_rows = ((0, 1), (1, 2), (0, 2))
+        b_rows = tuple(tuple(d - a_rows[i][r - n] for n in range(r + 1)) for i in range(1, g))
+        table = VanishingTable(r, d, g, a_rows, b_rows + (tuple(range(r + 1)),))
+        monkeypatch.setattr(chain, "vanishing_tables", lambda *args: table)
+        message = r"star bound violated at \(i, n\) = \(2, 0\): 4 > d = 3"
+        with pytest.raises(InternalCheckError, match=message):
+            star_components(parse_aspects("gen;gen;gen", d=d), r)
+
+    @pytest.mark.parametrize("first", ["gen", "1,3"])
+    def test_a_star_without_its_forced_aspect_is_an_internal_error(self, monkeypatch, first):
+        # the running example's tables star component 1 with the aspect (0, 4)
+        table = vanishing_tables(RUNNING, 2)
+        monkeypatch.setattr(chain, "vanishing_tables", lambda *args: table)
+        L = parse_aspects(f"{first};2,2;0,4")
+        message = f"component 1 is starred with forced aspect (0, 4) but carries {L.aspects[0]}"
+        with pytest.raises(InternalCheckError, match=re.escape(message)):
+            star_components(L, 2)
 
 
 class TestSearch:

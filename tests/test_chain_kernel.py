@@ -388,31 +388,37 @@ class TestSearchSharesNodes:
         """The DP states a search uses: the kernel runs once per distinct
         (depth, merged state C) of each search, never per prefix: a node
         calls ``_search_step``, which runs one generic step, or at the last
-        component ``_dp_end``, which runs none.  Depth is the component
-        whose option list the call receives.  Counting builds no witness."""
-        real_options, real_generic = chain.aspect_options, chain._dp_step
+        component ``_dp_end``, which runs none.  Depth is the index of the
+        upper bound row that ``_search_step`` receives, and the last one for
+        ``_dp_end``, so a node may pass any list of options.  Counting
+        builds no witness."""
+        real_bounds, real_generic = chain._search_bounds, chain._dp_step
         real_step, real_end = chain._search_step, chain._dp_end
-        options, calls, inner, generic = [], [], [], []
+        upper, calls, inner, generic = [], [], [], []
 
-        def recorded_options(*args):
-            options.append(real_options(*args))
-            return options[-1]
+        def recorded_bounds(*args):
+            tables = real_bounds(*args)
+            upper[:] = tables[0]
+            return tables
 
-        def counted(real, log):
+        def counted(real, log, depth_of):
             def call(aspects, C, *args):
-                depth = next(j for j, opts in enumerate(options[-1]) if opts is aspects)
+                depth = depth_of(*args)
                 calls.append((depth, *C))
                 log.append(depth)
                 return real(aspects, C, *args)
 
             return call
 
+        def row_of(lo, U, *args):
+            return next(j for j, row in enumerate(upper) if row is U)
+
         def no_witness(*args):
             raise AssertionError("search_limit_bundles built a SearchWitness")
 
-        monkeypatch.setattr(chain, "aspect_options", recorded_options)
-        monkeypatch.setattr(chain, "_search_step", counted(real_step, inner))
-        monkeypatch.setattr(chain, "_dp_end", counted(real_end, []))
+        monkeypatch.setattr(chain, "_search_bounds", recorded_bounds)
+        monkeypatch.setattr(chain, "_search_step", counted(real_step, inner, row_of))
+        monkeypatch.setattr(chain, "_dp_end", counted(real_end, [], lambda t: len(upper)))
         monkeypatch.setattr(chain, "_dp_step", lambda *args: generic.append(args) or real_generic(*args))
         monkeypatch.setattr(chain, "SearchWitness", no_witness)
         hits = 0

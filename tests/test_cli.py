@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import bnkit
 from bnkit import chain, cli
-from bnkit.cli import COMMANDS, GROUPS, _csv_cell, build_parser, main
+from bnkit.cli import COMMANDS, GROUPS, _csv_cell, main
 from bnkit.errors import InternalCheckError
 
 from cli_table_goldens import TABLE_GOLDENS
@@ -386,9 +386,6 @@ class TestExitCodes:
         else:
             assert out.splitlines()[0] == "splitting rd  g=5 e=1,-2,-2"
 
-    def test_parser_is_built_once(self):
-        assert build_parser() is build_parser()
-
 
 class TestCommandTable:
     def test_every_serialized_flag_names_one_reader(self):
@@ -478,14 +475,12 @@ class TestOneCommandParser:
 
     @pytest.mark.parametrize("argv", sorted(TABLE_GOLDENS))
     def test_one_command_builds_at_most_three_parsers(self, capsys, monkeypatch, argv):
-        build_parser.cache_clear()
         built = _count_parsers(monkeypatch)
         assert main(["--format", "json", *argv.split()]) == 0
         name = TABLE_GOLDENS[argv].split("  ", 1)[0]
         assert len(built) == 1 + len(name.split(" ")) <= 3  # top, group, leaf
 
     def test_help_builds_the_whole_tree(self, capsys, monkeypatch):
-        build_parser.cache_clear()
         built = _count_parsers(monkeypatch)
         assert main(["-h"]) == 0
         assert len(built) == 1 + len(GROUPS) + len(COMMANDS)

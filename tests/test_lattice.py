@@ -4,6 +4,8 @@ from bnkit.errors import PreconditionError
 from bnkit.invariants import chi_pullback_tangent, rho
 from bnkit.lattice import h1_certificate, min_degree, reachable_set
 
+from oracles import move_closure
+
 #: lattice points for r = 3 inside g <= 8, d <= 9, as (d, g)
 R3_BOX = {
     (d, g)
@@ -47,6 +49,15 @@ class TestReachableSet:
                 if rho(g, r, d) >= 0
             }
             assert pts == expected
+
+    def test_equals_the_move_closure(self):
+        # the closed form against the search over moves A, B and C, on the
+        # wide box and on the edges: no point, one row, the start alone
+        for r in range(1, 7):
+            for g_max, d_max in [(30, 40), (5, r - 1), (0, 10), (5, r), (0, r)]:
+                box = (r, g_max, d_max)
+                assert reachable_set(*box) == move_closure(*box), box
+        assert reachable_set(2, 0, 1) == set() and reachable_set(2, 4, 2) == {(2, 0)}
 
 
 class TestCertificates:
