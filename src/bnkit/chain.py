@@ -21,10 +21,12 @@ the prefix-sum window [-theta, d+theta] (default theta = g+1) and every
 consumer is expected to re-check stability at 2*theta.  So one bundle
 meets two windows, and the kernel pass is a memoized function of the
 bundle and the window's range that keeps the last two passes: the tables
-and the star condition at theta read the pass that r-positivity ran
-there.  A pass keeps only its states, minimum h0 and witness: one of
-994,800 cells (g = 100), near the _MAX_CELLS guard, keeps about 31 MiB by
-tracemalloc (Python 3.11), so the memo holds at most about 62 MiB.
+at theta read the pass that r-positivity ran there.  The tables are
+memoized the same way, for the last two (bundle, r, window, range), so
+the star condition reads the tables just built.  A pass keeps only its
+states, minimum h0 and witness: one of 994,800 cells (g = 100), near the
+_MAX_CELLS guard, keeps about 31 MiB by tracemalloc (Python 3.11), so
+the memo holds at most about 62 MiB; a table is g + 1 short tuples.
 
 The search over aspect tuples finds every r-positive tuple and skips
 most of the others.  Closed-form tables, proven by induction on the
@@ -353,24 +355,48 @@ def _witness(d: int, lo: int, keys, states, merged, eps: int, val: int) -> tuple
     At key u the component has degree k = s - u and adds (h0, eps) as in
     :func:`_dp_step`; each state is a minimum, so a key whose eps matches
     and C[u] + h0 equals the state has a predecessor attaining C[u].  Ties
-    go to the smallest S_i, then eps 0 before eps 1."""
+    go to the smallest S_i, then eps 0 before eps 1: :func:`_predecessor`
+    searches the few regions of keys that can match, in that order,
+    instead of visiting every key."""
     g, s, sums = len(keys), d, []
     for j in range(g - 1, 0, -1):
-        key, prev1, C = keys[j], states[j - 1][1], merged[j - 1]
-        # the largest key first is the smallest S_{g-j}
-        for i in range(len(C) - 1, -1, -1):
-            k, exact = s - lo - i, key == i
-            # (h0, eps) of the cell at k >= 2, k < 0, k = 1 and k = 0
-            w, e = (k, 1) if k > 1 else (0, 0) if k < 0 else (1, not exact) if k else (exact, exact)
-            if e == eps and C[i] + w == val:
-                break
-        else:
+        prev1, C = states[j - 1][1], merged[j - 1]
+        i = _predecessor(C, keys[j], s - lo, eps, val)
+        if i is None:
             raise InternalCheckError(f"chain DP state at node {g - j} has no predecessor")
         # at one key the eps-1 state at S = u comes before the eps-0 one at u - 1
         eps = int(i < len(prev1) and prev1[i] - 1 == C[i])
         s, val = lo + i - 1 + eps, C[i] + eps
         sums.append(d - s)
     return tuple(map(sub, (*sums, d), (0, *sums)))
+
+
+def _predecessor(C: list[int], key, t: int, eps: int, val: int) -> int | None:
+    """The largest key i of C whose cell ends with rank ``eps`` and adds
+    C[i] + h0 = ``val``, or None; ``key`` is the exact aspect's key and t
+    the key where the component has degree 0.  The cells that end with
+    rank eps fall into fixed regions: for eps = 0, the keys past t (no section), then t if generic
+    (none), then t - 1 if exact (one); for eps = 1, t if exact (one), then
+    t - 1 if generic (one), then the keys below with degree t - i, where
+    C[i] - i = val - t.  Each region is searched largest key first, so the
+    first hit is the one a scan of every key from the top would find."""
+    if not eps:
+        try:  # the last index of val past t, by a list search
+            return len(C) - 1 - C[:t:-1].index(val)
+        except ValueError:
+            pass
+        if key != t and C[t] == val:
+            return t
+        return t - 1 if key == t - 1 and C[t - 1] + 1 == val else None
+    if key == t and C[t] + 1 == val:
+        return t
+    if t and key != t - 1 and C[t - 1] + 1 == val:
+        return t - 1
+    v = val - t
+    for i in range(t - 2, -1, -1):
+        if C[i] - i == v:
+            return i
+    return None
 
 
 def min_h0(L: LimitLineBundle, window: int | None = None) -> int:
@@ -421,10 +447,22 @@ class VanishingTable(namedtuple("VanishingTable", "r d g a_rows b_rows")):
 
 def vanishing_tables(L: LimitLineBundle, r: int, window: int | None = None) -> VanishingTable:
     """Compute the a/b threshold tables of an r-positive limit line
-    bundle.  Raises :class:`PreconditionError` otherwise."""
+    bundle.  Raises :class:`PreconditionError` otherwise.  After r and the
+    window are validated, the tables are read from :func:`_tables`, with
+    r as a plain int so that an equal r of another type shares its entry."""
     require(0, r=r)
+    return _tables(L, index(r), *_window(L.g, L.d, window))
+
+
+@lru_cache(maxsize=2)
+def _tables(L: LimitLineBundle, r: int, window: int, lo: int, hi: int) -> VanishingTable:
+    """The tables of :func:`vanishing_tables`, memoized for the last two
+    (bundle, r, window, range) keys and built from the kernel pass over
+    the range, so :func:`star_components` reads the tables that were just
+    built.  A table holds only tuples, so it is safe to share; a refusal
+    is raised, and so never cached."""
     g, d = L.g, L.d
-    window, lo, states, best, _ = _suffix_pass(L, window)
+    states, best, _ = _kernel_pass(L, lo, hi)
     if best < r + 1:
         raise PreconditionError(f"bundle has windowed min h0 = {best} < r+1 = {r + 1}")
     a_rows: list[tuple[int, ...]] = [tuple(range(r + 1))]
@@ -469,7 +507,8 @@ def star_components(L: LimitLineBundle, r: int, window: int | None = None) -> St
     A_g = d - r + n; then b(i, r-n) = d - A_i, so the total at (i, n) is
     d + A_{i-1} - A_i.  So A is nondecreasing, from A_0 = n to A_g by
     steps summing to d - r; each step off a star adds at least 1, so at
-    least g - d + r steps are stars."""
+    least g - d + r steps are stars.  The tables come from
+    :func:`vanishing_tables`, so after it they are a memo hit."""
     t = vanishing_tables(L, r, window)
     g, d = L.g, L.d
     pairs = []

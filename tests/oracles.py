@@ -3,10 +3,10 @@
 These deliberately avoid the library's own closed forms: tableaux are
 counted by direct enumeration of fillings, or for large shapes by the
 hook length formula as one big-integer division, rho-derived quantities by
-explicit scans, the (d, g) lattice by a search over its moves, and the
-chain DP by the quadratic pairwise sweep and the left-to-right h0 sweep,
-so that the fast paths are checked against something that cannot share
-their bugs.
+explicit scans, the (d, g) lattice by a search over its moves, the chain
+DP by the quadratic pairwise sweep and the left-to-right h0 sweep, and
+its witness walk by a scan of every key, so that the fast paths are
+checked against something that cannot share their bugs.
 """
 
 from __future__ import annotations
@@ -449,6 +449,39 @@ def accumulate_dp_step(C):
     keys = range(len(C) - 1)
     m1 = list(map(add, keys, accumulate(map(sub, C, keys), min, initial=INF)))
     return list(accumulate(reversed(C), min))[:0:-1], m1
+
+
+def scan_witness(d: int, lo: int, keys, states, merged, eps: int, val: int) -> tuple[int, ...]:
+    """The walk of ``bnkit.chain._witness`` as a scan of every key of each
+    merged array, from the top, one conditional and one tuple per cell.
+    A distribution attaining the minimum ``val``, reached at S_0 with
+    rank ``eps``, by walking back over the merged arrays C of the states,
+    whose exact aspects are given by their ``keys`` (:func:`_kernel_pass`).
+    At key u the component has degree k = s - u and adds (h0, eps) as in
+    :func:`_dp_step`; each state is a minimum, so a key whose eps matches
+    and C[u] + h0 equals the state has a predecessor attaining C[u].  Ties
+    go to the smallest S_i, then eps 0 before eps 1."""
+    from operator import sub
+
+    from bnkit.errors import InternalCheckError
+
+    g, s, sums = len(keys), d, []
+    for j in range(g - 1, 0, -1):
+        key, prev1, C = keys[j], states[j - 1][1], merged[j - 1]
+        # the largest key first is the smallest S_{g-j}
+        for i in range(len(C) - 1, -1, -1):
+            k, exact = s - lo - i, key == i
+            # (h0, eps) of the cell at k >= 2, k < 0, k = 1 and k = 0
+            w, e = (k, 1) if k > 1 else (0, 0) if k < 0 else (1, not exact) if k else (exact, exact)
+            if e == eps and C[i] + w == val:
+                break
+        else:
+            raise InternalCheckError(f"chain DP state at node {g - j} has no predecessor")
+        # at one key the eps-1 state at S = u comes before the eps-0 one at u - 1
+        eps = int(i < len(prev1) and prev1[i] - 1 == C[i])
+        s, val = lo + i - 1 + eps, C[i] + eps
+        sums.append(d - s)
+    return tuple(map(sub, (*sums, d), (0, *sums)))
 
 
 def forward_dp_init(aspect, d: int, lo: int, hi: int):

@@ -30,7 +30,10 @@ A search runs the kernel once per distinct (depth, merged state), which
 a counting wrapper around the kernel pins, and with the tuple guard
 lifted its rho = 0 counts up to genus 16 are those of ``count_grd``.
 The windowed pass is memoized for the last two (bundle, window range)
-pairs; ``cache_info`` pins its hits, misses and evictions.
+pairs, and the tables for the last two (bundle, r, window, range) keys;
+``cache_info`` pins their hits, misses and evictions.  The witness walk,
+which searches each node by region, gives the witness of
+``oracles.scan_witness``, the walk over every key it replaced.
 """
 
 import itertools
@@ -283,10 +286,89 @@ class TestWindowedMinima:
             assert min_h0(L, 1) == oracles.suffix_dp(L, 1)[0]
 
 
+class TestWitnessRegions:
+    """``_witness`` finds each predecessor by region (``_predecessor``);
+    ``oracles.scan_witness`` is the walk it replaced, which visits every key
+    of each merged array from the top.  The two must give the same
+    witness, or the same error."""
+
+    #: (eps, where the predecessor key i lies against the degree-0 key t)
+    REGIONS = {(0, "past t"), (0, "t"), (0, "t - 1"), (1, "t"), (1, "t - 1"), (1, "below")}
+
+    @staticmethod
+    def _walk(*args):
+        try:
+            return chain._witness(*args)
+        except InternalCheckError as exc:
+            return str(exc)
+
+    @staticmethod
+    def _scan(*args):
+        try:
+            return oracles.scan_witness(*args)
+        except InternalCheckError as exc:
+            return str(exc)
+
+    def test_region_search_equals_the_scan_of_every_key(self, monkeypatch):
+        """First every walk of the kernel passes over seeded bundles, with
+        d < 0, d = 0 and d > 0, windows 0, 1, w and 2w, and exact aspects on
+        both diagonals and off the window.  They reach both ranks and every
+        region but (0, t - 1), an exact aspect at degree 1 ending with rank
+        0: no pass reached it, nor any bundle with 2 <= g <= 4,
+        d = -3..2g + 1, windows 0..2 and every aspect generic or (a, d - a)
+        with lo - 1 <= a <= hi + 1.  Then one
+        node over arbitrary arrays, states and targets, which reach every
+        region and targets with no predecessor."""
+        passes, regions, walk, find = [], set(), chain._witness, chain._predecessor
+
+        def record_walk(*args):
+            passes.append(args)
+            return walk(*args)
+
+        def record_region(C, key, t, eps, val):
+            i = find(C, key, t, eps, val)
+            if i is not None:
+                regions.add((eps, "past t" if i > t else "t" if i == t else "t - 1" if i == t - 1 else "below"))
+            return i
+
+        monkeypatch.setattr(chain, "_witness", record_walk)
+        monkeypatch.setattr(chain, "_predecessor", record_region)
+        chain._kernel_pass.cache_clear()
+        rng, off_window = random.Random(36), 0
+        for g in range(2, 7):
+            w = g + 1
+            for d in (-g, -1, 0, 1, g, 2 * g):
+                for window in (0, 1, w, 2 * w):
+                    _, lo, hi = chain._window(g, d, window)
+                    for _ in range(6):
+                        aspects = tuple(_random_aspect(rng, d, lo, hi) for _ in range(g))
+                        off_window += any(a and not lo <= a[0] <= hi for a in aspects)
+                        min_h0(LimitLineBundle(d, aspects), window)
+        chain._kernel_pass.cache_clear()
+        monkeypatch.setattr(chain, "_witness", walk)
+        assert len(passes) > 600 and off_window > 100
+        for args in passes:
+            assert self._walk(*args) == self._scan(*args)
+        assert regions == self.REGIONS - {(0, "t - 1")}
+
+        lo, width, missing = -3, 8, 0
+        for _ in range(3000):
+            C = [INF if rng.random() < 0.2 else rng.randint(0, 6) for _ in range(width)]
+            prev1 = [INF if rng.random() < 0.3 else rng.randint(0, 7) for _ in range(width - 1)]
+            key, t, eps = rng.choice([None, *range(width - 1)]), rng.randrange(width - 1), rng.randint(0, 1)
+            val = rng.randint(0, 8)
+            args = (lo + t, lo, (None, key), [([], prev1)], [C], eps, val)
+            missing += isinstance(walked := self._walk(*args), str)
+            assert walked == self._scan(*args), args
+        assert regions == self.REGIONS and missing > 100
+
+
 class TestKernelPassMemo:
     """``_kernel_pass`` keeps the last two passes, keyed by (bundle, lo, hi)
     after the window is validated, so the certify sequence at w and 2w runs
-    the kernel once per window."""
+    the kernel once per window.  ``_tables`` keeps the last two tables,
+    keyed by (bundle, r, window, lo, hi) after r and the window are
+    validated, so the star condition reads the tables just built."""
 
     L = LimitLineBundle(4, ((0, 4), (2, 2), None, (4, 0)))
 
@@ -306,16 +388,41 @@ class TestKernelPassMemo:
         rep2 = is_r_positive(L, 0, 2 * w)
         r = rep.min_h0 - 1
         assert r >= 0
+        chain._tables.cache_clear()
         vanishing_tables(L, r, w)
         star_components(L, r, w)
         info = chain._kernel_pass.cache_info()
-        assert (info.misses, info.hits) == (2, 2)
+        assert (info.misses, info.hits) == (2, 1)
+        tables = chain._tables.cache_info()
+        assert (tables.misses, tables.hits) == (1, 1)
         # a read from the memo gives the quadratic DP's answer at each window
         for window, first in ((w, rep), (2 * w, rep2)):
             best, witness, _ = oracles.suffix_dp(L, window)
             again = is_r_positive(L, 0, window)
             assert (again.min_h0, again.witness) == (first.min_h0, first.witness) == (best, witness)
         assert chain._kernel_pass.cache_info().misses == 2
+
+    def test_window_is_validated_before_the_tables_memo(self):
+        chain._tables.cache_clear()
+        tables = vanishing_tables(self.L, 1, 1)
+        with pytest.raises(TypeError, match="need an integer window"):
+            vanishing_tables(self.L, 1, 1.0)
+        assert vanishing_tables(self.L, 1, True) is tables
+        assert vanishing_tables(self.L, True, 1) is tables and tables.r == 1
+        info = chain._tables.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_a_refusal_is_raised_on_every_call(self):
+        """No refusal is cached: r >= min h0 and a threshold at the window's
+        edge are refused again on every call, by the tables and the star."""
+        chain._tables.cache_clear()
+        for r, window, match in ((2, 1, "min h0 = 2 < r[+]1 = 3"), (0, 0, "enlarge it")):
+            for _ in range(2):
+                for call in (vanishing_tables, star_components):
+                    with pytest.raises(PreconditionError, match=match):
+                        call(self.L, r, window)
+        info = chain._tables.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (8, 0, 0)
 
     def test_a_third_window_or_bundle_evicts_the_oldest(self):
         L, other = self.L, LimitLineBundle(3, ((0, 3), None, (3, 0)))
@@ -553,9 +660,11 @@ class TestVanishingTableCheck:
         ramp = [min(i, 4) for i in range(len(states[0][0]))]
         for forged, ok in ((ramp, True), ([2 * x for x in ramp], False), (ramp[::-1], False)):
             forged_states = ((forged, forged), *states[1:])
-            monkeypatch.setattr(chain, "_suffix_pass", lambda *_: (window, lo, forged_states, best, witness))
+            monkeypatch.setattr(chain, "_kernel_pass", lambda *_: (forged_states, best, witness))
+            chain._tables.cache_clear()  # a table held from before would not reach the pass
             if ok:
                 vanishing_tables(L, 0)
             else:
                 with pytest.raises(InternalCheckError, match="not 1-Lipschitz monotone"):
                     vanishing_tables(L, 0)
+        chain._tables.cache_clear()  # drop the table built from the forged ramp
